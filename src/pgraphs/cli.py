@@ -85,6 +85,9 @@ def load_config(path: str | Path):
     defaults = data.get("defaults", {})
     if not isinstance(defaults, dict):
         raise ConfigError(f"{path}: defaults: must be an object")
+    for key, minimum in (("depth", 0), ("bound", 1)):
+        if key in defaults and (type(defaults[key]) is not int or defaults[key] < minimum):
+            raise ConfigError(f"{path}: defaults.{key}: integer >= {minimum} required")
     return model, defaults
 
 
@@ -135,6 +138,21 @@ def _load_tree(data: dict, path) -> cm.TreeModel:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_vector(text: str, rank: int):
     try:
         coords = tuple(int(c) for c in text.split(","))
@@ -170,7 +188,7 @@ def cmd_validate(args) -> int:
 def cmd_semigroups(args) -> int:
     model, defaults = load_config(args.config)
     spec = model.flat_spec()
-    bound = args.bound or defaults.get("bound") or 16
+    bound = args.bound if args.bound is not None else defaults.get("bound", 16)
     patterns = cs.enumerate_admissible(spec)
     rows = []
     for pattern in patterns:
@@ -192,7 +210,7 @@ def _build_from_args(args, model, defaults):
     spec = model.flat_spec()
     pattern = _resolve_pattern(args, defaults, spec)
     depth = args.depth if args.depth is not None else defaults.get("depth", 3)
-    bound = args.bound or defaults.get("bound") or 16
+    bound = args.bound if args.bound is not None else defaults.get("bound", 16)
     P = cs.ConeSemigroup(spec, pattern)
     gens = cs.minimal_generators(P, norm_bound=bound)
     return pg.build_slice(P, gens, model, depth), P, gens
@@ -271,7 +289,7 @@ def cmd_qlo(args) -> int:
     P = cs.ConeSemigroup(spec, pattern)
     a = _parse_vector(args.a, spec.rank)
     b = _parse_vector(args.b, spec.rank)
-    bound = args.bound or defaults.get("bound") or 8
+    bound = args.bound if args.bound is not None else defaults.get("bound", 8)
     ubs = cs.minimal_common_upper_bounds(P, a, b, bound)
     for u in ubs:
         print(f"({','.join(map(str, u))})")
@@ -291,7 +309,10 @@ def cmd_product(args) -> int:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read slice {path}: {exc}") from exc
-        factors.append(pg.slice_from_json_dict(data))
+        try:
+            factors.append(pg.slice_from_json_dict(data))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     result = pg.external_product(factors)
     out = Path(args.out)
     if args.format == "dot":
@@ -321,14 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semigroups", help="admissible sign patterns with generators")
     p.add_argument("config")
-    p.add_argument("--bound", type=int, default=None, help="generator search bound")
+    p.add_argument(
+        "--bound", type=_int_at_least(1), default=None, help="generator search bound"
+    )
     p.set_defaults(func=cmd_semigroups)
 
     p = sub.add_parser("graph-build", help="build and export a slice")
     p.add_argument("config")
     p.add_argument("--pattern", help="sign pattern, e.g. +1+2-3")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--depth", type=_int_at_least(0), default=None)
+    p.add_argument("--bound", type=_int_at_least(1), default=None)
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_graph_build)
@@ -336,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph-check", help="run structural checks on a slice")
     p.add_argument("config")
     p.add_argument("--pattern")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--depth", type=_int_at_least(0), default=None)
+    p.add_argument("--bound", type=_int_at_least(1), default=None)
     p.add_argument(
         "--checks",
         default="all",
         help="'all' or comma list of rooted,factorization,fibers,regularity,product",
     )
-    p.add_argument("--regularity-depth", type=int, default=None)
+    p.add_argument("--regularity-depth", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_graph_check)
 
     p = sub.add_parser("qlo", help="minimal common upper bounds of a pair")
@@ -351,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern")
     p.add_argument("--a", required=True, help="comma vector, e.g. 1,0")
     p.add_argument("--b", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_int_at_least(1), default=None)
     p.set_defaults(func=cmd_qlo)
 
     p = sub.add_parser("product", help="external product of exported slices")

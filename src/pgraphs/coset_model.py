@@ -20,6 +20,7 @@ fiber sizes come from the shared formula; only truncation differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .cone_semigroup import ConeSemigroup
@@ -66,6 +67,11 @@ class PadicModel:
                 raise ValueError(f"row {j + 1}: exponent vector is zero")
 
     def flat_spec(self) -> FlatGroupSpec:
+        return self._spec
+
+    @cached_property
+    def _spec(self) -> FlatGroupSpec:
+        # derived once per model: caps() asks for it on every edge
         return make_spec(
             weights=[exps for _, exps in self.rows],
             relative_scales=[p for p, _ in self.rows],
@@ -86,6 +92,10 @@ class TreeModel:
                 raise ValueError(f"valency {j + 1} must be >= 1, got {d}")
 
     def flat_spec(self) -> FlatGroupSpec:
+        return self._spec
+
+    @cached_property
+    def _spec(self) -> FlatGroupSpec:
         n = len(self.valencies)
         if any(d < 2 for d in self.valencies):
             # a valency-1 coordinate never expands, so it cannot appear as

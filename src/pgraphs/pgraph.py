@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, product
 
 import networkx as nx
@@ -84,30 +85,34 @@ class PGraphSlice:
         return ids[0]
 
     @cached_property
-    def _topo_levels(self) -> tuple[GroupElement, ...]:
-        """Levels in topological order of the generator-step DAG."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.levels)
-        for x in self.levels:
-            for gen in self.generators:
-                y = vadd(x, gen)
-                if y in self.level_set:
-                    g.add_edge(x, y)
+    def level_steps(self) -> dict[GroupElement, tuple[tuple[int, GroupElement], ...]]:
+        """(generator index, x + generator) for each step from x that stays in the slice."""
+        return {
+            x: tuple(
+                (gi, y)
+                for gi, gen in enumerate(self.generators)
+                if (y := vadd(x, gen)) in self.level_set
+            )
+            for x in self.levels
+        }
+
+    @cached_property
+    def _levels_top_down(self) -> tuple[GroupElement, ...]:
+        """Levels ordered so that x + g comes before x for every step g."""
+        after = {x: [y for _, y in steps] for x, steps in self.level_steps.items()}
         try:
-            return tuple(nx.topological_sort(g))
-        except nx.NetworkXUnfeasible as exc:
+            return tuple(TopologicalSorter(after).static_order())
+        except CycleError as exc:
             raise NotApplicable("level graph has a cycle") from exc
 
     @cached_property
     def reachable(self) -> dict[GroupElement, frozenset[GroupElement]]:
         """Levels reachable from each level by generator steps (incl. itself)."""
         out: dict[GroupElement, set[GroupElement]] = {}
-        for x in reversed(self._topo_levels):
+        for x in self._levels_top_down:
             acc = {x}
-            for gen in self.generators:
-                y = vadd(x, gen)
-                if y in self.level_set:
-                    acc |= out[y]
+            for _, y in self.level_steps[x]:
+                acc |= out[y]
             out[x] = acc
         return {x: frozenset(s) for x, s in out.items()}
 
@@ -118,9 +123,8 @@ class PGraphSlice:
         if x == y:
             return [()]
         words = []
-        for gi, gen in enumerate(self.generators):
-            nxt = vadd(x, gen)
-            if nxt in self.level_set and y in self.reachable[nxt]:
+        for gi, nxt in self.level_steps[x]:
+            if y in self.reachable[nxt]:
                 words.extend((gi,) + w for w in self.gen_words(nxt, y))
         return words
 
@@ -139,25 +143,37 @@ class PGraphSlice:
         return cur
 
     @cached_property
-    def _ancestor_maps(self) -> dict[tuple[GroupElement, GroupElement], dict[int, int]]:
-        return {}
+    def ancestor_table(self) -> dict[tuple[GroupElement, GroupElement], dict[int, int]]:
+        """amap[(x, y)] maps each w in fiber(y) to its ancestor at level x.
+
+        The ancestor is the one `walk_back` finds along the first word of
+        `gen_words(x, y)`; w is missing where a step back is not unique.
+        That word starts with the smallest generator g whose target
+        x + g still reaches y, and continues with the first word from
+        x + g, so amap[(x, y)] is amap[(x + g, y)] followed by one step
+        back along g.  Levels are visited top-down, so that map exists.
+        """
+        table: dict[tuple[GroupElement, GroupElement], dict[int, int]] = {}
+        for x in self._levels_top_down:
+            for y in self.reachable[x]:
+                if y == x:
+                    table[(x, x)] = {w: w for w in self.fiber_at(x)}
+                    continue
+                gi, nxt = next(
+                    (gi, nxt) for gi, nxt in self.level_steps[x] if y in self.reachable[nxt]
+                )
+                amap = {}
+                for w, u in table[(nxt, y)].items():
+                    v = self.step_back(u, gi)
+                    if v is not None:
+                        amap[w] = v
+                table[(x, y)] = amap
+        return table
 
     def ancestor(self, w: int, x: GroupElement) -> int | None:
         """Ancestor of vertex w at level x along the first generator word."""
-        y = self.vertices[w].level
-        key = (x, y)
-        amap = self._ancestor_maps.get(key)
-        if amap is None:
-            words = self.gen_words(x, y)
-            if not words:
-                return None
-            amap = {}
-            for wi in self.fiber_at(y):
-                anc = self.walk_back(wi, words[0])
-                if anc is not None:
-                    amap[wi] = anc
-            self._ancestor_maps[key] = amap
-        return amap.get(w)
+        amap = self.ancestor_table.get((x, self.vertices[w].level))
+        return None if amap is None else amap.get(w)
 
 
 @dataclass(frozen=True)
@@ -269,6 +285,16 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     exactly one sigma-predecessor wherever the level below exists, and
     (c) for every comparable level pair, all generator words induce the
     same ancestor map on the upper fiber.
+
+    Part (c) reads the ancestor table rather than walking every word.
+    A word from x to y is a step g from x followed by a word from x + g
+    to y.  So when all words from each such x + g agree, the words from
+    x agree exactly when stepping back along g from amap[(x + g, y)]
+    gives amap[(x, y)] for every g.  A pair that fails this test is
+    marked, and so is every pair (x', y) with a step from x' into a
+    marked pair.  Only marked pairs walk their words to name the
+    disagreeing ones, so the failures, and their order, are those of
+    walking the words of every pair.
     """
     failures: list[str] = []
     witnesses: list = []
@@ -308,13 +334,27 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
             "rooted_strongly_simple", False, tuple(failures), tuple(witnesses)
         )
 
+    table = slice_.ancestor_table
+    marked: set[tuple[GroupElement, GroupElement]] = set()
+    for x in slice_._levels_top_down:
+        for y in slice_.reachable[x]:
+            amap = table[(x, y)]
+            for gi, nxt in slice_.level_steps[x]:
+                if y not in slice_.reachable[nxt]:
+                    continue
+                up = table[(nxt, y)]
+                if (nxt, y) in marked or any(
+                    (slice_.step_back(up[w], gi) if w in up else None) != amap.get(w)
+                    for w in slice_.fiber_at(y)
+                ):
+                    marked.add((x, y))
+                    break
+
     for x in slice_.levels:
         for y in slice_.reachable[x]:
-            if y == x:
+            if (x, y) not in marked:
                 continue
             words = slice_.gen_words(x, y)
-            if len(words) < 2:
-                continue
             ref = {w: slice_.walk_back(w, words[0]) for w in slice_.fiber_at(y)}
             for word in words[1:]:
                 for w in slice_.fiber_at(y):
@@ -336,27 +376,32 @@ def check_factorization(slice_: PGraphSlice) -> CheckReport:
     For each morphism v -> w of degree y - x and each slice level z with
     x <= z <= y, exactly one u in fiber(z) must satisfy both v -> u and
     u -> w.  Verified exhaustively on the slice.
+
+    A u in fiber(z) with u -> w is w's ancestor at z, so at most one u
+    qualifies: the count is 1 when anc(anc(w, z), x) == anc(w, x) and 0
+    otherwise.  All three ancestors are lookups in the ancestor table,
+    whose map for (x, z) covers only fiber(z), so an ancestor of w that
+    left fiber(z) on a corrupted slice counts 0.
     """
     failures: list[str] = []
     witnesses: list = []
+    table = slice_.ancestor_table
     for x in slice_.levels:
         for y in slice_.reachable[x]:
+            to_x = table[(x, y)]
             for z in slice_.reachable[x]:
-                if y not in slice_.reachable.get(z, frozenset()):
+                if y not in slice_.reachable[z]:
                     continue
+                to_z, z_to_x = table[(z, y)], table[(x, z)]
                 for w in slice_.fiber_at(y):
-                    v = slice_.ancestor(w, x)
+                    v = to_x.get(w)
                     if v is None:
                         failures.append(
                             f"no ancestor of {slice_.vertices[w]} at level {x}"
                         )
                         witnesses.append(("no_ancestor", w, x))
                         continue
-                    count = sum(
-                        1
-                        for u in slice_.fiber_at(z)
-                        if slice_.ancestor(w, z) == u and slice_.ancestor(u, x) == v
-                    )
+                    count = 1 if z_to_x.get(to_z.get(w)) == v else 0
                     if count != 1:
                         failures.append(
                             f"split {x}->{z}->{y} of morphism to {slice_.vertices[w]}"
@@ -559,11 +604,9 @@ def common_descendants(
     for lvl in (alpha.level, beta.level):
         if z not in slice_.reachable.get(lvl, frozenset()):
             raise LevelNotComparable(f"level {lvl} is not below {z}")
-    return sum(
-        1
-        for w in slice_.fiber_at(z)
-        if slice_.ancestor(w, alpha.level) == ai and slice_.ancestor(w, beta.level) == bi
-    )
+    to_a = slice_.ancestor_table[(alpha.level, z)]
+    to_b = slice_.ancestor_table[(beta.level, z)]
+    return sum(1 for w in slice_.fiber_at(z) if to_a.get(w) == ai and to_b.get(w) == bi)
 
 
 PRODUCT_OF_TREES = "product_of_trees"
@@ -802,29 +845,62 @@ def slice_to_json_dict(slice_: PGraphSlice) -> dict:
     }
 
 
+def _json_ints(entry, key: str, where: str) -> tuple[int, ...]:
+    """entry[key] as a tuple of ints; ValueError naming where.key otherwise."""
+    value = entry.get(key) if isinstance(entry, dict) else None
+    if not isinstance(value, list) or not all(type(c) is int for c in value):
+        raise ValueError(f"{where}.{key}: integer array required")
+    return tuple(value)
+
+
 def slice_from_json_dict(data: dict) -> PGraphSlice:
     """Rebuild a slice from exported data; generators are recovered from
-    the edge labels and level differences."""
-    levels = tuple(tuple(entry["x"]) for entry in data["levels"])
-    vertices = tuple(
-        Vertex(tuple(e["level"]), tuple(e["residues"])) for e in data["vertices"]
-    )
-    edges = tuple((e["from"], e["to"], e["gen"]) for e in data["edges"])
+    the edge labels and level differences.
+
+    Raises ValueError naming the field when the data is malformed.
+    """
+    raw = {}
+    for key in ("levels", "vertices", "edges"):
+        raw[key] = data.get(key) if isinstance(data, dict) else None
+        if not isinstance(raw[key], list):
+            raise ValueError(f"{key}: array required")
+    if not raw["levels"]:
+        raise ValueError("levels: at least one level required")
+    levels = tuple(_json_ints(e, "x", f"levels[{i}]") for i, e in enumerate(raw["levels"]))
+    for i, x in enumerate(levels):
+        if len(x) != len(levels[0]):
+            raise ValueError(f"levels[{i}].x: length {len(x)}, want {len(levels[0])}")
+    level_set = set(levels)
+    vertices = []
+    for i, e in enumerate(raw["vertices"]):
+        level = _json_ints(e, "level", f"vertices[{i}]")
+        if level not in level_set:
+            raise ValueError(f"vertices[{i}].level: {list(level)} is not a listed level")
+        vertices.append(Vertex(level, _json_ints(e, "residues", f"vertices[{i}]")))
+    edges = []
+    keys = ("from", "to", "gen")
+    for i, e in enumerate(raw["edges"]):
+        edge = tuple(e.get(key) if isinstance(e, dict) else None for key in keys)
+        for key, v in zip(keys, edge):
+            if type(v) is not int:
+                raise ValueError(f"edges[{i}].{key}: integer required")
+            if key != "gen" and not 0 <= v < len(vertices):
+                raise ValueError(f"edges[{i}].{key}: vertex index {v} out of range")
+        edges.append(edge)
     gen_vec: dict[int, GroupElement] = {}
-    for u, w, g in edges:
+    for i, (u, w, g) in enumerate(edges):
         vec = vsub(vertices[w].level, vertices[u].level)
         if gen_vec.setdefault(g, vec) != vec:
-            raise ValueError(f"generator {g} has inconsistent level steps")
-    gens = tuple(gen_vec[g] for g in sorted(gen_vec))
-    depth = 0
-    if levels:
-        depth = max(_word_norm(x, gens) for x in levels)
+            raise ValueError(f"edges[{i}].gen: generator {g} has inconsistent level steps")
+    if sorted(gen_vec) != list(range(len(gen_vec))):
+        raise ValueError(f"edges: generator labels {sorted(gen_vec)} are not 0..n-1")
+    gens = tuple(gen_vec[g] for g in range(len(gen_vec)))
     return PGraphSlice(
         generators=gens,
-        depth=depth,
+        depth=max(_word_norm(x, gens) for x in levels),
         levels=levels,
-        vertices=vertices,
-        edges=edges,
+        vertices=tuple(vertices),
+        edges=tuple(edges),
         semigroup=None,
     )
 

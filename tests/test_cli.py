@@ -183,6 +183,49 @@ def test_product_command(capsys, tmp_path):
     assert sizes[(2, 2)] == 4 * 9 and sizes[(1, 2)] == 2 * 9
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("graph-build", "--depth", "-1", "--out", "x.json"), "--depth"),
+        (("graph-check", "--depth", "-1"), "--depth"),
+        (("graph-check", "--regularity-depth", "-1"), "--regularity-depth"),
+        (("graph-build", "--bound", "0", "--out", "x.json"), "--bound"),
+        (("semigroups", "--bound", "0"), "--bound"),
+        (("qlo", "--a", "1,0", "--b", "0,1", "--bound", "0"), "--bound"),
+    ],
+)
+def test_bad_numeric_options(capsys, tmp_path, argv, option):
+    command, *rest = (str(tmp_path / a) if a == "x.json" else a for a in argv)
+    cfg = str(bundled_config_path("example_5_1"))
+    code, out, err = run(capsys, command, cfg, *rest)
+    assert code == 2 and not out
+    assert f"argument {option}: must be >=" in err
+
+
+def test_bad_config_defaults(capsys, tmp_path):
+    cfg = tmp_path / "neg.json"
+    cfg.write_text(json.dumps({"kind": "tree", "valencies": [2], "defaults": {"depth": -1}}))
+    code, _, err = run(capsys, "graph-build", str(cfg), "--out", str(tmp_path / "x.json"))
+    assert code == 2 and "defaults.depth" in err
+
+
+def test_product_rejects_malformed_slices(capsys, tmp_path):
+    good = tmp_path / "good.json"
+    cfg = str(bundled_config_path("moller_tree"))
+    assert run(capsys, "graph-build", cfg, "--depth", "1", "--out", str(good))[0] == 0
+    data = json.loads(good.read_text())
+    edge = dict(data["edges"][0], to=len(data["vertices"]))
+    cases = [
+        (dict(data, edges=[edge] + data["edges"][1:]), "edges[0].to"),
+        ({k: v for k, v in data.items() if k != "vertices"}, "vertices"),
+    ]
+    bad = tmp_path / "bad.json"
+    for payload, name in cases:
+        bad.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "product", str(bad), "--out", str(tmp_path / "p.json"))
+        assert code == 2 and name in err
+
+
 def test_semigroups_certification_bound_too_small(capsys):
     code, _, err = run(
         capsys, "semigroups", str(bundled_config_path("example_5_3")), "--bound", "1"

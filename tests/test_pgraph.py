@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from functools import lru_cache
 
 import networkx as nx
@@ -126,6 +127,111 @@ def test_fault_injection_source():
     assert any(w[0] == "ambiguous" for w in report.witnesses)
 
 
+def _swap_edge_sources(s, level):
+    """Exchange the sources of two edges into `level` along one generator.
+
+    Every in-degree stays 1, so only the word part of the rooted check
+    can notice."""
+    edges = list(s.edges)
+    into = [i for i, (u, w, g) in enumerate(edges) if s.vertices[w].level == level]
+    i = into[0]
+    j = next(j for j in into if edges[j][2] == edges[i][2] and edges[j][0] != edges[i][0])
+    (u, w, g), (u2, w2, _) = edges[i], edges[j]
+    edges[i], edges[j] = (u2, w, g), (u, w2, g)
+    return dataclasses.replace(s, edges=tuple(sorted(edges)))
+
+
+def _word_walking_checks(s):
+    """Reference: the witnesses of the rooted check's word part and of the
+    factorization check, found by walking generator words."""
+    first_word = lru_cache(maxsize=None)(lambda x, y: s.gen_words(x, y)[0])
+
+    def anc(w, x):
+        y = s.vertices[w].level
+        return s.walk_back(w, first_word(x, y)) if y in s.reachable[x] else None
+
+    ambiguous = []
+    for x in s.levels:
+        for y in s.reachable[x]:
+            words = s.gen_words(x, y)
+            for word in words[1:]:
+                for w in s.fiber_at(y):
+                    if s.walk_back(w, word) != s.walk_back(w, words[0]):
+                        ambiguous.append(("ambiguous", w, x, words[0], word))
+    factorization = []
+    for x in s.levels:
+        for y in s.reachable[x]:
+            for z in s.reachable[x]:
+                if y not in s.reachable[z]:
+                    continue
+                for w in s.fiber_at(y):
+                    v = anc(w, x)
+                    if v is None:
+                        factorization.append(("no_ancestor", w, x))
+                        continue
+                    count = sum(
+                        1 for u in s.fiber_at(z) if anc(w, z) == u and anc(u, x) == v
+                    )
+                    if count != 1:
+                        factorization.append(("split", w, x, z, y, count))
+    return tuple(ambiguous), tuple(factorization)
+
+
+CLEAN_SLICES = [("5_1", "+1+2", 3), ("5_2", "+1+2+3", 3), ("5_3", "+1+2", 3),
+                ("coprime", "+1+2", 3), ("tree3", "+1", 4), ("5_1", "+1-2", 2)]
+
+
+def _corrupted_slices():
+    return [
+        _retarget_edge_target(make_slice("5_2", "+1+2+3", 2)),
+        _retarget_edge_target(make_slice("5_2", "+1+2+3", 3)),
+        _retarget_edge_source(make_slice("5_2", "+1+2+3", 3)),
+        _swap_edge_sources(make_slice("5_3", "+1+2", 3), (2, 0)),
+        # words from (2, 1) disagree further up than the first step shows
+        _swap_edge_sources(make_slice("5_1", "+1+2", 4), (2, 1)),
+    ]
+
+
+def test_ancestor_table_is_first_word_walk():
+    for s in [make_slice(*args) for args in CLEAN_SLICES] + _corrupted_slices():
+        table = s.ancestor_table
+        assert set(table) == {(x, y) for x in s.levels for y in s.reachable[x]}
+        for (x, y), amap in table.items():
+            word = s.gen_words(x, y)[0]
+            walked = {w: s.walk_back(w, word) for w in s.fiber_at(y)}
+            assert amap == {w: a for w, a in walked.items() if a is not None}
+            assert all(s.ancestor(w, x) == a for w, a in walked.items())
+
+
+def test_checks_match_word_walking_reference():
+    for s in [make_slice(*args) for args in CLEAN_SLICES] + _corrupted_slices():
+        ambiguous, factorization = _word_walking_checks(s)
+        assert pg.check_factorization(s).witnesses == factorization
+        rooted = pg.check_rooted_strongly_simple(s)
+        if not any(w[0] in ("in_degree", "unreachable") for w in rooted.witnesses):
+            assert rooted.witnesses == ambiguous
+
+
+def test_swapped_sources_are_ambiguous():
+    report = pg.check_rooted_strongly_simple(
+        _swap_edge_sources(make_slice("5_3", "+1+2", 3), (2, 0))
+    )
+    assert not report.ok
+    assert {w[0] for w in report.witnesses} == {"ambiguous"}
+
+
+def test_level_cycle_not_applicable():
+    s = pg.PGraphSlice(
+        generators=((1,), (-1,)),
+        depth=1,
+        levels=((0,), (1,)),
+        vertices=(Vertex((0,), ()), Vertex((1,), ())),
+        edges=((0, 1, 0), (1, 0, 1)),
+    )
+    with pytest.raises(NotApplicable, match="cycle"):
+        s.reachable
+
+
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -134,6 +240,18 @@ def test_factorization_passes():
     assert pg.check_factorization(make_slice("5_2", "+1+2+3", 2)).ok
     assert pg.check_factorization(make_slice("5_2", "+1+2+3", 0)).ok
     assert pg.check_factorization(make_slice("5_3", "+1+2", 2)).ok
+
+
+def test_factorization_failure_count_pinned():
+    report = pg.check_factorization(_retarget_edge_target(make_slice("5_2", "+1+2+3", 3)))
+    assert len(report.failures) == 100
+
+
+def test_checks_on_moller_tree_depth_8():
+    s = make_slice("tree3", "+1", 8)
+    assert len(s.vertices) == 9841
+    assert pg.check_rooted_strongly_simple(s).ok
+    assert pg.check_factorization(s).ok
 
 
 def test_factorization_split_counts_by_hand():
@@ -350,6 +468,28 @@ def test_json_round_trip():
     assert back.vertices == s.vertices
     assert back.edges == s.edges
     assert back.generators == s.generators
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d.pop("levels"), "levels"),
+        (lambda d: d["levels"].clear(), "levels"),
+        (lambda d: d["levels"][1].update(x=[1]), "levels[1].x"),
+        (lambda d: d["levels"][1].update(x="1,0"), "levels[1].x"),
+        (lambda d: d["vertices"][0].update(level=[9, 9]), "vertices[0].level"),
+        (lambda d: d["vertices"][0].pop("residues"), "vertices[0].residues"),
+        (lambda d: d["edges"][0].update({"from": -1}), "edges[0].from"),
+        (lambda d: d["edges"][0].update(gen="0"), "edges[0].gen"),
+        (lambda d: d["edges"][0].update(gen=1 - d["edges"][0]["gen"]), "inconsistent"),
+        (lambda d: d["edges"][0].update(gen=5), "generator labels"),
+    ],
+)
+def test_json_import_names_bad_field(edit, field):
+    data = json.loads(json.dumps(pg.slice_to_json_dict(make_slice("5_1", "+1+2", 1))))
+    edit(data)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        pg.slice_from_json_dict(data)
 
 
 def test_json_shape():
