@@ -22,7 +22,7 @@ from .cone_semigroup import (
     minimal_common_upper_bounds,
     minimal_generators,
 )
-from .coset_model import PadicModel, TreeModel, Vertex, derive_flat_spec, fiber, truncate
+from .coset_model import PadicModel, TreeModel, Vertex, fiber, truncate
 from .pgraph import (
     PGraphSlice,
     build_slice,

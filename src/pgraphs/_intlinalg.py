@@ -29,10 +29,6 @@ def vneg(x: Vec) -> Vec:
     return tuple(-a for a in x)
 
 
-def vscale(c: int, x: Vec) -> Vec:
-    return tuple(c * a for a in x)
-
-
 def rational_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals, by fraction-free Gaussian elimination."""
     mat = [list(map(Fraction, r)) for r in rows]

@@ -111,22 +111,6 @@ class ConeSemigroup:
         )
 
 
-def contains(P: ConeSemigroup, x: GroupElement) -> bool:
-    return P.contains(x)
-
-
-def extension_closure(P: ConeSemigroup, z: GroupElement) -> bool:
-    """Whether adjoining z keeps the semigroup scale-multiplicative.
-
-    True iff rho_j(z) >= 0 on J+ and <= 0 on J-; components outside the
-    pattern are unconstrained.
-    """
-    r = rho(P.spec, z)
-    return all(r[j - 1] >= 0 for j in P.pattern.j_plus) and all(
-        r[j - 1] <= 0 for j in P.pattern.j_minus
-    )
-
-
 # ---------------------------------------------------------------------------
 # Admissibility
 

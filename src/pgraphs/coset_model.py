@@ -108,10 +108,6 @@ class TreeModel:
 CosetModel = PadicModel | TreeModel
 
 
-def derive_flat_spec(model: CosetModel) -> FlatGroupSpec:
-    return model.flat_spec()
-
-
 def caps(model: CosetModel, x: GroupElement) -> tuple[int, ...]:
     """Residue cap per component at level x: s_j ** max(rho_j(x), 0)."""
     spec = model.flat_spec()

@@ -16,8 +16,6 @@ from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, product
 
-import networkx as nx
-
 from ._intlinalg import rational_rank, vadd, vsub
 from .cone_semigroup import ConeSemigroup, GeneratorSet
 from .coset_model import CosetModel, Vertex, fiber, truncate
@@ -474,83 +472,150 @@ def _cone_deltas(generators, depth: int) -> set:
     return deltas
 
 
-def descendant_cone(slice_: PGraphSlice, v: int, depth: int) -> nx.DiGraph:
+@dataclass(frozen=True)
+class DescendantCone:
+    """Descendants of a root vertex within a depth, as slice vertex indices.
+
+    `order` is the BFS order from the root, `tree_edge` the BFS tree edge
+    (parent, generator) into each other node, `offset` each node's level
+    minus the root's, and `edges` the labelled slice edges among them.
+    """
+
+    order: tuple[int, ...]
+    tree_edge: dict[int, tuple[int, int]]
+    offset: dict[int, GroupElement]
+    edges: frozenset[Edge]
+
+    @cached_property
+    def incident(self) -> dict[int, list[Edge]]:
+        """The edges at each node, in slice order."""
+        out: dict[int, list[Edge]] = {u: [] for u in self.order}
+        for e in sorted(self.edges):
+            out[e[0]].append(e)
+            out[e[1]].append(e)
+        return out
+
+    @cached_property
+    def colours(self) -> dict[int, int]:
+        """Stable colours of colour refinement started from the offsets.
+
+        A round hashes each node's colour with the sorted (generator,
+        source colour, target colour) of its edges; refinement stops at
+        the first round that splits no class.  Every round is a function
+        of the labelled graph, so an isomorphism of cones keeps colours.
+        """
+        colour: dict = dict(self.offset)
+        classes = len(set(colour.values()))
+        incident = self.incident
+        while True:
+            colour = {
+                u: hash((c, tuple(sorted((g, colour[a], colour[b]) for a, b, g in incident[u]))))
+                for u, c in colour.items()
+            }
+            if len(set(colour.values())) <= classes:
+                return colour
+            classes = len(set(colour.values()))
+
+
+def descendant_cone(slice_: PGraphSlice, v: int, depth: int) -> DescendantCone:
     """Induced subgraph on descendants of v within `depth` generator steps.
 
     Nodes carry the level offset from v; edges carry the generator index.
+    An ordered pair of nodes carries one edge: where a corrupted slice
+    joins it along several generators, the last in successor order wins.
     """
+    parent = {v: v}
+    frontier = [v]
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            for ws in slice_.succ[u].values():
+                for w in ws:
+                    if w not in parent:
+                        parent[w] = u
+                        nxt.append(w)
+        frontier = nxt
+    label = {
+        (u, w): g for u in parent for g, ws in slice_.succ[u].items() for w in ws if w in parent
+    }
     base = slice_.vertices[v].level
-    dist = {v: 0}
-    order = [v]
-    for u in order:
-        if dist[u] == depth:
-            continue
-        for ws in slice_.succ[u].values():
-            for w in ws:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    order.append(w)
-    g = nx.DiGraph()
-    for u in order:
-        g.add_node(u, offset=vsub(slice_.vertices[u].level, base))
-    for u in order:
-        for gi, ws in slice_.succ[u].items():
-            for w in ws:
-                if w in dist:
-                    g.add_edge(u, w, gen=gi)
-    return g
-
-
-def _cone_signature(g: nx.DiGraph):
-    profile = sorted(
-        (
-            data["offset"],
-            tuple(sorted(d["gen"] for _, _, d in g.out_edges(n, data=True))),
-            tuple(sorted(d["gen"] for _, _, d in g.in_edges(n, data=True))),
-        )
-        for n, data in g.nodes(data=True)
+    return DescendantCone(
+        order=tuple(parent),
+        tree_edge={w: (u, label[(u, w)]) for w, u in parent.items() if w != v},
+        offset={u: vsub(slice_.vertices[u].level, base) for u in parent},
+        edges=frozenset((u, w, g) for (u, w), g in label.items()),
     )
-    return (g.number_of_nodes(), g.number_of_edges(), tuple(profile))
 
 
 def cone_certificate(slice_: PGraphSlice, v: int, depth: int) -> str:
-    """Deterministic isomorphism-invariant hash of a descendant cone.
+    """Deterministic isomorphism-invariant digest of a descendant cone's
+    stable colours; equal for isomorphic cones."""
+    colours = descendant_cone(slice_, v, depth).colours
+    return hashlib.sha256(repr(sorted(colours.values())).encode()).hexdigest()
 
-    Colour refinement over (offset, labelled in/out neighbourhoods),
-    iterated to stability and digested; equal for isomorphic cones.
+
+def cones_isomorphic(c1: DescendantCone, c2: DescendantCone) -> bool:
+    """Whether some bijection of nodes keeps offsets and maps the labelled
+    edges of c1 onto those of c2.
+
+    c1's nodes are mapped in BFS order, backtracking on an explicit stack.
+    The root may go to any c2 node of its colour; another node u, with
+    BFS tree edge (p, u, g), to an unused g-child of p's image of u's
+    colour.  A candidate must also have u's offset, and every c1 edge
+    between u and a mapped node must map to a c2 edge.
+
+    Complete: an isomorphism keeps colours and offsets and maps (p, u, g)
+    to an edge, so its image of u is always a candidate, and all are
+    tried.  Sound: a full map is injective on equally many nodes and maps
+    every c1 edge to a c2 edge, so with equal edge counts it is onto them.
     """
-    g = descendant_cone(slice_, v, depth)
-    colour = {n: repr(data["offset"]) for n, data in g.nodes(data=True)}
-    for _ in range(max(g.number_of_nodes(), 1)):
-        nxt = {}
-        for n in g.nodes:
-            outs = sorted((d["gen"], colour[w]) for _, w, d in g.out_edges(n, data=True))
-            ins = sorted((d["gen"], colour[u]) for u, _, d in g.in_edges(n, data=True))
-            nxt[n] = hashlib.sha256(repr((colour[n], outs, ins)).encode()).hexdigest()
-        stable = len(set(nxt.values())) == len(set(colour.values()))
-        colour = nxt
-        if stable:  # refinement only ever splits classes
-            break
-    digest = hashlib.sha256(repr(sorted(colour.values())).encode()).hexdigest()
-    return digest
+    if (len(c1.order), len(c1.edges), sorted(c1.colours.values())) != (
+        len(c2.order), len(c2.edges), sorted(c2.colours.values())
+    ):
+        return False
+    phi: dict[int, int] = {}
+    used: set[int] = set()
 
+    def candidates(u: int):
+        if u == c1.order[0]:
+            pool = c2.order
+        else:
+            p, g = c1.tree_edge[u]
+            pool = [b for a, b, h in c2.incident[phi[p]] if a == phi[p] and h == g]
+        key = (c1.colours[u], c1.offset[u])
+        for w in pool:
+            if (c2.colours[w], c2.offset[w]) != key or w in used:
+                continue
+            phi[u] = w
+            if all(
+                (phi[a], phi[b], g) in c2.edges
+                for a, b, g in c1.incident[u]
+                if a in phi and b in phi
+            ):
+                yield w
+        phi.pop(u, None)
 
-def cones_isomorphic(g1: nx.DiGraph, g2: nx.DiGraph) -> bool:
-    matcher = nx.algorithms.isomorphism.DiGraphMatcher(
-        g1,
-        g2,
-        node_match=lambda a, b: a["offset"] == b["offset"],
-        edge_match=lambda a, b: a["gen"] == b["gen"],
-    )
-    return matcher.is_isomorphic()
+    stack = [candidates(c1.order[0])]
+    while stack:
+        used.discard(phi.get(c1.order[len(stack) - 1]))
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+        elif len(stack) == len(c1.order):
+            return True
+        else:
+            used.add(w)
+            stack.append(candidates(c1.order[len(stack)]))
+    return False
 
 
 def check_regularity(slice_: PGraphSlice, depth_d: int) -> CheckReport:
     """Descendant cones truncated to depth_d are pairwise isomorphic.
 
     Only vertices whose full depth_d cone fits inside the slice take
-    part.  Cones are bucketed by certificate and then verified against a
-    representative with an exact labelled-graph isomorphism test.
+    part.  Each cone is compared with the first one by `cones_isomorphic`,
+    which is complete and sound, so a vertex fails exactly when its cone
+    is not isomorphic to the representative's.
     """
     if depth_d < 0:
         raise ValueError("depth_d must be >= 0")
@@ -564,14 +629,9 @@ def check_regularity(slice_: PGraphSlice, depth_d: int) -> CheckReport:
         return CheckReport("regularity", True, details=("no eligible vertices",))
     failures: list[str] = []
     witnesses: list = []
-    rep = eligible[0]
-    rep_cone = descendant_cone(slice_, rep, depth_d)
-    rep_cert = cone_certificate(slice_, rep, depth_d)
+    rep_cone = descendant_cone(slice_, eligible[0], depth_d)
     for v in eligible[1:]:
-        cert = cone_certificate(slice_, v, depth_d)
-        if cert != rep_cert or not cones_isomorphic(
-            rep_cone, descendant_cone(slice_, v, depth_d)
-        ):
+        if not cones_isomorphic(rep_cone, descendant_cone(slice_, v, depth_d)):
             failures.append(
                 f"descendant cone of {slice_.vertices[v]} differs from the root cone"
                 f" at depth {depth_d}"
@@ -897,7 +957,7 @@ def slice_from_json_dict(data: dict) -> PGraphSlice:
     gens = tuple(gen_vec[g] for g in range(len(gen_vec)))
     return PGraphSlice(
         generators=gens,
-        depth=max(_word_norm(x, gens) for x in levels),
+        depth=_level_depth(levels, gens),
         levels=levels,
         vertices=tuple(vertices),
         edges=tuple(edges),
@@ -905,20 +965,19 @@ def slice_from_json_dict(data: dict) -> PGraphSlice:
     )
 
 
-def _word_norm(x: GroupElement, gens: tuple[GroupElement, ...]) -> int:
-    """Shortest generator word length reaching x from 0, or 0 if none."""
-    if all(c == 0 for c in x):
-        return 0
-    frontier = {tuple([0] * len(x))}
-    seen = set(frontier)
-    for steps in range(1, 64):
-        frontier = {vadd(y, g) for y in frontier for g in gens} - seen
-        if x in frontier:
-            return steps
-        if not frontier:
-            return 0
+def _level_depth(levels: tuple[GroupElement, ...], gens: tuple[GroupElement, ...]) -> int:
+    """Largest BFS distance from the zero level over generator steps
+    between listed levels; ValueError naming a level it never reaches."""
+    level_set = set(levels)
+    seen = {tuple([0] * len(levels[0]))} & level_set
+    frontier, depth = seen, 0
+    while frontier := {vadd(x, g) for x in frontier for g in gens} & level_set - seen:
         seen |= frontier
-    return 0
+        depth += 1
+    for i, x in enumerate(levels):
+        if x not in seen:
+            raise ValueError(f"levels[{i}].x: {list(x)} is not reachable from level 0")
+    return depth
 
 
 def slice_to_dot(slice_: PGraphSlice) -> str:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pgraphs
 from pgraphs.cli import bundled_config_path, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -218,6 +222,7 @@ def test_product_rejects_malformed_slices(capsys, tmp_path):
     cases = [
         (dict(data, edges=[edge] + data["edges"][1:]), "edges[0].to"),
         ({k: v for k, v in data.items() if k != "vertices"}, "vertices"),
+        (dict(data, levels=data["levels"] + [{"x": [5], "size": 0}]), "levels[2].x"),
     ]
     bad = tmp_path / "bad.json"
     for payload, name in cases:
@@ -256,3 +261,13 @@ def test_run_checks_flags_corrupted_slice():
 def test_usage_error(capsys):
     assert main([]) == 2
     assert main(["graph-build", "nope.json", "--out", "x"]) == 2
+
+
+def test_cli_import_does_not_load_networkx():
+    src = str(Path(pgraphs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, pgraphs.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

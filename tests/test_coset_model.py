@@ -10,7 +10,6 @@ from pgraphs.coset_model import (
     TreeModel,
     Vertex,
     caps,
-    derive_flat_spec,
     fiber,
     preimage_count,
     truncate,
@@ -24,12 +23,12 @@ def cone(model, text):
 
 
 def test_derive_flat_spec(model_5_2, tree_3, model_coprime):
-    spec = derive_flat_spec(model_5_2)
+    spec = model_5_2.flat_spec()
     assert spec.weights == ((1, 0), (1, 1), (0, 1))
     assert spec.relative_scales == (2, 2, 2)
-    spec = derive_flat_spec(tree_3)
+    spec = tree_3.flat_spec()
     assert spec.rank == spec.components == 1 and spec.relative_scales == (3,)
-    assert derive_flat_spec(model_coprime).relative_scales == (2, 3)
+    assert model_coprime.flat_spec().relative_scales == (2, 3)
 
 
 def test_padic_rejects_composite_modulus():

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import random
 import re
+import sys
+import time
+from collections import Counter
 from functools import lru_cache
 
-import networkx as nx
 import pytest
 
 from pgraphs import cone_semigroup as cs
@@ -18,6 +21,9 @@ MODELS = {
     "5_3": PadicModel(((2, (1, 1)), (2, (1, -1)))),
     "coprime": PadicModel(((2, (1, 0)), (3, (0, 1)))),
     "tree3": TreeModel((3,)),
+    # relabellings of 5_2 (rows reordered) and 5_3 (coordinates swapped)
+    "5_2_rows": PadicModel(((2, (1, 1)), (2, (1, 0)), (2, (0, 1)))),
+    "5_3_swap": PadicModel(((2, (1, 1)), (2, (-1, 1)))),
 }
 
 
@@ -28,15 +34,6 @@ def make_slice(model_key, pattern_text, depth):
     P = cs.ConeSemigroup(spec, cs.SignPattern.parse(pattern_text))
     gens = cs.minimal_generators(P, 16)
     return pg.build_slice(P, gens, model, depth)
-
-
-def slice_digraph(s):
-    g = nx.DiGraph()
-    for i, v in enumerate(s.vertices):
-        g.add_node(i, level=v.level)
-    for u, w, gi in s.edges:
-        g.add_edge(u, w, gen=gi)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +249,13 @@ def test_checks_on_moller_tree_depth_8():
     assert len(s.vertices) == 9841
     assert pg.check_rooted_strongly_simple(s).ok
     assert pg.check_factorization(s).ok
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default; the depth-7 cones have 3280 nodes
+    try:
+        regularity = pg.check_regularity(s, 7)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert regularity.ok and regularity.details == ("compared 4 cones at depth 7",)
 
 
 def test_factorization_split_counts_by_hand():
@@ -309,6 +313,174 @@ def test_regularity_passes():
 def test_regularity_of_tree_product():
     t2 = make_slice_tree((2, 3), 2)
     assert pg.check_regularity(t2, 1).ok
+
+
+def test_regularity_of_relabelled_models():
+    # both relabellings ran past 25 s under a vertex-order-sensitive matcher
+    for key, text, depth in [("5_2_rows", "+1+2+3", 4), ("5_3_swap", "+1+2", 3)]:
+        s = make_slice(key, text, depth)
+        start = time.perf_counter()
+        assert pg.check_regularity(s, depth - 1).ok
+        assert time.perf_counter() - start < 5
+
+
+def test_regularity_fails_on_corrupted_slice():
+    report = pg.check_regularity(_retarget_edge_source(make_slice("5_2", "+1+2+3", 2)), 1)
+    assert not report.ok
+    assert report.failures == tuple(
+        f"descendant cone of Vertex(level=(1, 0), residues={r}) differs from the root cone"
+        " at depth 1"
+        for r in ((0, 0, 0), (0, 1, 0))
+    )
+    assert report.witnesses == (("cone", 21, 1), ("cone", 22, 1))
+    assert report.details == ("compared 9 cones at depth 1",)
+
+
+def _move_leaf(s):
+    """Rehang the last edge, into a top-level leaf, from a sibling of its source."""
+    edges = list(s.edges)
+    u, w, g = edges[-1]
+    h, (grandparent,) = next(iter(s.pred[u].items()))
+    sibling = next(t for t in s.succ[grandparent][h] if t != u)
+    edges[-1] = (sibling, w, g)
+    return dataclasses.replace(s, edges=tuple(sorted(edges)))
+
+
+def test_moved_leaf_rejected_quickly():
+    # same node, edge and offset counts; only colour refinement tells them apart fast
+    for key, text, depth in [("tree3", "+1", 5), ("tree3", "+1", 6), ("5_2", "+1+2+3", 4)]:
+        clean = make_slice(key, text, depth)
+        moved = _move_leaf(clean)
+        start = time.perf_counter()
+        assert not pg.cones_isomorphic(
+            pg.descendant_cone(clean, clean.root_index, depth),
+            pg.descendant_cone(moved, moved.root_index, depth),
+        )
+        assert not pg.check_regularity(moved, depth - 1).ok
+        assert time.perf_counter() - start < 1
+
+
+def test_descendant_cone_keeps_one_edge_per_pair():
+    # a corrupted slice joins 0 -> 2 along both generators; the cone keeps
+    # one edge per pair, labelled by the generator met last in successor order
+    s = pg.PGraphSlice(
+        generators=((0, 1), (1, 0)),
+        depth=1,
+        levels=((0, 0), (0, 1), (1, 0)),
+        vertices=(Vertex((0, 0), ()), Vertex((0, 1), ()), Vertex((1, 0), ())),
+        edges=((0, 1, 0), (0, 2, 0), (0, 2, 1)),
+    )
+    cone = pg.descendant_cone(s, 0, 1)
+    assert cone.edges == {(0, 1, 0), (0, 2, 1)}
+    assert cone.tree_edge == {1: (0, 0), 2: (0, 1)}
+
+
+def _two_level_slice(pairs):
+    """Rank 1: a root below vertices 0..5 at level 1, joined to vertices
+    0..5 at level 2 by `pairs` of (level-1 index, level-2 index)."""
+    vertices = [Vertex((0,), ())] + [Vertex((x,), (i,)) for x in (1, 2) for i in range(6)]
+    edges = [(0, 1 + i, 0) for i in range(6)] + [(1 + i, 7 + j, 0) for i, j in pairs]
+    return pg.PGraphSlice(((1,),), 2, ((0,), (1,), (2,)), tuple(vertices), tuple(sorted(edges)))
+
+
+def test_cones_isomorphic_beyond_colour_refinement():
+    # a 12-cycle and two 6-cycles between levels 1 and 2: every node has
+    # the same colour in both, so only the search tells them apart
+    one_cycle = [(i, j) for i in range(6) for j in (i, (i + 1) % 6)]
+    two_cycles = [(i, j) for i in range(6) for j in (i, 3 * (i // 3) + (i + 1) % 3)]
+    # the 12-cycle renumbered, so that the first candidates do not fit
+    sigma, tau = (3, 0, 4, 1, 5, 2), (2, 5, 1, 3, 0, 4)
+    renumbered = [(sigma[i], tau[j]) for i, j in one_cycle]
+    a, b, c = (
+        pg.descendant_cone(_two_level_slice(pairs), 0, 2)
+        for pairs in (one_cycle, two_cycles, renumbered)
+    )
+    assert sorted(a.colours.values()) == sorted(b.colours.values())
+    assert not pg.cones_isomorphic(a, b) and not pg.cones_isomorphic(b, a)
+    assert pg.cones_isomorphic(a, c) and pg.cones_isomorphic(c, a)
+
+
+def _nx_cone(nx, s, v, depth):
+    """A descendant cone as a networkx DiGraph, built from the slice directly."""
+    dist = {v: 0}
+    order = [v]
+    for u in order:
+        if dist[u] < depth:
+            for w in (w for ws in s.succ[u].values() for w in ws if w not in dist):
+                dist[w] = dist[u] + 1
+                order.append(w)
+    g = nx.DiGraph()
+    for u in order:
+        offset = tuple(a - b for a, b in zip(s.vertices[u].level, s.vertices[v].level))
+        g.add_node(u, offset=offset)
+    for u in order:
+        for gi, ws in s.succ[u].items():
+            for w in ws:
+                if w in dist:
+                    g.add_edge(u, w, gen=gi)
+    return g
+
+
+def _corrupt(s, rng, kind):
+    """Retarget, drop, duplicate or move (to another source) one random edge."""
+    edges = list(s.edges)
+    i = rng.randrange(len(edges))
+    u, w, g = edges[i]
+    if kind == "drop":
+        del edges[i]
+    elif kind == "duplicate":
+        edges.append(edges[i])
+    else:
+        end = w if kind == "retarget" else u
+        others = [t for t in s.fiber_at(s.vertices[end].level) if t != end]
+        if not others:
+            return s
+        t = rng.choice(others)
+        edges[i] = (u, t, g) if kind == "retarget" else (t, w, g)
+    return dataclasses.replace(s, edges=tuple(sorted(edges)))
+
+
+def test_cones_isomorphic_agrees_with_vf2():
+    nx = pytest.importorskip("networkx")
+    iso = nx.algorithms.isomorphism
+
+    def vf2(a, b):
+        return iso.DiGraphMatcher(
+            a,
+            b,
+            node_match=lambda x, y: x["offset"] == y["offset"],
+            edge_match=lambda x, y: x["gen"] == y["gen"],
+        ).is_isomorphic()
+
+    rng = random.Random(0)
+    outcomes = Counter()
+    for key, text, depth in [("5_1", "+1+2", 3), ("5_2", "+1+2+3", 3), ("5_3", "+1+2", 2),
+                             ("coprime", "+1+2", 3), ("tree3", "+1", 4)]:
+        clean = make_slice(key, text, depth)
+        variants = [clean] + [
+            _corrupt(clean, rng, kind)
+            for kind in ("retarget", "drop", "duplicate", "move")
+            for _ in range(2)
+        ]
+        for cone_depth in (1, 2):
+            rep = pg.descendant_cone(clean, clean.root_index, cone_depth)
+            rep_nx = _nx_cone(nx, clean, clean.root_index, cone_depth)
+            # vertices whose whole cone fits in the slice
+            eligible = [
+                v for v in range(len(clean.vertices))
+                if len(pg.descendant_cone(clean, v, cone_depth).order) == len(rep.order)
+            ]
+            for s in variants:
+                for v in eligible:
+                    cone = pg.descendant_cone(s, v, cone_depth)
+                    expected = vf2(rep_nx, _nx_cone(nx, s, v, cone_depth))
+                    assert pg.cones_isomorphic(rep, cone) == expected, (key, v, cone_depth)
+                    assert pg.cones_isomorphic(cone, rep) == expected, (key, v, cone_depth)
+                    sizes = (len(cone.order), len(cone.edges))
+                    outcomes[expected, sizes == (len(rep.order), len(rep.edges))] += 1
+    # non-isomorphic pairs include some that node and edge counts cannot tell apart
+    assert outcomes[True, True] > 1000
+    assert outcomes[False, False] > 50 and outcomes[False, True] > 0
 
 
 def make_slice_tree(valencies, depth):
@@ -489,6 +661,24 @@ def test_json_import_names_bad_field(edit, field):
     data = json.loads(json.dumps(pg.slice_to_json_dict(make_slice("5_1", "+1+2", 1))))
     edit(data)
     with pytest.raises(ValueError, match=re.escape(field)):
+        pg.slice_from_json_dict(data)
+
+
+def test_json_import_depth_of_long_chain():
+    # 66 levels on a rank-1 chain: depth 65, past any fixed word-length cap
+    n = 66
+    data = {
+        "levels": [{"x": [i], "size": 1} for i in range(n)],
+        "vertices": [{"level": [i], "residues": [0]} for i in range(n)],
+        "edges": [{"from": i, "to": i + 1, "gen": 0} for i in range(n - 1)],
+    }
+    assert pg.slice_from_json_dict(data).depth == 65
+
+
+def test_json_import_rejects_unreachable_level():
+    data = pg.slice_to_json_dict(make_slice("5_1", "+1+2", 1))
+    data["levels"].append({"x": [5, 5], "size": 0})
+    with pytest.raises(ValueError, match=re.escape("levels[3].x: [5, 5] is not reachable")):
         pg.slice_from_json_dict(data)
 
 
