@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[int, ...]
@@ -132,28 +133,38 @@ def _sign_normal(v: Vec) -> Vec:
     return vneg(v) if lead < 0 else v
 
 
-def zero_in_convex_hull(points: Sequence[Vec]) -> bool:
-    """Exact test whether 0 is a convex combination of the given points.
+def min_norm_point(points: Sequence[Vec]) -> tuple[Fraction, ...]:
+    """The point of the convex hull of `points` nearest to 0, exactly.
 
-    Enumerates affinely independent subsets of size at most dim+1
-    (Caratheodory) and solves for barycentric coordinates.
+    Enumerates affinely independent subsets S of size at most dim+1
+    (Caratheodory).  The point of aff(S) nearest to 0 is p = sum lam_i s_i
+    with (lam, mu) solving the affine Gram system [S^T S 1; 1^T 0] = (0, 1).
+    A solution with lam >= 0 and q.p >= |p|^2 for every point q meets the
+    KKT conditions of the hull, so p is its minimum-norm point.  0 lies in
+    the hull exactly when p is 0.
     """
     pts = list(points)
-    if not pts:
-        return False
     dim = len(pts[0])
-    if any(all(c == 0 for c in p) for p in pts):
-        return True
-    for size in range(2, min(len(pts), dim + 1) + 1):
-        for subset in combinations(range(len(pts)), size):
-            # columns are the chosen points, plus an affine row of ones
-            mat = [[pts[j][i] for j in subset] for i in range(dim)]
-            mat.append([1] * size)
-            rhs = [0] * dim + [1]
-            y = solve_unique(mat, rhs)
-            if y is not None and all(c >= 0 for c in y):
-                return True
-    return False
+    for size in range(1, min(len(pts), dim + 1) + 1):
+        for subset in combinations(pts, size):
+            gram = [[dot(s, t) for t in subset] + [1] for s in subset]
+            gram.append([1] * size + [0])
+            sol = solve_unique(gram, [0] * size + [1])
+            if sol is None or any(c < 0 for c in sol[:size]):
+                continue
+            p = tuple(sum(c * s[i] for c, s in zip(sol, subset)) for i in range(dim))
+            norm2 = dot(p, p)
+            if all(dot(q, p) >= norm2 for q in pts):
+                return p
+    raise AssertionError("no Caratheodory subset met the KKT conditions")
+
+
+def primitive(v: Sequence[Fraction]) -> Vec:
+    """The primitive integer vector on the ray through a nonzero rational v."""
+    den = lcm(*(c.denominator for c in v))
+    ints = [int(c * den) for c in v]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 class ImageSolver:

@@ -6,18 +6,20 @@ cone must have rho_j >= 0) or to J- (rho_j <= 0).  The cone
     P = { x : rho_j(x) >= 0 on J+,  rho_j(x) <= 0 on J- }
 
 is the maximal subsemigroup with those expansion directions, and the
-scale function is multiplicative on it.  This module decides which full
-patterns actually occur (admissibility), computes the unique minimal
-generating set of an admissible cone by layered search over the flipped
-coordinate order, and runs the maximality and quasi-lattice-order
-diagnostics.
+scale function is multiplicative on it.  This module decides exactly
+which full patterns occur (admissibility, by Gordan's alternative),
+computes the unique minimal generating set of an admissible cone by
+layered search up to a layer proved from the cone's extreme rays, and
+runs the maximality and quasi-lattice-order diagnostics.  Search bounds
+only cap work; CertificationFailed names the bound a search needs.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 from . import _intlinalg
 from .errors import CertificationFailed, KernelNotTrivial, NotApplicable, NotInSemigroup
@@ -117,55 +119,33 @@ class ConeSemigroup:
 
 @dataclass(frozen=True)
 class AdmissibilityResult:
-    """Outcome of the bounded search for an indicator element.
-
-    witness          -- element with strictly correct sign on every
-                        component, or None if not found
-    exact_infeasible -- True when a rational-cone certificate proves no
-                        witness exists at any bound
-    search_bound     -- the box radius that was searched
-    """
+    """Outcome of the exact admissibility test: a primitive element with
+    strictly correct sign on every component, or None when Gordan's
+    alternative proves that none exists."""
 
     witness: GroupElement | None
-    exact_infeasible: bool
-    search_bound: int
 
     @property
     def admissible(self) -> bool:
         return self.witness is not None
 
 
-def default_search_bound(spec: FlatGroupSpec) -> int:
-    return 8 * spec.rank
+def is_admissible(spec: FlatGroupSpec, pattern: SignPattern) -> AdmissibilityResult:
+    """Decide admissibility of a full pattern exactly (Gordan's alternative).
 
-
-def is_admissible(
-    spec: FlatGroupSpec, pattern: SignPattern, search_bound: int | None = None
-) -> AdmissibilityResult:
-    """Search the integer box for an indicator element of the pattern.
-
-    The pattern must be full.  A Gordan certificate (0 in the convex hull
-    of the flipped weight rows) makes a negative answer exact; otherwise
-    a miss only means "not found within bound".
+    Either 0 is a convex combination of the flipped weight rows, and then
+    no x has row.x > 0 on every row, or the minimum-norm point p of their
+    convex hull is nonzero.  Then row.p >= |p|^2 > 0 for every row, so p
+    scaled to a primitive integer vector is a strict witness.
     """
     pattern.require_full(spec.components)
-    bound = default_search_bound(spec) if search_bound is None else search_bound
-    P = ConeSemigroup(spec, pattern)
-    flipped = P.flipped_rows()
-    if _intlinalg.zero_in_convex_hull(flipped):
-        return AdmissibilityResult(None, True, bound)
-    for radius in range(1, bound + 1):
-        for x in product(range(-radius, radius + 1), repeat=spec.rank):
-            if max(abs(c) for c in x) != radius:
-                continue
-            if all(_intlinalg.dot(row, x) > 0 for row in flipped):
-                return AdmissibilityResult(tuple(x), False, bound)
-    return AdmissibilityResult(None, False, bound)
+    p = _intlinalg.min_norm_point(ConeSemigroup(spec, pattern).flipped_rows())
+    if not any(p):
+        return AdmissibilityResult(None)
+    return AdmissibilityResult(_intlinalg.primitive(p))
 
 
-def enumerate_admissible(
-    spec: FlatGroupSpec, search_bound: int | None = None
-) -> list[SignPattern]:
+def enumerate_admissible(spec: FlatGroupSpec) -> list[SignPattern]:
     """All admissible full sign patterns, lexicographic on sorted J+."""
     q = spec.components
     found = []
@@ -173,7 +153,7 @@ def enumerate_admissible(
         plus = frozenset(j + 1 for j in range(q) if bits[j])
         minus = frozenset(range(1, q + 1)) - plus
         pattern = SignPattern(plus, minus)
-        if is_admissible(spec, pattern, search_bound).admissible:
+        if is_admissible(spec, pattern).admissible:
             found.append(pattern)
     found.sort(key=lambda p: tuple(sorted(p.j_plus)))
     return found
@@ -191,8 +171,8 @@ class GeneratorSet:
     sigma_minus -- generators with every rho_j <= 0
     sigma_zero  -- generators with mixed signs
     max_layer       -- largest flipped-rho layer norm among generators
-    certified_layer -- every cone point up to this layer norm was shown
-                       to be a sum of generators
+    certified_layer -- layer norm bound from the extreme rays; no
+                       generator lies above it
     """
 
     sigma: tuple[GroupElement, ...]
@@ -213,10 +193,12 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _layer_images(solver: _intlinalg.ImageSolver, m: int, q: int):
-    """Cone points whose flipped rho has 1-norm m, as (image, point) pairs."""
+def _layer_images(solver: _intlinalg.ImageSolver, m: int, base: tuple[int, ...]):
+    """Cone points whose flipped rho is base plus an offset of 1-norm m,
+    as (image, point) pairs."""
     out = []
-    for v in _compositions(m, q):
+    for off in _compositions(m, len(base)):
+        v = _intlinalg.vadd(base, off)
         x = solver.preimage(v)
         if x is not None:
             out.append((v, x))
@@ -227,61 +209,53 @@ def _dominates(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(v, w))
 
 
-def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
-    """Minimal generating set of the cone by layered breadth search.
+def _ray_bound(flipped: tuple[GroupElement, ...], rank: int) -> int:
+    """Sum of the `rank` largest layer norms sum(F r) of the extreme rays
+    r of the pointed cone {x : F x >= 0}: the primitive kernel vectors of
+    rank-1 independent rows on which F takes one sign."""
+    norms = {}  # sign-normalised ray -> layer norm
+    for tight in combinations(flipped, rank - 1):
+        kernel = _intlinalg.kernel_basis(tight, rank)
+        if len(kernel) != 1:
+            continue
+        values = [_intlinalg.dot(row, kernel[0]) for row in flipped]
+        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+            norms[kernel[0]] = abs(sum(values))
+    return sum(sorted(norms.values(), reverse=True)[:rank])
 
-    Enumerates cone points layer by layer in the 1-norm of the flipped
-    rho image up to norm_bound, keeps the minimal ones in the flipped
-    component-wise order, then certifies completeness: every cone point
-    with layer norm <= 2 * (max generator layer) must decompose as a sum
-    of the generators found.  Raises CertificationFailed when the bound
-    is too small for that certificate.
+
+def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
+    """Minimal generating set (Hilbert basis) of the cone by layered search.
+
+    A generator is an extreme ray or a lattice point of the half-open
+    parallelepiped {sum c_i r_i : 0 <= c_i < 1} of k independent extreme
+    rays r_i, since a point with some c_i >= 1 is r_i plus a cone point
+    (Bruns and Gubeladze, Polytopes, Rings, and K-Theory, ch. 2).  The
+    layer norm is linear on the cone, so no generator lies above the sum
+    of the k largest ray norms, `certify_to`.  Layers up to it are searched
+    in order, keeping the points no earlier minimal one dominates.
+    CertificationFailed names `certify_to` when it exceeds `norm_bound`.
     """
     if uniscalar_kernel(P.spec):
         raise KernelNotTrivial("weight matrix has nontrivial kernel")
-    adm = is_admissible(P.spec, P.pattern)
-    if not adm.admissible:
+    if not is_admissible(P.spec, P.pattern).admissible:
         raise NotApplicable(f"pattern {P.pattern} is not admissible")
     q = P.spec.components
-    solver = _intlinalg.ImageSolver(P.flipped_rows(), P.spec.rank)
-
+    flipped = P.flipped_rows()
+    certify_to = _ray_bound(flipped, P.spec.rank)
+    if certify_to > norm_bound:
+        raise CertificationFailed(
+            norm_bound,
+            f"generator set needs layer norm bound {certify_to}, "
+            f"above the bound {norm_bound}; raise the bound",
+        )
+    solver = _intlinalg.ImageSolver(flipped, P.spec.rank)
     minimals: list[tuple[tuple[int, ...], GroupElement]] = []
-    images: list[tuple[int, ...]] = []
-    for m in range(1, norm_bound + 1):
-        for v, x in _layer_images(solver, m, q):
-            images.append(v)
+    for m in range(1, certify_to + 1):
+        for v, x in _layer_images(solver, m, (0,) * q):
             if not any(_dominates(v, w) for w, _ in minimals):
                 minimals.append((v, x))
-    if not minimals:
-        raise CertificationFailed(norm_bound, "no generators found within bound")
-
     max_layer = max(sum(v) for v, _ in minimals)
-    certify_to = 2 * max_layer
-    for m in range(norm_bound + 1, certify_to + 1):
-        for v, x in _layer_images(solver, m, q):
-            images.append(v)
-            if not any(_dominates(v, w) for w, _ in minimals):
-                raise CertificationFailed(norm_bound)
-
-    gen_images = [v for v, _ in minimals]
-    decomposable: dict[tuple[int, ...], bool] = {}
-
-    def decomposes(v: tuple[int, ...]) -> bool:
-        if all(c == 0 for c in v):
-            return True
-        known = decomposable.get(v)
-        if known is not None:
-            return known
-        decomposable[v] = False  # cycle guard; layers strictly decrease anyway
-        ok = any(
-            _dominates(v, g) and decomposes(_intlinalg.vsub(v, g)) for g in gen_images
-        )
-        decomposable[v] = ok
-        return ok
-
-    for v in images:
-        if sum(v) <= certify_to and not decomposes(v):
-            raise CertificationFailed(norm_bound)
 
     sigma = sorted(x for _, x in minimals)
     plus, zero, minus = [], [], []
@@ -380,26 +354,38 @@ def minimal_common_upper_bounds(
     P: ConeSemigroup, a: GroupElement, b: GroupElement, bound: int = 8
 ) -> list[GroupElement]:
     """Minimal elements of {u : u - a in P and u - b in P}, in the cone
-    order x <= y iff y - x in P.
+    order x <= y iff y - x in P; two or more mean no least upper bound.
 
-    The search covers flipped-rho images up to `bound` above the
-    component-wise maximum of the inputs; two or more results certify a
-    quasi-lattice-order failure for the pair, a single result is the
-    least upper bound.
+    The upper bounds are the lattice points of Q = {u : F u >= base}, base
+    the component-wise maximum of the flipped images of a and b.  A point
+    u = v + sum c_i r_i of Q, with v in the hull of Q's vertices and r_i
+    independent extreme rays, is not minimal when some c_i >= 1: u - r_i is
+    a smaller upper bound.  So offsets above base up to the largest vertex
+    layer plus the ray bound are searched; CertificationFailed names that
+    offset when it exceeds `bound`.
     """
     if not (P.contains(a) and P.contains(b)):
         raise NotInSemigroup("both inputs must lie in the cone")
     if uniscalar_kernel(P.spec):
         raise KernelNotTrivial("cone order is not antisymmetric")
-    solver = _intlinalg.ImageSolver(P.flipped_rows(), P.spec.rank)
+    k, q = P.spec.rank, P.spec.components
+    flipped = P.flipped_rows()
     fa, fb = P.flipped_rho(a), P.flipped_rho(b)
     base = tuple(max(x, y) for x, y in zip(fa, fb))
-    candidates: list[tuple[tuple[int, ...], GroupElement]] = []
-    for off in product(range(bound + 1), repeat=P.spec.components):
-        v = _intlinalg.vadd(base, off)
-        x = solver.preimage(v)
-        if x is not None:
-            candidates.append((v, x))
+    vertex_layer = 0  # every point of Q has layer >= |base| >= 0
+    for tight in combinations(range(q), k):
+        u = _intlinalg.solve_unique([flipped[i] for i in tight], [base[i] for i in tight])
+        if u is not None and all(_intlinalg.dot(r, u) >= c for r, c in zip(flipped, base)):
+            vertex_layer = max(vertex_layer, sum(_intlinalg.dot(r, u) for r in flipped))
+    need = math.floor(vertex_layer) + _ray_bound(flipped, k) - sum(base)
+    if need > bound:
+        raise CertificationFailed(
+            bound,
+            f"upper bounds need offset bound {need}, above the bound {bound}; "
+            "raise the bound",
+        )
+    solver = _intlinalg.ImageSolver(flipped, k)
+    candidates = [c for m in range(need + 1) for c in _layer_images(solver, m, base)]
     result = [
         x
         for v, x in candidates

@@ -90,7 +90,7 @@ def test_criterion_3():
     spec = bundled_model("example_5_2").flat_spec()
     for plus in [{1, 3}, {2}]:
         minus = {1, 2, 3} - plus
-        result = cs.is_admissible(spec, cs.SignPattern.of(plus, minus), 20)
+        result = cs.is_admissible(spec, cs.SignPattern.of(plus, minus))
         assert not result.admissible
 
 

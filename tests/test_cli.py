@@ -238,6 +238,39 @@ def test_semigroups_certification_bound_too_small(capsys):
     assert code == 1 and "bound" in err
 
 
+def padic_config(tmp_path, exponent_rows):
+    path = tmp_path / "cfg.json"
+    rows = [{"prime": 2, "exponents": list(e)} for e in exponent_rows]
+    path.write_text(json.dumps({"kind": "padic", "rank": 2, "rows": rows}))
+    return str(path)
+
+
+def test_semigroups_names_needed_bound(capsys, tmp_path):
+    # the extreme ray (10,1) has layer norm 17; the certificate needs 19
+    cfg = padic_config(tmp_path, [(1, 0), (0, 7), (1, -10)])
+    code, out, err = run(capsys, "semigroups", cfg)
+    assert code == 1 and out == "" and "19" in err
+    # pattern -1-2+3 has eleven generators and needs 34
+    code, _, err = run(capsys, "semigroups", cfg, "--bound", "19")
+    assert code == 1 and "34" in err
+    code, out, _ = run(capsys, "semigroups", cfg, "--bound", "34")
+    assert code == 0
+    assert ["+1+2+3", "(1,0)", "(10,1)", "2^(2n1-3n2)"] in [r.split() for r in out.splitlines()]
+
+
+def test_qlo_names_needed_bound(capsys, tmp_path):
+    cfg = padic_config(tmp_path, [(-4, -2), (-1, 3)])
+    argv = ("qlo", cfg, "--pattern", "+1+2", "--a=-4,-1", "--b=-1,2")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "21" in err
+    code, out, _ = run(capsys, *argv, "--bound", "21")
+    assert code == 0 and out.splitlines() == [
+        "(-7,0)",
+        "(-5,1)",
+        "2 minimal upper bounds (no least upper bound)",
+    ]
+
+
 def test_run_checks_flags_corrupted_slice():
     import dataclasses
 

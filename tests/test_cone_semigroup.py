@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from pgraphs import cone_semigroup as cs
 from pgraphs.errors import CertificationFailed, KernelNotTrivial, NotInSemigroup
-from pgraphs.flat_core import make_spec, rho, scale
+from pgraphs.flat_core import make_spec, rho, scale, uniscalar_kernel
 
 SPEC_5_1 = make_spec([(1, 0), (0, 1)], [2, 2])
 SPEC_5_2 = make_spec([(1, 0), (1, 1), (0, 1)], [2, 2, 2])
@@ -23,6 +23,40 @@ def brute_cone_points(P_, radius):
         for x in product(range(-radius, radius + 1), repeat=P_.spec.rank)
         if P_.contains(x)
     ]
+
+
+def full_patterns(spec):
+    q = spec.components
+    for bits in product((False, True), repeat=q):
+        plus = {j + 1 for j in range(q) if bits[j]}
+        yield cs.SignPattern.of(plus, set(range(1, q + 1)) - plus)
+
+
+def random_cones(seed, count):
+    """Seeded random specs, alternating rank 2 (weights in -2..2, 2 or 3
+    rows) and rank 3 (weights in -1..1, 3 or 4 rows), each with one of its
+    admissible patterns.  Rows are nonzero and the kernel is trivial."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        rank = 2 + len(cones) % 2
+        w = 2 if rank == 2 else 1
+        rows = [
+            tuple(rng.randint(-w, w) for _ in range(rank))
+            for _ in range(rng.randint(rank, rank + 1))
+        ]
+        if not all(any(r) for r in rows):
+            continue
+        spec = make_spec(rows, [2] * len(rows))
+        if not uniscalar_kernel(spec):
+            cones.append((spec, str(rng.choice(cs.enumerate_admissible(spec)))))
+    return cones
+
+
+# repro specs: an admissible witness far outside any small box, and an
+# extreme ray (10,1) whose layer norm 17 exceeds the default bound
+SPEC_FAR_WITNESS = make_spec([(1, -100), (-1, 101)], [2, 2])
+SPEC_STEEP_RAY = make_spec([(1, 0), (0, 7), (1, -10)], [2, 2, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +93,10 @@ def test_cone_closed_under_addition(x, y):
 
 
 def test_admissibility_exact_infeasible():
-    res = cs.is_admissible(SPEC_5_2, cs.SignPattern.of({1, 3}, {2}), 20)
-    assert not res.admissible and res.exact_infeasible
-    res = cs.is_admissible(SPEC_5_2, cs.SignPattern.of({2}, {1, 3}), 20)
-    assert not res.admissible and res.exact_infeasible
+    res = cs.is_admissible(SPEC_5_2, cs.SignPattern.of({1, 3}, {2}))
+    assert not res.admissible and res.witness is None
+    res = cs.is_admissible(SPEC_5_2, cs.SignPattern.of({2}, {1, 3}))
+    assert not res.admissible and res.witness is None
 
 
 def test_admissibility_witness_strict():
@@ -75,6 +109,40 @@ def test_admissibility_witness_strict():
 def test_admissibility_all_minus():
     res = cs.is_admissible(SPEC_5_1, cs.SignPattern.of((), {1, 2}))
     assert res.witness == (-1, -1)
+
+
+def test_admissibility_far_witness():
+    # a (2r+1)^k box search of radius 8*rank missed +1+2 here
+    res = cs.is_admissible(SPEC_FAR_WITNESS, cs.SignPattern.parse("+1+2"))
+    assert res.witness == (201, 2)
+    assert [str(p) for p in cs.enumerate_admissible(SPEC_FAR_WITNESS)] == [
+        "-1-2", "+1-2", "+1+2", "-1+2",
+    ]
+
+
+def test_admissible_witnesses_strict_on_all_rows():
+    specs = [SPEC_5_1, SPEC_5_2, SPEC_5_3, SPEC_FAR_WITNESS, SPEC_STEEP_RAY]
+    specs += [spec for spec, _ in random_cones(17, 20)]
+    for spec in specs:
+        for pattern in cs.enumerate_admissible(spec):
+            witness = cs.is_admissible(spec, pattern).witness
+            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            assert all(sum(a * b for a, b in zip(row, witness)) > 0 for row in flipped)
+
+
+def test_inadmissible_patterns_have_no_box_witness():
+    specs = [SPEC_5_1, SPEC_5_2, SPEC_5_3, SPEC_STEEP_RAY]
+    specs += [spec for spec, _ in random_cones(17, 20)]
+    inadmissible = 0
+    for spec in specs:
+        for pattern in full_patterns(spec):
+            if cs.is_admissible(spec, pattern).admissible:
+                continue
+            inadmissible += 1
+            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            for x in product(range(-6, 7), repeat=spec.rank):
+                assert not all(sum(a * b for a, b in zip(row, x)) > 0 for row in flipped)
+    assert inadmissible > 0
 
 
 def test_enumerate_admissible_counts():
@@ -126,7 +194,8 @@ def test_minimal_generators_bound_independent():
         (SPEC_5_2, "+1-2-3"),
         (SPEC_5_3, "+1+2"),
         (SPEC_5_3, "-1+2"),
-    ],
+    ]
+    + random_cones(2026, 12),
 )
 def test_minimal_generators_against_brute_force(spec, text):
     cone = P(spec, text)
@@ -163,6 +232,17 @@ def test_minimal_generators_errors():
         cs.minimal_generators(P(degenerate, "+1+2"), 8)
     with pytest.raises(CertificationFailed):
         cs.minimal_generators(P(SPEC_5_3, "+1+2"), 1)
+
+
+def test_minimal_generators_steep_ray():
+    # the extreme rays are (1,0) and (10,1), with layer norms 2 and 17
+    cone = P(SPEC_STEEP_RAY, "+1+2+3")
+    with pytest.raises(CertificationFailed, match=r"\b19\b") as info:
+        cs.minimal_generators(cone, 16)
+    assert info.value.norm_bound == 16
+    g = cs.minimal_generators(cone, 19)
+    assert g.sigma == ((1, 0), (10, 1))
+    assert g.certified_layer == 19 and g.max_layer == 17
 
 
 def test_scale_multiplicative_on_cones():
@@ -247,6 +327,47 @@ def test_minimal_common_upper_bounds_brute_force():
         )
     )
     assert minimal == cs.minimal_common_upper_bounds(cone, a, b)
+
+
+def test_minimal_common_upper_bounds_needed_bound():
+    # (-7,0) is minimal but lies 10 above base in its first flipped component
+    cone = P(make_spec([(-4, -2), (-1, 3)], [2, 2]), "+1+2")
+    a, b = (-4, -1), (-1, 2)
+    with pytest.raises(CertificationFailed, match=r"\b21\b"):
+        cs.minimal_common_upper_bounds(cone, a, b, 8)
+    assert cs.minimal_common_upper_bounds(cone, a, b, 21) == [(-7, 0), (-5, 1)]
+    # base (1,1,1) is not an image: the vertex (1,1) adds 1 to the ray bound 4
+    with pytest.raises(CertificationFailed, match=r"\b5\b"):
+        cs.minimal_common_upper_bounds(P(SPEC_5_2, "+1+2+3"), (1, 0), (0, 1), 4)
+
+
+def test_minimal_common_upper_bounds_random_brute_force():
+    rng = random.Random(5)
+    results = []
+    for spec, text in random_cones(5, 20):
+        if spec.rank != 2:
+            continue
+        cone = P(spec, text)
+        points = [x for x in brute_cone_points(cone, 3) if any(x)]
+        for _ in range(3):
+            a, b = rng.choice(points), rng.choice(points)
+            # upper bounds in a large box, by increasing layer norm; one is
+            # minimal when no smaller minimal one lies below it
+            ubs = sorted(
+                (sum(fu), fu, u)
+                for u in product(range(-20, 21), repeat=2)
+                if cone.contains(tuple(x - y for x, y in zip(u, a)))
+                and cone.contains(tuple(x - y for x, y in zip(u, b)))
+                for fu in [cone.flipped_rho(u)]
+            )
+            minimal = []
+            for _, fu, u in ubs:
+                if not any(all(c <= d for c, d in zip(fw, fu)) for fw, _ in minimal):
+                    minimal.append((fu, u))
+            result = cs.minimal_common_upper_bounds(cone, a, b, 64)
+            assert sorted(u for _, u in minimal) == result
+            results.append(len(result))
+    assert max(results) >= 2
 
 
 def test_minimal_common_upper_bounds_requires_membership():

@@ -31,12 +31,31 @@ def test_kernel_basis():
 
 
 def test_zero_in_convex_hull():
-    assert la.zero_in_convex_hull([(1, 1), (-1, 0), (0, -1)])
-    assert not la.zero_in_convex_hull([(1, 0), (0, 1)])
-    assert la.zero_in_convex_hull([(2, 0), (-1, 0)])
-    assert la.zero_in_convex_hull([(0, 0)])
-    assert not la.zero_in_convex_hull([(1, 0), (2, 1), (1, 3)])
-    assert not la.zero_in_convex_hull([])
+    def zero_in_hull(points):
+        return not any(la.min_norm_point(points))
+
+    assert zero_in_hull([(1, 1), (-1, 0), (0, -1)])
+    assert not zero_in_hull([(1, 0), (0, 1)])
+    assert zero_in_hull([(2, 0), (-1, 0)])
+    assert zero_in_hull([(0, 0)])
+    assert not zero_in_hull([(1, 0), (2, 1), (1, 3)])
+
+
+def test_min_norm_point():
+    half = Fraction(1, 2)
+    assert la.min_norm_point([(1, 0), (0, 1)]) == (half, half)
+    assert la.min_norm_point([(1, 0), (2, 1), (1, 3)]) == (1, 0)
+    assert la.min_norm_point([(3, 4)]) == (3, 4)
+    assert la.min_norm_point([(2, 0), (0, 2), (2, 0)]) == (1, 1)  # repeated point
+    p = (Fraction(201, 40405), Fraction(2, 40405))
+    assert la.min_norm_point([(1, -100), (-1, 101)]) == p
+
+
+def test_primitive():
+    assert la.primitive((Fraction(1, 2), Fraction(1, 2))) == (1, 1)
+    assert la.primitive((Fraction(201, 40405), Fraction(2, 40405))) == (201, 2)
+    assert la.primitive((Fraction(-4, 3), 2)) == (-2, 3)
+    assert la.primitive((0, 6, -9)) == (0, 2, -3)
 
 
 def test_image_solver():
