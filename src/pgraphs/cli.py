@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -38,16 +37,10 @@ STRUCTURAL_CHECKS = ("rooted", "factorization", "fibers", "regularity")
 
 @dataclass
 class RunReport:
-    """Collected per-check statuses with witnesses and timings.
-
-    Timings are retained for callers but never printed, so command
-    output stays byte-identical across runs.
-    """
+    """Collected per-check statuses with witnesses."""
 
     command: str
     checks: list[tuple[str, str, tuple]] = field(default_factory=list)
-    artifacts: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
 
     def record(self, name: str, status: str, witnesses: tuple = ()):
         self.checks.append((name, status, witnesses))
@@ -213,12 +206,11 @@ def _build_from_args(args, model, defaults):
     bound = args.bound if args.bound is not None else defaults.get("bound", 16)
     P = cs.ConeSemigroup(spec, pattern)
     gens = cs.minimal_generators(P, norm_bound=bound)
-    return pg.build_slice(P, gens, model, depth), P, gens
+    return pg.build_slice(P, gens, model, depth)
 
 
-def cmd_graph_build(args) -> int:
-    model, defaults = load_config(args.config)
-    slice_, _, _ = _build_from_args(args, model, defaults)
+def _write_slice(slice_, args) -> int:
+    """Export a slice to args.out in args.format and report its size."""
     out = Path(args.out)
     if args.format == "dot":
         out.write_text(pg.slice_to_dot(slice_))
@@ -229,6 +221,11 @@ def cmd_graph_build(args) -> int:
         f"{len(slice_.edges)} edges)"
     )
     return EXIT_OK
+
+
+def cmd_graph_build(args) -> int:
+    model, defaults = load_config(args.config)
+    return _write_slice(_build_from_args(args, model, defaults), args)
 
 
 def _run_checks(slice_, which, regularity_depth) -> RunReport:
@@ -242,24 +239,20 @@ def _run_checks(slice_, which, regularity_depth) -> RunReport:
     for name in which:
         if name == "product":
             continue
-        t0 = time.perf_counter()
         result = runners[name]()
-        report.timings[name] = time.perf_counter() - t0
         report.record(name, "PASS" if result.ok else "FAIL", result.witnesses)
         if not result.ok:
             for line in result.failures[:5]:
                 report.record(name, "  witness", (line,))
     if "product" in which:
-        t0 = time.perf_counter()
         result = pg.check_product_of_trees(slice_)
-        report.timings["product"] = time.perf_counter() - t0
         report.record("product-of-trees", result.status, (result.witness,))
     return report
 
 
 def cmd_graph_check(args) -> int:
     model, defaults = load_config(args.config)
-    slice_, _, _ = _build_from_args(args, model, defaults)
+    slice_ = _build_from_args(args, model, defaults)
     which = (
         list(STRUCTURAL_CHECKS) + ["product"]
         if args.checks == "all"
@@ -313,17 +306,7 @@ def cmd_product(args) -> int:
             factors.append(pg.slice_from_json_dict(data))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    result = pg.external_product(factors)
-    out = Path(args.out)
-    if args.format == "dot":
-        out.write_text(pg.slice_to_dot(result))
-    else:
-        out.write_text(json.dumps(pg.slice_to_json_dict(result), indent=2) + "\n")
-    print(
-        f"wrote {out} ({len(result.levels)} levels, {len(result.vertices)} vertices, "
-        f"{len(result.edges)} edges)"
-    )
-    return EXIT_OK
+    return _write_slice(pg.external_product(factors), args)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,16 @@ cone must have rho_j >= 0) or to J- (rho_j <= 0).  The cone
 is the maximal subsemigroup with those expansion directions, and the
 scale function is multiplicative on it.  This module decides exactly
 which full patterns occur (admissibility, by Gordan's alternative),
-computes the unique minimal generating set of an admissible cone by
-layered search up to a layer proved from the cone's extreme rays, and
-runs the maximality and quasi-lattice-order diagnostics.  Search bounds
-only cap work; CertificationFailed names the bound a search needs.
+finds the unique minimal generating set of an admissible cone and the
+minimal common upper bounds of a pair by one layered search for minimal
+lattice points, up to a depth proved from the extreme rays, and runs the
+maximality diagnostics.  Search bounds only cap work;
+CertificationFailed names the bound a search needs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -130,13 +132,16 @@ class AdmissibilityResult:
         return self.witness is not None
 
 
+@functools.cache
 def is_admissible(spec: FlatGroupSpec, pattern: SignPattern) -> AdmissibilityResult:
     """Decide admissibility of a full pattern exactly (Gordan's alternative).
 
     Either 0 is a convex combination of the flipped weight rows, and then
     no x has row.x > 0 on every row, or the minimum-norm point p of their
     convex hull is nonzero.  Then row.p >= |p|^2 > 0 for every row, so p
-    scaled to a primitive integer vector is a strict witness.
+    scaled to a primitive integer vector is a strict witness.  Each
+    (spec, pattern) pair is decided once; a repeated call returns the
+    cached result.
     """
     pattern.require_full(spec.components)
     p = _intlinalg.min_norm_point(ConeSemigroup(spec, pattern).flipped_rows())
@@ -193,22 +198,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _layer_images(solver: _intlinalg.ImageSolver, m: int, base: tuple[int, ...]):
-    """Cone points whose flipped rho is base plus an offset of 1-norm m,
-    as (image, point) pairs."""
-    out = []
-    for off in _compositions(m, len(base)):
-        v = _intlinalg.vadd(base, off)
-        x = solver.preimage(v)
-        if x is not None:
-            out.append((v, x))
-    return out
-
-
-def _dominates(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(v, w))
-
-
 def _ray_bound(flipped: tuple[GroupElement, ...], rank: int) -> int:
     """Sum of the `rank` largest layer norms sum(F r) of the extreme rays
     r of the pointed cone {x : F x >= 0}: the primitive kernel vectors of
@@ -224,37 +213,74 @@ def _ray_bound(flipped: tuple[GroupElement, ...], rank: int) -> int:
     return sum(sorted(norms.values(), reverse=True)[:rank])
 
 
-def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
-    """Minimal generating set (Hilbert basis) of the cone by layered search.
+def _search_depth(flipped: tuple[GroupElement, ...], rank: int, base: tuple[int, ...]) -> int:
+    """Largest offset sum(F u) - sum(base) of a minimal lattice point u of
+    Q = {u : F u >= base}, in the order u <= u' iff F (u' - u) >= 0.
 
-    A generator is an extreme ray or a lattice point of the half-open
-    parallelepiped {sum c_i r_i : 0 <= c_i < 1} of k independent extreme
-    rays r_i, since a point with some c_i >= 1 is r_i plus a cone point
-    (Bruns and Gubeladze, Polytopes, Rings, and K-Theory, ch. 2).  The
-    layer norm is linear on the cone, so no generator lies above the sum
-    of the k largest ray norms, `certify_to`.  Layers up to it are searched
-    in order, keeping the points no earlier minimal one dominates.
-    CertificationFailed names `certify_to` when it exceeds `norm_bound`.
+    F has full column rank, so Q is pointed: Q = conv(V) + C, with V the
+    vertices of Q (k independent rows tight) and C = {x : F x >= 0}.  By
+    Caratheodory a lattice point of Q is u = v + sum c_i r_i with v in
+    conv(V), c_i >= 0 and r_i at most k independent extreme rays of C,
+    which are primitive lattice vectors.  When some c_i >= 1, u - r_i is
+    a lattice point of Q below u, so u is not minimal.  The one exception
+    is base 0, where the origin is excluded and the minimal points form
+    the Hilbert basis: there u = r_i is minimal, and its layer is at most
+    the ray bound.  Otherwise every c_i < 1, and the layer sum(F u),
+    linear in u, stays below the largest vertex layer plus the sum of the
+    k largest ray layers (Bruns and Gubeladze, Polytopes, Rings, and
+    K-Theory, ch. 2).  The layer is an integer, so the floor of that sum
+    bounds it.  For base 0 the only vertex is 0 and the depth is the ray
+    bound.
+    """
+    vertex_layer = 0  # every point of Q has layer >= sum(base) >= 0
+    for tight in combinations(range(len(flipped)), rank):
+        u = _intlinalg.solve_unique([flipped[i] for i in tight], [base[i] for i in tight])
+        if u is not None and all(_intlinalg.dot(r, u) >= c for r, c in zip(flipped, base)):
+            vertex_layer = max(vertex_layer, sum(_intlinalg.dot(r, u) for r in flipped))
+    return math.floor(vertex_layer) + _ray_bound(flipped, rank) - sum(base)
+
+
+def _minimal_points(
+    flipped: tuple[GroupElement, ...], rank: int, base: tuple[int, ...], first: int, last: int
+) -> list[tuple[tuple[int, ...], GroupElement]]:
+    """Minimal lattice points of Q = {u : F u >= base} with offsets first..last
+    above base, as (image F u, u) pairs in layer order.
+
+    Offsets are walked layer by layer.  Two images of one layer never
+    dominate each other, so a point is minimal exactly when its image
+    dominates no kept image of a lower layer.
+    """
+    solver = _intlinalg.ImageSolver(flipped, rank)
+    kept: list[tuple[tuple[int, ...], GroupElement]] = []
+    for m in range(first, last + 1):
+        for off in _compositions(m, len(base)):
+            v = _intlinalg.vadd(base, off)
+            x = solver.preimage(v)
+            if x is not None and not any(all(a >= b for a, b in zip(v, w)) for w, _ in kept):
+                kept.append((v, x))
+    return kept
+
+
+def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
+    """Minimal generating set (Hilbert basis) of the cone: the minimal
+    nonzero lattice points, found by `_minimal_points` over layers 1 to
+    `_search_depth` with base 0, which proves that none lies higher.
+    CertificationFailed names that depth when it exceeds `norm_bound`.
     """
     if uniscalar_kernel(P.spec):
         raise KernelNotTrivial("weight matrix has nontrivial kernel")
     if not is_admissible(P.spec, P.pattern).admissible:
         raise NotApplicable(f"pattern {P.pattern} is not admissible")
-    q = P.spec.components
     flipped = P.flipped_rows()
-    certify_to = _ray_bound(flipped, P.spec.rank)
+    origin = (0,) * P.spec.components
+    certify_to = _search_depth(flipped, P.spec.rank, origin)
     if certify_to > norm_bound:
         raise CertificationFailed(
             norm_bound,
             f"generator set needs layer norm bound {certify_to}, "
             f"above the bound {norm_bound}; raise the bound",
         )
-    solver = _intlinalg.ImageSolver(flipped, P.spec.rank)
-    minimals: list[tuple[tuple[int, ...], GroupElement]] = []
-    for m in range(1, certify_to + 1):
-        for v, x in _layer_images(solver, m, (0,) * q):
-            if not any(_dominates(v, w) for w, _ in minimals):
-                minimals.append((v, x))
+    minimals = _minimal_points(flipped, P.spec.rank, origin, 1, certify_to)
     max_layer = max(sum(v) for v, _ in minimals)
 
     sigma = sorted(x for _, x in minimals)
@@ -298,7 +324,8 @@ def absorption_steps(
             if b <= 0:
                 raise NotApplicable("indicator element is not strictly expanding")
             n = max(n, (-a + b - 1) // b)  # ceil(-a / b)
-    assert P.contains(tuple(c + n * d for c, d in zip(y, indicator)))
+    if not P.contains(tuple(c + n * d for c, d in zip(y, indicator))):
+        raise NotApplicable("indicator element does not absorb y into the cone")
     return n
 
 
@@ -333,7 +360,7 @@ def check_maximality(P: ConeSemigroup, sample_bound: int = 4) -> MaximalityRepor
         count += 1
         try:
             max_steps = max(max_steps, absorption_steps(P, y, indicator))
-        except (NotApplicable, AssertionError):
+        except NotApplicable:
             absorb_fail.append(y)
         if P.contains(y) and P.contains(_intlinalg.vneg(y)):
             if any(c != 0 for c in rho(P.spec, y)):
@@ -357,41 +384,25 @@ def minimal_common_upper_bounds(
     order x <= y iff y - x in P; two or more mean no least upper bound.
 
     The upper bounds are the lattice points of Q = {u : F u >= base}, base
-    the component-wise maximum of the flipped images of a and b.  A point
-    u = v + sum c_i r_i of Q, with v in the hull of Q's vertices and r_i
-    independent extreme rays, is not minimal when some c_i >= 1: u - r_i is
-    a smaller upper bound.  So offsets above base up to the largest vertex
-    layer plus the ray bound are searched; CertificationFailed names that
-    offset when it exceeds `bound`.
+    the component-wise maximum of the flipped images of a and b, so they
+    are `_minimal_points` from offset 0 up to `_search_depth`, which
+    proves that none lies higher.  CertificationFailed names that offset
+    when it exceeds `bound`.
     """
     if not (P.contains(a) and P.contains(b)):
         raise NotInSemigroup("both inputs must lie in the cone")
     if uniscalar_kernel(P.spec):
         raise KernelNotTrivial("cone order is not antisymmetric")
-    k, q = P.spec.rank, P.spec.components
     flipped = P.flipped_rows()
-    fa, fb = P.flipped_rho(a), P.flipped_rho(b)
-    base = tuple(max(x, y) for x, y in zip(fa, fb))
-    vertex_layer = 0  # every point of Q has layer >= |base| >= 0
-    for tight in combinations(range(q), k):
-        u = _intlinalg.solve_unique([flipped[i] for i in tight], [base[i] for i in tight])
-        if u is not None and all(_intlinalg.dot(r, u) >= c for r, c in zip(flipped, base)):
-            vertex_layer = max(vertex_layer, sum(_intlinalg.dot(r, u) for r in flipped))
-    need = math.floor(vertex_layer) + _ray_bound(flipped, k) - sum(base)
+    base = tuple(map(max, P.flipped_rho(a), P.flipped_rho(b)))
+    need = _search_depth(flipped, P.spec.rank, base)
     if need > bound:
         raise CertificationFailed(
             bound,
             f"upper bounds need offset bound {need}, above the bound {bound}; "
             "raise the bound",
         )
-    solver = _intlinalg.ImageSolver(flipped, k)
-    candidates = [c for m in range(need + 1) for c in _layer_images(solver, m, base)]
-    result = [
-        x
-        for v, x in candidates
-        if not any(w != v and _dominates(v, w) for w, _ in candidates)
-    ]
-    return sorted(result)
+    return sorted(x for _, x in _minimal_points(flipped, P.spec.rank, base, 0, need))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pgraphs import cone_semigroup as cs
-from pgraphs.errors import CertificationFailed, KernelNotTrivial, NotInSemigroup
+from pgraphs.errors import CertificationFailed, KernelNotTrivial, NotApplicable, NotInSemigroup
 from pgraphs.flat_core import make_spec, rho, scale, uniscalar_kernel
 
 SPEC_5_1 = make_spec([(1, 0), (0, 1)], [2, 2])
@@ -143,6 +146,14 @@ def test_inadmissible_patterns_have_no_box_witness():
             for x in product(range(-6, 7), repeat=spec.rank):
                 assert not all(sum(a * b for a, b in zip(row, x)) > 0 for row in flipped)
     assert inadmissible > 0
+
+
+def test_is_admissible_decides_each_pattern_once():
+    pattern = cs.SignPattern.parse("+1-2+3")
+    first = cs.is_admissible(SPEC_5_2, pattern)
+    assert cs.is_admissible(SPEC_5_2, pattern) is first
+    equal_spec = make_spec([(1, 0), (1, 1), (0, 1)], [2, 2, 2])
+    assert cs.is_admissible(equal_spec, cs.SignPattern.parse("+1-2+3")) is first
 
 
 def test_enumerate_admissible_counts():
@@ -291,6 +302,31 @@ def test_absorption_steps():
     assert cs.absorption_steps(cone, (0, 0), witness) == 0
 
 
+def test_absorption_steps_checks_cone_membership():
+    # n = 2 clears the negative components, but (2,-2) has rho_3 = -2 < 0
+    cone = P(SPEC_5_2, "+1+2+3")
+    with pytest.raises(NotApplicable, match="does not absorb"):
+        cs.absorption_steps(cone, (-2, 0), (2, -1))
+    # the check is no assert: it also refuses under python -O
+    code = (
+        "from pgraphs import cone_semigroup as cs\n"
+        "from pgraphs.errors import NotApplicable\n"
+        "from pgraphs.flat_core import make_spec\n"
+        "spec = make_spec([(1, 0), (1, 1), (0, 1)], [2, 2, 2])\n"
+        "cone = cs.ConeSemigroup(spec, cs.SignPattern.parse('+1+2+3'))\n"
+        "try:\n"
+        "    print(cs.absorption_steps(cone, (-2, 0), (2, -1)))\n"
+        "except NotApplicable:\n"
+        "    print('refused')\n"
+    )
+    src = os.path.dirname(os.path.dirname(cs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.stdout == "refused\n", proc.stderr
+
+
 def test_check_maximality():
     report = cs.check_maximality(P(SPEC_5_2, "+1+2+3"), 4)
     assert report.ok and report.samples_checked == 81
@@ -368,6 +404,18 @@ def test_minimal_common_upper_bounds_random_brute_force():
             assert sorted(u for _, u in minimal) == result
             results.append(len(result))
     assert max(results) >= 2
+
+
+def test_both_searches_share_one_depth():
+    # base 0: the only vertex of Q is 0, so the depth is the ray bound
+    for spec, text in [(SPEC_5_2, "+1+2+3"), (SPEC_STEEP_RAY, "+1+2+3")] + random_cones(11, 6):
+        cone = P(spec, text)
+        flipped = cone.flipped_rows()
+        depth = cs._search_depth(flipped, spec.rank, (0,) * spec.components)
+        assert depth == cs._ray_bound(flipped, spec.rank)
+        assert cs.minimal_generators(cone, depth).certified_layer == depth
+    # a common upper bound of 0 and 0 is 0 itself, at offset 0
+    assert cs.minimal_common_upper_bounds(P(SPEC_5_3, "+1+2"), (0, 0), (0, 0)) == [(0, 0)]
 
 
 def test_minimal_common_upper_bounds_requires_membership():

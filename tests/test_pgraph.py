@@ -11,6 +11,7 @@ import pytest
 
 from pgraphs import cone_semigroup as cs
 from pgraphs import pgraph as pg
+from pgraphs.cli import bundled_config_path, load_config
 from pgraphs.coset_model import PadicModel, TreeModel, Vertex, preimage_count
 from pgraphs.errors import LevelNotComparable, NotApplicable
 from pgraphs.flat_core import scale
@@ -227,6 +228,8 @@ def test_level_cycle_not_applicable():
     )
     with pytest.raises(NotApplicable, match="cycle"):
         s.reachable
+    with pytest.raises(NotApplicable, match="cycle"):
+        pg.check_fiber_regularity(s)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +303,105 @@ def test_fiber_regularity_examples():
     assert pg.check_fiber_regularity(make_slice("5_2", "+1+2+3", 0)).ok
 
 
+def _multiset_expressions(slice_, x):
+    """All generator multisets summing to x whose partial sums, taken in
+    generator order, are levels; as count tuples."""
+    n = len(slice_.generators)
+    zero = tuple([0] * len(x))
+
+    def rec(target, start):
+        if target == zero:
+            yield (0,) * n
+            return
+        for gi in range(start, n):
+            rest = tuple(a - b for a, b in zip(target, slice_.generators[gi]))
+            if rest in slice_.level_set or rest == zero:
+                for counts in rec(rest, gi):
+                    yield tuple(c + (1 if i == gi else 0) for i, c in enumerate(counts))
+
+    return set(rec(x, 0))
+
+
+def _enumerated_fiber_regularity(slice_):
+    """Reference: every expression's product of generator fiber sizes is
+    the fiber size of its level."""
+    gen_sizes = {
+        gi: len(slice_.fiber_at(g))
+        for gi, g in enumerate(slice_.generators)
+        if g in slice_.level_set
+    }
+    for x in slice_.levels:
+        for counts in _multiset_expressions(slice_, x):
+            expected = 1
+            for gi, m in enumerate(counts):
+                if m:
+                    expected *= gen_sizes.get(gi, 0) ** m
+            if expected != len(slice_.fiber_at(x)):
+                return False
+    return True
+
+
+def _drop_vertex(s, r):
+    """The slice without vertex r and its edges."""
+    shift = lambda i: i - (i > r)  # noqa: E731
+    return dataclasses.replace(
+        s,
+        vertices=s.vertices[:r] + s.vertices[r + 1 :],
+        edges=tuple((shift(u), shift(w), g) for u, w, g in s.edges if r not in (u, w)),
+    )
+
+
+def test_fiber_regularity_matches_enumeration():
+    outcomes = Counter()
+    for name in ("example_5_1", "example_5_2", "example_5_3", "coprime_2_3", "moller_tree"):
+        model, _ = load_config(bundled_config_path(name))
+        spec = model.flat_spec()
+        for pattern in cs.enumerate_admissible(spec):
+            P = cs.ConeSemigroup(spec, pattern)
+            gens = cs.minimal_generators(P, 16)
+            for depth in range(4):
+                s = pg.build_slice(P, gens, model, depth)
+                # the last vertex of each fiber, in turn, goes missing
+                variants = [s] + [_drop_vertex(s, s.fiber_at(x)[-1]) for x in s.levels]
+                for v in variants:
+                    ok = pg.check_fiber_regularity(v).ok
+                    assert ok == _enumerated_fiber_regularity(v), (name, pattern, depth)
+                    outcomes[ok] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 300
+
+
+def test_fiber_regularity_failure_names_the_step():
+    s = make_slice("5_1", "+1+2", 2)  # generators (0, 1), (1, 0)
+    report = pg.check_fiber_regularity(_drop_vertex(s, s.fiber_at((1, 1))[-1]))
+    assert report.failures == (
+        "level (1, 1): fiber has 3, but level (1, 0) times generator 0 predicts 4",
+        "level (1, 1): fiber has 3, but level (0, 1) times generator 1 predicts 4",
+    )
+    assert report.witnesses == (
+        ("fiber_count", (1, 1), 0, 4, 3),
+        ("fiber_count", (1, 1), 1, 4, 3),
+    )
+    root = pg.check_fiber_regularity(_drop_vertex(s, s.root_index))
+    assert root.failures[0] == "level (0, 0): fiber has 0, want 1"
+
+
+def test_fiber_regularity_stricter_off_closed_levels():
+    # (1, 1) is reached only through (1, 0), and the generator (0, 1) is no
+    # level: no multiset expression of (1, 1) has its partial sums in the
+    # slice, but the step from (1, 0) along (0, 1) predicts an empty fiber
+    s = pg.PGraphSlice(
+        generators=((1, 0), (0, 1)),
+        depth=2,
+        levels=((0, 0), (1, 0), (1, 1)),
+        vertices=(Vertex((0, 0), ()), Vertex((1, 0), ()), Vertex((1, 1), ())),
+        edges=((0, 1, 0), (1, 2, 1)),
+    )
+    assert _enumerated_fiber_regularity(s)
+    report = pg.check_fiber_regularity(s)
+    assert not report.ok
+    assert report.witnesses == (("fiber_count", (1, 1), 1, 0, 1),)
+
+
 # ---------------------------------------------------------------------------
 # regularity of descendant cones
 
@@ -328,12 +430,25 @@ def test_regularity_fails_on_corrupted_slice():
     report = pg.check_regularity(_retarget_edge_source(make_slice("5_2", "+1+2+3", 2)), 1)
     assert not report.ok
     assert report.failures == tuple(
-        f"descendant cone of Vertex(level=(1, 0), residues={r}) differs from the root cone"
-        " at depth 1"
+        f"descendant cone of Vertex(level=(1, 0), residues={r}) differs from the majority"
+        " cone at depth 1"
         for r in ((0, 0, 0), (0, 1, 0))
     )
     assert report.witnesses == (("cone", 21, 1), ("cone", 22, 1))
     assert report.details == ("compared 9 cones at depth 1",)
+
+
+def test_regularity_blames_the_corrupted_root_cone():
+    # the retargeted edge lies in the cones of vertices 0 and 1 only; the
+    # seven clean cones form the majority class
+    report = pg.check_regularity(_retarget_edge_target(make_slice("5_2", "+1+2+3", 3)), 2)
+    assert not report.ok
+    assert report.witnesses == (("cone", 0, 2), ("cone", 1, 2))
+    assert report.failures[0] == (
+        "descendant cone of Vertex(level=(0, 0), residues=(0, 0, 0)) differs from the"
+        " majority cone at depth 2"
+    )
+    assert report.details == ("compared 9 cones at depth 2",)
 
 
 def _move_leaf(s):
