@@ -19,35 +19,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from . import cone_semigroup as cs
 from . import coset_model as cm
 from . import pgraph as pg
-from .errors import CertificationFailed, ConfigError, PGraphsError
+from .errors import CertificationFailed, ConfigError, NotApplicable, PGraphsError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 STRUCTURAL_CHECKS = ("rooted", "factorization", "fibers", "regularity")
-
-
-@dataclass
-class RunReport:
-    """Collected per-check statuses with witnesses."""
-
-    command: str
-    checks: list[tuple[str, str, tuple]] = field(default_factory=list)
-
-    def record(self, name: str, status: str, witnesses: tuple = ()):
-        self.checks.append((name, status, witnesses))
-
-    @property
-    def failed(self) -> bool:
-        return any(status == "FAIL" for _, status, _ in self.checks)
 
 
 def bundled_config_path(name: str) -> Path:
@@ -81,6 +65,8 @@ def load_config(path: str | Path):
     for key, minimum in (("depth", 0), ("bound", 1)):
         if key in defaults and (type(defaults[key]) is not int or defaults[key] < minimum):
             raise ConfigError(f"{path}: defaults.{key}: integer >= {minimum} required")
+    if "pattern" in defaults and type(defaults["pattern"]) is not str:
+        raise ConfigError(f"{path}: defaults.pattern: string required")
     return model, defaults
 
 
@@ -89,7 +75,7 @@ def _load_padic(data: dict, path) -> cm.PadicModel:
     if not isinstance(rows, list) or not rows:
         raise ConfigError(f"{path}: rows: non-empty array required")
     rank = data.get("rank")
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise ConfigError(f"{path}: rank: positive integer required")
     parsed = []
     for i, row in enumerate(rows):
@@ -97,12 +83,9 @@ def _load_padic(data: dict, path) -> cm.PadicModel:
             raise ConfigError(f"{path}: rows[{i}]: object required")
         prime = row.get("prime")
         exps = row.get("exponents")
-        if not isinstance(prime, int):
+        if type(prime) is not int:
             raise ConfigError(f"{path}: rows[{i}].prime: integer required")
-        if (
-            not isinstance(exps, list)
-            or not all(isinstance(e, int) for e in exps)
-        ):
+        if not isinstance(exps, list) or not all(type(e) is int for e in exps):
             raise ConfigError(f"{path}: rows[{i}].exponents: integer array required")
         if len(exps) != rank:
             raise ConfigError(
@@ -111,20 +94,17 @@ def _load_padic(data: dict, path) -> cm.PadicModel:
         parsed.append((prime, tuple(exps)))
     try:
         return cm.PadicModel(tuple(parsed))
-    except PGraphsError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except (PGraphsError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _load_tree(data: dict, path) -> cm.TreeModel:
     valencies = data.get("valencies")
-    if (
-        not isinstance(valencies, list)
-        or not valencies
-        or not all(isinstance(d, int) for d in valencies)
-    ):
+    if not isinstance(valencies, list) or not valencies:
         raise ConfigError(f"{path}: valencies: non-empty integer array required")
+    for i, d in enumerate(valencies):
+        if type(d) is not int or d < 2:
+            raise ConfigError(f"{path}: valencies[{i}]: integer >= 2 required")
     try:
         return cm.TreeModel(tuple(valencies))
     except ValueError as exc:
@@ -157,11 +137,16 @@ def _parse_vector(text: str, rank: int):
 
 
 def _resolve_pattern(args, defaults, spec) -> cs.SignPattern:
-    text = getattr(args, "pattern", None) or defaults.get("pattern")
+    source, text = "--pattern", args.pattern
+    if not text:
+        source, text = "defaults.pattern", defaults.get("pattern")
     if not text:
         raise ConfigError("no --pattern given and config declares no default")
-    pattern = cs.SignPattern.parse(text)
-    pattern.require_full(spec.components)
+    try:
+        pattern = cs.SignPattern.parse(text)
+        pattern.require_full(spec.components)
+    except (ValueError, NotApplicable) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     return pattern
 
 
@@ -213,9 +198,13 @@ def _write_slice(slice_, args) -> int:
     """Export a slice to args.out in args.format and report its size."""
     out = Path(args.out)
     if args.format == "dot":
-        out.write_text(pg.slice_to_dot(slice_))
+        text = pg.slice_to_dot(slice_)
     else:
-        out.write_text(json.dumps(pg.slice_to_json_dict(slice_), indent=2) + "\n")
+        text = json.dumps(pg.slice_to_json_dict(slice_), indent=2) + "\n"
+    try:
+        out.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out}: {exc}") from exc
     print(
         f"wrote {out} ({len(slice_.levels)} levels, {len(slice_.vertices)} vertices, "
         f"{len(slice_.edges)} edges)"
@@ -228,8 +217,10 @@ def cmd_graph_build(args) -> int:
     return _write_slice(_build_from_args(args, model, defaults), args)
 
 
-def _run_checks(slice_, which, regularity_depth) -> RunReport:
-    report = RunReport(command="graph-check")
+def _run_checks(slice_, which, regularity_depth) -> tuple[list[str], bool]:
+    """The report lines of the checks in `which`, and whether any failed;
+    each failed check is followed by up to five of its witnesses."""
+    lines, failed = [], False
     runners = {
         "rooted": lambda: pg.check_rooted_strongly_simple(slice_),
         "factorization": lambda: pg.check_factorization(slice_),
@@ -240,14 +231,13 @@ def _run_checks(slice_, which, regularity_depth) -> RunReport:
         if name == "product":
             continue
         result = runners[name]()
-        report.record(name, "PASS" if result.ok else "FAIL", result.witnesses)
+        lines.append(f"{name}: {'PASS' if result.ok else 'FAIL'}")
         if not result.ok:
-            for line in result.failures[:5]:
-                report.record(name, "  witness", (line,))
+            failed = True
+            lines.extend(f"    {line}" for line in result.failures[:5])
     if "product" in which:
-        result = pg.check_product_of_trees(slice_)
-        report.record("product-of-trees", result.status, (result.witness,))
-    return report
+        lines.append(f"product-of-trees: {pg.check_product_of_trees(slice_).status}")
+    return lines, failed
 
 
 def cmd_graph_check(args) -> int:
@@ -266,13 +256,10 @@ def cmd_graph_check(args) -> int:
         if args.regularity_depth is not None
         else max(slice_.depth - 1, 0)
     )
-    report = _run_checks(slice_, which, reg_depth)
-    for name, status, witnesses in report.checks:
-        if status == "  witness":
-            print(f"    {witnesses[0]}")
-        else:
-            print(f"{name}: {status}")
-    return EXIT_CHECK_FAILED if report.failed else EXIT_OK
+    lines, failed = _run_checks(slice_, which, reg_depth)
+    for line in lines:
+        print(line)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def cmd_qlo(args) -> int:

@@ -10,8 +10,9 @@ scale function is multiplicative on it.  This module decides exactly
 which full patterns occur (admissibility, by Gordan's alternative),
 finds the unique minimal generating set of an admissible cone and the
 minimal common upper bounds of a pair by one layered search for minimal
-lattice points, up to a depth proved from the extreme rays, and runs the
-maximality diagnostics.  Search bounds only cap work;
+lattice points, up to a depth proved from the extreme rays, and counts
+the steps that absorb an element into the cone, which proves the cone
+maximal.  Search bounds only cap work;
 CertificationFailed names the bound a search needs.
 """
 
@@ -304,13 +305,19 @@ def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
 
 
 # ---------------------------------------------------------------------------
-# Maximality diagnostics
+# Maximality
 
 
 def absorption_steps(
     P: ConeSemigroup, y: GroupElement, indicator: GroupElement | None = None
 ) -> int:
-    """Smallest n >= 0 with y + n * indicator in the cone."""
+    """Smallest n >= 0 with y + n * indicator in the cone.
+
+    The default indicator, the Gordan witness of `is_admissible`, proves
+    the cone maximal among multiplicative cones.  It is strictly positive
+    on every flipped row, so it absorbs every y.  And y, -y both in the
+    cone give flipped rho(y) >= 0 and <= 0, so rho(y) = 0.
+    """
     if indicator is None:
         adm = is_admissible(P.spec, P.pattern)
         if not adm.admissible:
@@ -327,50 +334,6 @@ def absorption_steps(
     if not P.contains(tuple(c + n * d for c, d in zip(y, indicator))):
         raise NotApplicable("indicator element does not absorb y into the cone")
     return n
-
-
-@dataclass(frozen=True)
-class MaximalityReport:
-    """Sample evidence that the cone is maximal among multiplicative cones."""
-
-    samples_checked: int
-    max_absorption_steps: int
-    absorption_failures: tuple[GroupElement, ...]
-    inverse_pair_failures: tuple[GroupElement, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.absorption_failures and not self.inverse_pair_failures
-
-
-def check_maximality(P: ConeSemigroup, sample_bound: int = 4) -> MaximalityReport:
-    """Exhaustively test the box ||y||_inf <= sample_bound for the two
-    maximality signatures: every y is absorbed into the cone by the
-    indicator element, and elements with both signs in the cone lie in
-    the kernel lattice."""
-    P.pattern.require_full(P.spec.components)
-    adm = is_admissible(P.spec, P.pattern)
-    if not adm.admissible:
-        raise NotApplicable(f"pattern {P.pattern} is not admissible")
-    indicator = adm.witness
-    absorb_fail, inverse_fail = [], []
-    max_steps = 0
-    count = 0
-    for y in product(range(-sample_bound, sample_bound + 1), repeat=P.spec.rank):
-        count += 1
-        try:
-            max_steps = max(max_steps, absorption_steps(P, y, indicator))
-        except NotApplicable:
-            absorb_fail.append(y)
-        if P.contains(y) and P.contains(_intlinalg.vneg(y)):
-            if any(c != 0 for c in rho(P.spec, y)):
-                inverse_fail.append(y)
-    return MaximalityReport(
-        samples_checked=count,
-        max_absorption_steps=max_steps,
-        absorption_failures=tuple(absorb_fail),
-        inverse_pair_failures=tuple(inverse_fail),
-    )
 
 
 # ---------------------------------------------------------------------------

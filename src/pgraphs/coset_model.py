@@ -55,16 +55,10 @@ class PadicModel:
     rows: tuple[tuple[int, GroupElement], ...]
 
     def __post_init__(self):
-        if not self.rows:
-            raise ValueError("at least one row required")
-        rank = len(self.rows[0][1])
-        for j, (p, exps) in enumerate(self.rows):
+        for j, (p, _) in enumerate(self.rows):
             if not _is_prime(p):
                 raise NonPrimeModulus(f"row {j + 1}: modulus {p} is not prime")
-            if len(exps) != rank:
-                raise ValueError(f"row {j + 1}: exponent vector length mismatch")
-            if all(e == 0 for e in exps):
-                raise ValueError(f"row {j + 1}: exponent vector is zero")
+        self.flat_spec()  # FlatGroupSpec checks the shape and the ranges
 
     def flat_spec(self) -> FlatGroupSpec:
         return self._spec
@@ -80,16 +74,13 @@ class PadicModel:
 
 @dataclass(frozen=True)
 class TreeModel:
-    """Product of rooted regular trees, one per coordinate."""
+    """Product of rooted regular trees, one per coordinate.  A valency-1
+    tree never expands, so every valency must be at least 2."""
 
     valencies: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.valencies:
-            raise ValueError("at least one valency required")
-        for j, d in enumerate(self.valencies):
-            if d < 1:
-                raise ValueError(f"valency {j + 1} must be >= 1, got {d}")
+        self.flat_spec()  # FlatGroupSpec checks the shape and d_j >= 2
 
     def flat_spec(self) -> FlatGroupSpec:
         return self._spec
@@ -97,10 +88,6 @@ class TreeModel:
     @cached_property
     def _spec(self) -> FlatGroupSpec:
         n = len(self.valencies)
-        if any(d < 2 for d in self.valencies):
-            # a valency-1 coordinate never expands, so it cannot appear as
-            # a scaled component of a flat-group spec
-            raise ValueError("valency-1 trees carry no expansion; use d >= 2")
         identity = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
         return make_spec(weights=identity, relative_scales=self.valencies)
 

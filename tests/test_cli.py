@@ -231,6 +231,66 @@ def test_product_rejects_malformed_slices(capsys, tmp_path):
         assert code == 2 and name in err
 
 
+def _config(tmp_path, name, payload):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _padic(rank, rows, **extra):
+    rows = [{"prime": p, "exponents": list(e)} for p, e in rows]
+    return {"kind": "padic", "rank": rank, "rows": rows, **extra}
+
+
+def _unit_rows(n, rank):
+    return [(2, tuple(int(i == j % rank) for i in range(rank))) for j in range(n)]
+
+
+MALFORMED = [
+    # id, argv, config payloads by name, the field the message must name
+    ("pattern-syntax", ("graph-build", "5_2", "--pattern", "foo", "--out", "x.json"), {},
+     "--pattern"),
+    ("pattern-both-signs", ("graph-check", "5_2", "--pattern", "+1-1+2"), {}, "--pattern"),
+    ("pattern-index-0", ("qlo", "5_2", "--pattern", "+0", "--a", "1,0", "--b", "0,1"), {},
+     "--pattern"),
+    ("pattern-not-full", ("graph-build", "5_2", "--pattern", "+1+2", "--out", "x.json"), {},
+     "--pattern"),
+    ("default-pattern-type", ("graph-build", "cfg", "--out", "x.json"),
+     {"cfg": _padic(1, [(2, (1,))], defaults={"pattern": 12})}, "defaults.pattern"),
+    ("out-unwritable", ("graph-build", "5_2", "--out", "missing/dir/x.json"), {}, "--out"),
+    ("rank-bool", ("validate", "cfg"), {"cfg": _padic(True, [(2, (True,)), (2, (1,))])},
+     "rank"),
+    ("exponent-bool", ("validate", "cfg"), {"cfg": _padic(1, [(2, (True,)), (2, (1,))])},
+     "rows[0].exponents"),
+    ("prime-bool", ("validate", "cfg"), {"cfg": _padic(1, [(True, (1,))])}, "rows[0].prime"),
+    ("17-rows", ("validate", "cfg"), {"cfg": _padic(2, _unit_rows(17, 2))}, "components"),
+    ("rank-17", ("validate", "cfg"), {"cfg": _padic(17, _unit_rows(17, 17))}, "rank"),
+    ("valency-1", ("validate", "cfg"), {"cfg": {"kind": "tree", "valencies": [1]}},
+     "valencies[0]"),
+    ("valency-bool", ("validate", "cfg"), {"cfg": {"kind": "tree", "valencies": [3, True]}},
+     "valencies[1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, configs, field", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+)
+def test_malformed_input_exits_2_naming_the_field(capsys, tmp_path, argv, configs, field):
+    paths = {name: _config(tmp_path, name, payload) for name, payload in configs.items()}
+    paths["5_2"] = str(bundled_config_path("example_5_2"))
+    paths["x.json"] = str(tmp_path / "x.json")
+    paths["missing/dir/x.json"] = str(tmp_path / "missing" / "dir" / "x.json")
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert field in err and "Traceback" not in err
+
+
+def test_inadmissible_pattern_exits_1(capsys):
+    cfg = str(bundled_config_path("example_5_2"))
+    code, out, err = run(capsys, "graph-check", cfg, "--pattern", "+1-2+3")
+    assert (code, out) == (1, "") and "not admissible" in err
+
+
 def test_semigroups_certification_bound_too_small(capsys):
     code, _, err = run(
         capsys, "semigroups", str(bundled_config_path("example_5_3")), "--bound", "1"
@@ -286,9 +346,9 @@ def test_run_checks_flags_corrupted_slice():
     other = next(t for t in s.fiber_at(s.vertices[w].level) if t != w)
     edges[-1] = (u, other, g)
     corrupted = dataclasses.replace(s, edges=tuple(sorted(edges)))
-    report = _run_checks(corrupted, ["rooted"], 1)
-    assert report.failed
-    assert any(status == "  witness" for _, status, _ in report.checks)
+    lines, failed = _run_checks(corrupted, ["rooted"], 1)
+    assert failed
+    assert lines[0] == "rooted: FAIL" and lines[1].startswith("    ")
 
 
 def test_usage_error(capsys):

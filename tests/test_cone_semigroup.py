@@ -328,10 +328,19 @@ def test_absorption_steps_checks_cone_membership():
 
 
 def test_check_maximality():
-    report = cs.check_maximality(P(SPEC_5_2, "+1+2+3"), 4)
-    assert report.ok and report.samples_checked == 81
-    for text in ("+1+2", "+1-2", "-1+2", "-1-2"):
-        assert cs.check_maximality(P(SPEC_5_3, text), 4).ok
+    # the default indicator absorbs every y of the box |y|_inf <= 4 in the
+    # fewest steps, and y, -y both in the cone only for rho(y) = 0
+    box = list(product(range(-4, 5), repeat=2))
+    assert len(box) == 81
+    cones = [P(SPEC_5_2, "+1+2+3")] + [P(SPEC_5_3, t) for t in ("+1+2", "+1-2", "-1+2", "-1-2")]
+    for cone in cones:
+        w = cs.is_admissible(cone.spec, cone.pattern).witness
+        for y in box:
+            n = cs.absorption_steps(cone, y)
+            assert cone.contains(tuple(a + n * b for a, b in zip(y, w)))
+            assert n == 0 or not cone.contains(tuple(a + (n - 1) * b for a, b in zip(y, w)))
+            if cone.contains(y) and cone.contains(tuple(-a for a in y)):
+                assert not any(rho(cone.spec, y))
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,8 @@ def test_padic_rejects_composite_modulus():
 
 
 def test_tree_valency_one_has_no_spec():
-    model = TreeModel((1,))  # constructible, but carries no expansion
     with pytest.raises(ValueError):
-        model.flat_spec()
+        TreeModel((1,))  # a valency-1 tree carries no expansion
 
 
 def test_fiber_examples(model_5_2, tree_3):
