@@ -200,7 +200,7 @@ def _write_slice(slice_, args) -> int:
     if args.format == "dot":
         text = pg.slice_to_dot(slice_)
     else:
-        text = json.dumps(pg.slice_to_json_dict(slice_), indent=2) + "\n"
+        text = pg.slice_to_json(slice_)
     try:
         out.write_text(text)
     except OSError as exc:
@@ -267,8 +267,16 @@ def cmd_qlo(args) -> int:
     spec = model.flat_spec()
     pattern = _resolve_pattern(args, defaults, spec)
     P = cs.ConeSemigroup(spec, pattern)
-    a = _parse_vector(args.a, spec.rank)
-    b = _parse_vector(args.b, spec.rank)
+    inputs = []
+    for flag, text in (("--a", args.a), ("--b", args.b)):
+        try:
+            v = _parse_vector(text, spec.rank)
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
+        if not P.contains(v):
+            raise ConfigError(f"{flag}: ({','.join(map(str, v))}) is outside the cone {pattern}")
+        inputs.append(v)
+    a, b = inputs
     bound = args.bound if args.bound is not None else defaults.get("bound", 8)
     ubs = cs.minimal_common_upper_bounds(P, a, b, bound)
     for u in ubs:

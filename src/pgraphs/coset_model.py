@@ -22,20 +22,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import prod
 
 from .cone_semigroup import ConeSemigroup
 from .errors import LevelNotComparable, NonPrimeModulus, NotInSemigroup
 from .flat_core import FlatGroupSpec, GroupElement, make_spec, rho
 
 
+# Miller-Rabin with the first 13 primes as bases passes no composite below
+# PRIME_TEST_LIMIT (psi_13 of Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test.  A witness base proves n
+    composite at any size, but passing every base proves n prime only
+    below PRIME_TEST_LIMIT; at or above it that raises ValueError."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(
+            f"{n} passes every base, but primality is decided only below {PRIME_TEST_LIMIT}"
+        )
     return True
 
 
@@ -56,7 +82,11 @@ class PadicModel:
 
     def __post_init__(self):
         for j, (p, _) in enumerate(self.rows):
-            if not _is_prime(p):
+            try:
+                prime = _is_prime(p)
+            except ValueError as exc:
+                raise ValueError(f"rows[{j}].prime: {exc}") from None
+            if not prime:
                 raise NonPrimeModulus(f"row {j + 1}: modulus {p} is not prime")
         self.flat_spec()  # FlatGroupSpec checks the shape and the ranges
 
@@ -112,31 +142,63 @@ def fiber(model: CosetModel, P: ConeSemigroup, x: GroupElement) -> list[Vertex]:
     return [Vertex(tuple(x), res) for res in product(*(range(c) for c in cap))]
 
 
+def _comparable_caps(model: CosetModel, x: GroupElement, y: GroupElement):
+    """The caps at x and at y; LevelNotComparable unless each cap at x is
+    at most the one at y."""
+    cap_x, cap_y = caps(model, x), caps(model, y)
+    if any(cx > cy for cx, cy in zip(cap_x, cap_y)):
+        raise LevelNotComparable(f"levels {x} and {y} are not comparable")
+    return cap_x, cap_y
+
+
+def _truncate_residue(model: CosetModel, r: int, cx: int, cy: int) -> int:
+    """One component's residue r below cap cy, truncated to cap cx: the
+    p-adic backend reduces modulo cx, the tree backend keeps the leading
+    digits (word prefix)."""
+    if isinstance(model, PadicModel):
+        return r % cx
+    return r // (cy // cx)
+
+
 def truncate(model: CosetModel, x: GroupElement, y: GroupElement, v: Vertex) -> Vertex:
     """Map a vertex at level y down to its ancestor at level x.
 
     Requires the caps at x to divide the caps at y component-wise (which
-    holds whenever y - x lies in a cone containing both).  The p-adic
-    backend reduces each residue modulo the smaller cap; the tree
-    backend keeps the leading digits (word prefix).
+    holds whenever y - x lies in a cone containing both).
     """
     if tuple(v.level) != tuple(y):
         raise LevelNotComparable(f"vertex level {v.level} is not {y}")
-    cap_x, cap_y = caps(model, x), caps(model, y)
-    if any(cx > cy for cx, cy in zip(cap_x, cap_y)):
-        raise LevelNotComparable(f"levels {x} and {y} are not comparable")
-    if isinstance(model, PadicModel):
-        res = tuple(r % c for r, c in zip(v.residues, cap_x))
-    else:
-        res = tuple(r // (cy // cx) for r, cx, cy in zip(v.residues, cap_x, cap_y))
+    cap_x, cap_y = _comparable_caps(model, x, y)
+    res = tuple(
+        _truncate_residue(model, r, cx, cy) for r, cx, cy in zip(v.residues, cap_x, cap_y)
+    )
     return Vertex(tuple(x), res)
+
+
+def truncation_positions(model: CosetModel, x: GroupElement, y: GroupElement) -> list[int]:
+    """Where truncation from level y down to x sends each vertex: entry i
+    is the position in fiber(x) of the truncation of the i-th vertex of
+    fiber(y), both fibers in lexicographic residue order.
+
+    The model is diagonal, so the map is a product of one map per
+    component: residues r at y land at position sum_j t_j(r_j) * stride_j
+    of fiber(x), where t_j truncates component j and stride_j is the
+    product of the caps at x after component j.  Expanding one column of
+    cap_y[j] terms per component, first component outermost, lists the
+    positions in fiber(y)'s order.
+    """
+    cap_x, cap_y = _comparable_caps(model, x, y)
+    positions = [0]
+    for j, (cx, cy) in enumerate(zip(cap_x, cap_y)):
+        stride = prod(cap_x[j + 1 :])
+        column = [_truncate_residue(model, r, cx, cy) * stride for r in range(cy)]
+        positions = [p + c for p in positions for c in column]
+    return positions
 
 
 def preimage_count(model: CosetModel, x: GroupElement, y: GroupElement) -> int:
     """Size of every truncation preimage class from level y down to x."""
-    cap_x, cap_y = caps(model, x), caps(model, y)
-    if any(cx > cy for cx, cy in zip(cap_x, cap_y)):
-        raise LevelNotComparable(f"levels {x} and {y} are not comparable")
+    cap_x, cap_y = _comparable_caps(model, x, y)
     n = 1
     for cx, cy in zip(cap_x, cap_y):
         n *= cy // cx

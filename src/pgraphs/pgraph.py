@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, product
 
 from ._intlinalg import rational_rank, vadd, vsub
 from .cone_semigroup import ConeSemigroup, GeneratorSet
-from .coset_model import CosetModel, Vertex, fiber, truncate
+from .coset_model import CosetModel, Vertex, fiber, truncation_positions
 from .errors import LevelNotComparable, NotApplicable
 from .flat_core import GroupElement, rho
 
@@ -217,7 +217,9 @@ def build_slice(
 
     Levels are all sums of at most D generators, closed downward (x in
     the slice and x - sigma in the cone implies x - sigma in the slice);
-    fibers and edges follow the model's enumeration and truncation.
+    fibers and edges follow the model's enumeration and truncation.  The
+    edges for step g from x are one level-pair map: the i-th vertex over
+    x + g goes to position truncation_positions(x, x + g)[i] over x.
     """
     if model.flat_spec() != P.spec:
         raise NotApplicable("model does not derive the cone's flat-group spec")
@@ -244,10 +246,12 @@ def build_slice(
                     changed = True
 
     level_list = sorted(levels)
-    fibers = {x: fiber(model, P, x) for x in level_list}
     # sorted levels, each fiber in lexicographic residue order: canonical
-    vertices = [v for x in level_list for v in fibers[x]]
-    index = {v: i for i, v in enumerate(vertices)}
+    vertices: list[Vertex] = []
+    start: dict[GroupElement, int] = {}
+    for x in level_list:
+        start[x] = len(vertices)
+        vertices.extend(fiber(model, P, x))
 
     edges: list[Edge] = []
     for x in level_list:
@@ -255,9 +259,9 @@ def build_slice(
             y = vadd(x, g)
             if y not in levels:
                 continue
-            for w in fibers[y]:
-                v = truncate(model, x, y, w)
-                edges.append((index[v], index[w], gi))
+            sx, sy = start[x], start[y]
+            positions = truncation_positions(model, x, y)
+            edges.extend((sx + pos, sy + i, gi) for i, pos in enumerate(positions))
     edges.sort()
 
     return PGraphSlice(
@@ -908,6 +912,52 @@ def slice_to_json_dict(slice_: PGraphSlice) -> dict:
     }
 
 
+@cache
+def _json_template(fields: tuple[tuple[str, int | None], ...]) -> str:
+    """json.dumps(..., indent=2) text of one array element of a slice
+    export, with a %d slot per integer.  Each field is (key, n): an array
+    of n integers, or a single integer when n is None."""
+    lines = []
+    for key, n in fields:
+        if n is None:
+            value = "%d"
+        elif n == 0:
+            value = "[]"
+        else:
+            value = "[\n" + ",\n".join(["        %d"] * n) + "\n      ]"
+        lines.append(f'      "{key}": {value}')
+    return "    {\n" + ",\n".join(lines) + "\n    }"
+
+
+def _json_array(key: str, items: list[str]) -> str:
+    body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    return f'  "{key}": {body}'
+
+
+def slice_to_json(slice_: PGraphSlice) -> str:
+    """The export text: exactly json.dumps(slice_to_json_dict(slice_),
+    indent=2) + "\n", written from one template per record shape, so no
+    per-record dict is built.  Shapes are keyed by list lengths, so
+    imported slices with uneven residue lists come out the same."""
+    levels = [
+        _json_template((("x", len(x)), ("size", None))) % (*x, len(slice_.fiber_at(x)))
+        for x in slice_.levels
+    ]
+    vertices = [
+        _json_template((("level", len(v.level)), ("residues", len(v.residues))))
+        % (*v.level, *v.residues)
+        for v in slice_.vertices
+    ]
+    edge = _json_template((("from", None), ("to", None), ("gen", None)))
+    edges = [edge % e for e in slice_.edges]
+    arrays = [
+        _json_array("levels", levels),
+        _json_array("vertices", vertices),
+        _json_array("edges", edges),
+    ]
+    return "{\n" + ",\n".join(arrays) + "\n}\n"
+
+
 def _json_ints(entry, key: str, where: str) -> tuple[int, ...]:
     """entry[key] as a tuple of ints; ValueError naming where.key otherwise."""
     value = entry.get(key) if isinstance(entry, dict) else None
@@ -991,13 +1041,10 @@ def slice_to_dot(slice_: PGraphSlice) -> str:
         r = ",".join(map(str, v.residues))
         return f"L{x}@{r}"
 
+    names = [name(v) for v in slice_.vertices]
     lines = ["digraph pgraph {"]
-    for v in slice_.vertices:
-        lines.append(f'  "{name(v)}";')
-    for u, w, g in slice_.edges:
-        lines.append(
-            f'  "{name(slice_.vertices[u])}" -> "{name(slice_.vertices[w])}" [label="{g}"];'
-        )
+    lines.extend(f'  "{n}";' for n in names)
+    lines.extend(f'  "{names[u]}" -> "{names[w]}" [label="{g}"];' for u, w, g in slice_.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -1022,6 +1069,7 @@ __all__ = [
     "descendant_cone",
     "cone_certificate",
     "cones_isomorphic",
+    "slice_to_json",
     "slice_to_json_dict",
     "slice_from_json_dict",
     "slice_to_dot",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,14 @@ MALFORMED = [
      "valencies[0]"),
     ("valency-bool", ("validate", "cfg"), {"cfg": {"kind": "tree", "valencies": [3, True]}},
      "valencies[1]"),
+    ("prime-undecided", ("validate", "cfg"), {"cfg": _padic(1, [(2**89 - 1, (1,))])},
+     "rows[0].prime"),
+    ("qlo-a-outside-cone", ("qlo", "5_3", "--pattern", "+1+2", "--a=-1,0", "--b", "1,1"), {},
+     "--a: (-1,0)"),
+    ("qlo-b-outside-cone", ("qlo", "5_3", "--pattern", "+1+2", "--a", "1,1", "--b", "0,1"), {},
+     "--b: (0,1)"),
+    ("qlo-bad-vector", ("qlo", "5_3", "--pattern", "+1+2", "--a", "1,1", "--b", "1,x"), {},
+     "--b: bad vector"),
 ]
 
 
@@ -278,11 +287,20 @@ MALFORMED = [
 def test_malformed_input_exits_2_naming_the_field(capsys, tmp_path, argv, configs, field):
     paths = {name: _config(tmp_path, name, payload) for name, payload in configs.items()}
     paths["5_2"] = str(bundled_config_path("example_5_2"))
+    paths["5_3"] = str(bundled_config_path("example_5_3"))
     paths["x.json"] = str(tmp_path / "x.json")
     paths["missing/dir/x.json"] = str(tmp_path / "missing" / "dir" / "x.json")
     code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert (code, out) == (2, "")
     assert field in err and "Traceback" not in err
+
+
+def test_validate_large_prime_is_fast(capsys, tmp_path):
+    cfg = _config(tmp_path, "cfg", _padic(1, [(2**61 - 1, (1,))]))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "validate", cfg)
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and out == f"valid: kind=padic rank=1 components=1 scales={2**61 - 1}\n"
 
 
 def test_inadmissible_pattern_exits_1(capsys):

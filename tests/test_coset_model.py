@@ -6,13 +6,16 @@ import pytest
 
 from pgraphs import cone_semigroup as cs
 from pgraphs.coset_model import (
+    PRIME_TEST_LIMIT,
     PadicModel,
     TreeModel,
     Vertex,
+    _is_prime,
     caps,
     fiber,
     preimage_count,
     truncate,
+    truncation_positions,
 )
 from pgraphs.errors import LevelNotComparable, NonPrimeModulus, NotInSemigroup
 from pgraphs.flat_core import rho, scale
@@ -34,6 +37,43 @@ def test_derive_flat_spec(model_5_2, tree_3, model_coprime):
 def test_padic_rejects_composite_modulus():
     with pytest.raises(NonPrimeModulus):
         PadicModel(((4, (1, 0)),))
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if _trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael number
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2..23
+        318665857834031151167461,  # psi_12: strong pseudoprime to bases 2..37
+        (2**31 - 1) * (2**61 - 1),  # above the limit, but a base witnesses it
+    ],
+)
+def test_padic_rejects_pseudoprime_moduli(n):
+    assert not _is_prime(n)
+    with pytest.raises(NonPrimeModulus):
+        PadicModel(((n, (1,)),))
+
+
+def test_large_primes_decided_or_refused():
+    assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+    assert PadicModel(((2**61 - 1, (1,)),)).flat_spec().relative_scales == (2**61 - 1,)
+    # at or above the limit, passing every base proves nothing: never guess
+    # a prime, and psi_13, a composite that passes every base
+    for n in (2**89 - 1, PRIME_TEST_LIMIT):
+        with pytest.raises(ValueError, match=r"rows\[1\]\.prime: .*decided only below"):
+            PadicModel(((2, (1,)), (n, (1,))))
 
 
 def test_tree_valency_one_has_no_spec():
@@ -146,6 +186,31 @@ def test_truncate_incomparable_levels(model_5_3):
         truncate(model_5_3, (1, -1), (1, 1), v)
     with pytest.raises(LevelNotComparable):
         truncate(model_5_3, (1, -1), (2, 0), v)  # wrong vertex level
+
+
+@pytest.mark.parametrize(
+    "model, text, pairs",
+    [
+        ("model_5_2", "+1+2+3", [((0, 0), (1, 1)), ((1, 0), (1, 1)), ((0, 1), (2, 2))]),
+        ("model_5_3", "+1+2", [((0, 0), (1, 0)), ((1, -1), (3, -2)), ((1, 1), (2, 1))]),
+        ("model_coprime", "+1+2", [((0, 1), (1, 2)), ((1, 0), (2, 2))]),
+        ("tree_3", "+1", [((0,), (1,)), ((1,), (3,)), ((2,), (2,))]),
+        (TreeModel((2, 3)), "+1+2", [((0, 1), (2, 2)), ((1, 0), (1, 2))]),
+    ],
+)
+def test_truncation_positions_agree_with_truncate(request, model, text, pairs):
+    if isinstance(model, str):
+        model = request.getfixturevalue(model)
+    P = cone(model, text)
+    for x, y in pairs:
+        below = {v: i for i, v in enumerate(fiber(model, P, x))}
+        want = [below[truncate(model, x, y, v)] for v in fiber(model, P, y)]
+        assert truncation_positions(model, x, y) == want
+
+
+def test_truncation_positions_incomparable_levels(model_5_3):
+    with pytest.raises(LevelNotComparable, match="not comparable"):
+        truncation_positions(model_5_3, (1, -1), (1, 1))
 
 
 def test_tree_orbit_sizes(tree_3):

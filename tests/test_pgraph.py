@@ -12,7 +12,7 @@ import pytest
 from pgraphs import cone_semigroup as cs
 from pgraphs import pgraph as pg
 from pgraphs.cli import bundled_config_path, load_config
-from pgraphs.coset_model import PadicModel, TreeModel, Vertex, preimage_count
+from pgraphs.coset_model import PadicModel, TreeModel, Vertex, preimage_count, truncate
 from pgraphs.errors import LevelNotComparable, NotApplicable
 from pgraphs.flat_core import scale
 
@@ -37,8 +37,46 @@ def make_slice(model_key, pattern_text, depth):
     return pg.build_slice(P, gens, model, depth)
 
 
+@lru_cache(maxsize=None)
+def bundled_slices():
+    """(config name, pattern, depth, model, slice) for every bundled model,
+    admissible pattern and depth 0-3."""
+    out = []
+    for name in ("example_5_1", "example_5_2", "example_5_3", "coprime_2_3", "moller_tree"):
+        model, _ = load_config(bundled_config_path(name))
+        spec = model.flat_spec()
+        for pattern in cs.enumerate_admissible(spec):
+            P = cs.ConeSemigroup(spec, pattern)
+            gens = cs.minimal_generators(P, 16)
+            for depth in range(4):
+                out.append((name, pattern, depth, model, pg.build_slice(P, gens, model, depth)))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # construction
+
+
+def _truncated_edges(s, model):
+    """Reference: each edge found by truncating its target vertex, one
+    vertex at a time."""
+    index = {v: i for i, v in enumerate(s.vertices)}
+    edges = []
+    for x in s.levels:
+        for gi, g in enumerate(s.generators):
+            y = tuple(a + b for a, b in zip(x, g))
+            if y not in s.level_set:
+                continue
+            for w in s.fiber_at(y):
+                v = truncate(model, x, y, s.vertices[w])
+                edges.append((index[v], w, gi))
+    return sorted(edges)
+
+
+def test_build_slice_edges_match_per_vertex_truncation():
+    for name, pattern, depth, model, s in bundled_slices():
+        assert list(s.edges) == _truncated_edges(s, model), (name, str(pattern), depth)
+    assert sum(len(s.edges) for *_, s in bundled_slices()) > 3000
 
 
 def test_build_slice_levels_and_fibers():
@@ -353,20 +391,13 @@ def _drop_vertex(s, r):
 
 def test_fiber_regularity_matches_enumeration():
     outcomes = Counter()
-    for name in ("example_5_1", "example_5_2", "example_5_3", "coprime_2_3", "moller_tree"):
-        model, _ = load_config(bundled_config_path(name))
-        spec = model.flat_spec()
-        for pattern in cs.enumerate_admissible(spec):
-            P = cs.ConeSemigroup(spec, pattern)
-            gens = cs.minimal_generators(P, 16)
-            for depth in range(4):
-                s = pg.build_slice(P, gens, model, depth)
-                # the last vertex of each fiber, in turn, goes missing
-                variants = [s] + [_drop_vertex(s, s.fiber_at(x)[-1]) for x in s.levels]
-                for v in variants:
-                    ok = pg.check_fiber_regularity(v).ok
-                    assert ok == _enumerated_fiber_regularity(v), (name, pattern, depth)
-                    outcomes[ok] += 1
+    for name, pattern, depth, _, s in bundled_slices():
+        # the last vertex of each fiber, in turn, goes missing
+        variants = [s] + [_drop_vertex(s, s.fiber_at(x)[-1]) for x in s.levels]
+        for v in variants:
+            ok = pg.check_fiber_regularity(v).ok
+            assert ok == _enumerated_fiber_regularity(v), (name, pattern, depth)
+            outcomes[ok] += 1
     assert outcomes[True] > 100 and outcomes[False] > 300
 
 
@@ -803,6 +834,41 @@ def test_json_shape():
     assert list(data.keys()) == ["levels", "vertices", "edges"]
     assert data["levels"][0] == {"x": [0, 0], "size": 1}
     assert all(set(e) == {"from", "to", "gen"} for e in data["edges"])
+
+
+def _dumped(s):
+    return json.dumps(pg.slice_to_json_dict(s), indent=2) + "\n"
+
+
+def test_slice_to_json_equals_json_dumps_on_built_slices():
+    slices = [s for *_, s in bundled_slices()]
+    assert any(not s.edges for s in slices)  # depth 0: "edges": []
+    for s in slices:
+        assert pg.slice_to_json(s) == _dumped(s)
+    prod = pg.external_product([make_slice("5_1", "+1+2", 2), make_slice("tree3", "+1", 2)])
+    assert pg.slice_to_json(prod) == _dumped(prod)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {  # residue lists of lengths 0, 1 and 2 in one slice
+            "levels": [{"x": [0], "size": 1}, {"x": [1], "size": 2}],
+            "vertices": [
+                {"level": [0], "residues": []},
+                {"level": [1], "residues": [-5]},
+                {"level": [1], "residues": [1, 2]},
+            ],
+            "edges": [{"from": 0, "to": 1, "gen": 0}, {"from": 0, "to": 2, "gen": 0}],
+        },
+        {"levels": [{"x": [0, 0], "size": 0}], "vertices": [], "edges": []},
+    ],
+    ids=["uneven-residues", "no-vertices"],
+)
+def test_slice_to_json_equals_json_dumps_on_imported_slices(data):
+    s = pg.slice_from_json_dict(data)
+    assert pg.slice_to_json(s) == _dumped(s)
+    assert json.loads(pg.slice_to_json(s)) == data
 
 
 def test_dot_deterministic():
