@@ -1,7 +1,14 @@
 """Exact integer and rational linear algebra on small dense matrices.
 
-Everything here works on tuples of Python ints (arbitrary precision) or
-Fractions; nothing is ever rounded.  Matrices are sequences of rows.
+Matrices are sequences of rows of Python ints (arbitrary precision);
+nothing is ever rounded.  Every solve, rank and independent-row query
+runs through one fraction-free elimination, `_eliminate`, whose entries
+stay integers and whose every division is exact.  A rational solution
+comes back as integer numerators over one positive denominator, and a
+caller divides by it once, if at all: `solve_unique`, `min_norm_point`
+and `primitive` are the only places that build Fractions.  The integer
+kernel lattice needs unimodular steps, not a rational solve, and has
+its own reduction in `kernel_basis`.
 """
 
 from __future__ import annotations
@@ -9,13 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Vec = tuple[int, ...]
 
 
 def dot(row: Sequence[int], x: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(row, x))
+    return sum(map(mul, row, x))
 
 
 def vadd(x: Vec, y: Vec) -> Vec:
@@ -30,68 +38,95 @@ def vneg(x: Vec) -> Vec:
     return tuple(-a for a in x)
 
 
-def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by fraction-free Gaussian elimination."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+def _eliminate(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss), in place.
+
+    Pivots on the first `ncols` columns of the integer rows `mat`: in each
+    column the first row at or below the pivots found so far with a
+    nonzero entry, and a column without one is skipped.  Every other row
+    r becomes (p * r - r[col] * pivot row) // prev, with p the new pivot
+    and prev the one before it (1 at the start).  Each entry is then a
+    minor of the input (Bareiss, Math. Comp. 22, 1968), so every `//` is
+    exact and no entry is ever a fraction.
+
+    Returns the pivot columns and the last pivot d (1 when there is
+    none), which is the determinant of the pivot block up to sign.  With
+    r pivots, the first r rows end as d times the reduced row echelon
+    form of the r pivot rows: d times the identity in the pivot columns.
+    Every later row is zero in the pivot columns, and zero throughout
+    exactly when it is a rational combination of the pivot rows.
+    """
+    pivots: list[int] = []
+    prev = 1
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         prow = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / prow[col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-        rank += 1
-        if rank == len(mat):
+        p = prow[col]
+        for i, row in enumerate(mat):
+            if i != rank:
+                f = row[col]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+        pivots.append(col)
+        if len(pivots) == len(mat):
             break
-    return rank
+    return pivots, prev
+
+
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals, by fraction-free elimination."""
+    mat = [list(r) for r in rows]
+    return len(_eliminate(mat, len(mat[0]) if mat else 0)[0])
 
 
 def independent_row_indices(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of a maximal linearly independent subset of rows (greedy)."""
-    chosen: list[int] = []
-    basis: list[Sequence[int]] = []
-    for i, r in enumerate(rows):
-        if rational_rank(basis + [r]) == len(basis) + 1:
-            chosen.append(i)
-            basis.append(r)
-    return chosen
+    """Indices of the greedy maximal linearly independent subset of rows:
+    each row that is independent of the rows before it.  These are the
+    pivot columns of the transpose."""
+    if not rows:
+        return []
+    mat = [list(col) for col in zip(*rows)]
+    return _eliminate(mat, len(rows))[0]
+
+
+def solve_scaled(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int] | None:
+    """Solve M y = rhs over the integers, up to one common denominator:
+    (y, d) with M (y / d) = rhs and d > 0, when M has full column rank
+    and the system is consistent.
+
+    y is d times the unique rational solution, with d the determinant of
+    the k rows `_eliminate` pivots on, up to sign, so y is integral by
+    Cramer's rule and no division happens here; a caller that needs the
+    rationals divides by d once.  Returns None if the system is
+    inconsistent or underdetermined.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    pivots, d = _eliminate(aug, ncols)
+    if len(pivots) != ncols or any(row[ncols] != 0 for row in aug[ncols:]):
+        return None  # rank-deficient or inconsistent
+    y = [row[ncols] for row in aug[:ncols]]
+    return (y, d) if d > 0 else ([-c for c in y], -d)
 
 
 def solve_unique(matrix: Sequence[Sequence[int]], rhs: Sequence) -> list[Fraction] | None:
-    """Solve M y = rhs when M has full column rank.
+    """Solve M y = rhs when M has full column rank, as Fractions.
 
-    Returns None if the system is inconsistent or underdetermined.
+    The right-hand side may hold Fractions: it is scaled by the lcm of
+    their denominators, solved by `solve_scaled`, and each coordinate is
+    divided once by the common denominator.  Returns None if the system
+    is inconsistent or underdetermined.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [list(map(Fraction, matrix[i])) + [Fraction(rhs[i])] for i in range(nrows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, nrows) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None  # rank-deficient: no unique solution
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pr = aug[row]
-        inv = 1 / pr[col]
-        aug[row] = [a * inv for a in pr]
-        for i in range(nrows):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, nrows):
-        if aug[i][ncols] != 0:
-            return None  # inconsistent
-    return [aug[i][ncols] for i in range(ncols)]
+    den = lcm(*(Fraction(b).denominator for b in rhs))
+    sol = solve_scaled(matrix, [int(b * den) for b in rhs])
+    if sol is None:
+        return None
+    y, d = sol
+    return [Fraction(c, d * den) for c in y]
 
 
 def kernel_basis(rows: Sequence[Vec], ncols: int) -> list[Vec]:
@@ -142,20 +177,29 @@ def min_norm_point(points: Sequence[Vec]) -> tuple[Fraction, ...]:
     A solution with lam >= 0 and q.p >= |p|^2 for every point q meets the
     KKT conditions of the hull, so p is its minimum-norm point.  0 lies in
     the hull exactly when p is 0.
+
+    The tests run on integers: `solve_scaled` gives lam = y / d with d > 0,
+    so lam >= 0 is y >= 0, and with the scaled point P = d p = sum y_i s_i
+    the KKT test is (q.P) d >= P.P.  The one division is P / d, for the
+    point returned.
     """
     pts = list(points)
     dim = len(pts[0])
+    gram = [[dot(s, t) for t in pts] for s in pts]
     for size in range(1, min(len(pts), dim + 1) + 1):
-        for subset in combinations(pts, size):
-            gram = [[dot(s, t) for t in subset] + [1] for s in subset]
-            gram.append([1] * size + [0])
-            sol = solve_unique(gram, [0] * size + [1])
-            if sol is None or any(c < 0 for c in sol[:size]):
+        for subset in combinations(range(len(pts)), size):
+            system = [[gram[i][j] for j in subset] + [1] for i in subset]
+            system.append([1] * size + [0])
+            sol = solve_scaled(system, [0] * size + [1])
+            if sol is None:
                 continue
-            p = tuple(sum(c * s[i] for c, s in zip(sol, subset)) for i in range(dim))
-            norm2 = dot(p, p)
-            if all(dot(q, p) >= norm2 for q in pts):
-                return p
+            y, d = sol
+            if any(c < 0 for c in y[:size]):
+                continue
+            scaled = [sum(c * pts[i][k] for c, i in zip(y, subset)) for k in range(dim)]
+            norm2 = dot(scaled, scaled)
+            if all(dot(q, scaled) * d >= norm2 for q in pts):
+                return tuple(Fraction(c, d) for c in scaled)
     raise AssertionError("no Caratheodory subset met the KKT conditions")
 
 
@@ -170,23 +214,35 @@ def primitive(v: Sequence[Fraction]) -> Vec:
 class ImageSolver:
     """Solves W x = v for x in Z^k, where W (q x k) has full column rank.
 
-    Precomputes an independent row subset so repeated solves are cheap.
+    At construction it picks the greedy independent rows B of W and
+    eliminates [B | I] once, which leaves d I on the left and d B^-1, the
+    integer adjugate of B up to sign, on the right.  A solve is then an
+    integer matrix-vector product, one exact-division test by d > 0 and
+    the residual check on the rows outside B.
     """
 
     def __init__(self, rows: Sequence[Vec], ncols: int):
-        if rational_rank(rows) != ncols:
-            raise ValueError("matrix does not have full column rank")
         self.rows = [tuple(r) for r in rows]
         self.ncols = ncols
-        self.basis_idx = independent_row_indices(rows)[:ncols]
-        self._basis = [rows[i] for i in self.basis_idx]
+        self.basis_idx = independent_row_indices(rows)
+        if len(self.basis_idx) != ncols:
+            raise ValueError("matrix does not have full column rank")
+        aug = [list(rows[i]) + [int(i == j) for j in self.basis_idx] for i in self.basis_idx]
+        _, det = _eliminate(aug, ncols)
+        sign = 1 if det > 0 else -1
+        self._det = sign * det
+        self._adj = [[sign * c for c in row[ncols:]] for row in aug]
+        self._others = [(self.rows[i], i) for i in range(len(rows)) if i not in self.basis_idx]
 
     def preimage(self, v: Sequence[int]) -> Vec | None:
         """The unique integer x with W x = v, or None if there is none."""
-        sol = solve_unique(self._basis, [v[i] for i in self.basis_idx])
-        if sol is None or any(c.denominator != 1 for c in sol):
+        vb = [v[i] for i in self.basis_idx]
+        x = []
+        for row in self._adj:
+            num, rem = divmod(dot(row, vb), self._det)
+            if rem:
+                return None
+            x.append(num)
+        if any(dot(r, x) != v[i] for r, i in self._others):
             return None
-        x = tuple(int(c) for c in sol)
-        if any(dot(r, x) != vi for r, vi in zip(self.rows, v)):
-            return None
-        return x
+        return tuple(x)

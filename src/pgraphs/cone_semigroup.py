@@ -19,7 +19,6 @@ CertificationFailed names the bound a search needs.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -232,13 +231,22 @@ def _search_depth(flipped: tuple[GroupElement, ...], rank: int, base: tuple[int,
     K-Theory, ch. 2).  The layer is an integer, so the floor of that sum
     bounds it.  For base 0 the only vertex is 0 and the depth is the ray
     bound.
+
+    Each vertex comes from `solve_scaled` as u = y / d with d > 0, so the
+    feasibility test F y >= d base and the layer sum(F y) / d stay in
+    integers; the largest layer is kept as a numerator over its
+    denominator and floored once.
     """
-    vertex_layer = 0  # every point of Q has layer >= sum(base) >= 0
+    top, top_d = 0, 1  # every point of Q has layer >= sum(base) >= 0
     for tight in combinations(range(len(flipped)), rank):
-        u = _intlinalg.solve_unique([flipped[i] for i in tight], [base[i] for i in tight])
-        if u is not None and all(_intlinalg.dot(r, u) >= c for r, c in zip(flipped, base)):
-            vertex_layer = max(vertex_layer, sum(_intlinalg.dot(r, u) for r in flipped))
-    return math.floor(vertex_layer) + _ray_bound(flipped, rank) - sum(base)
+        sol = _intlinalg.solve_scaled([flipped[i] for i in tight], [base[i] for i in tight])
+        if sol is None:
+            continue
+        y, d = sol
+        images = [_intlinalg.dot(r, y) for r in flipped]
+        if all(a >= d * c for a, c in zip(images, base)) and sum(images) * top_d > top * d:
+            top, top_d = sum(images), d
+    return top // top_d + _ray_bound(flipped, rank) - sum(base)
 
 
 def _minimal_points(

@@ -427,6 +427,31 @@ def test_both_searches_share_one_depth():
     assert cs.minimal_common_upper_bounds(P(SPEC_5_3, "+1+2"), (0, 0), (0, 0)) == [(0, 0)]
 
 
+def test_searches_solve_a_pinned_number_of_images(monkeypatch):
+    # The benchmark's preimage call count and hit ratio measure the
+    # search's work only while the solver is asked the same questions in
+    # the same order; pin both on the rank2_q5 ladder rung and the smoke
+    # qlo pair, whatever kernel answers them.
+    counts = {"calls": 0, "hits": 0}
+    preimage = cs._intlinalg.ImageSolver.preimage
+
+    def counted(self, v):
+        x = preimage(self, v)
+        counts["calls"] += 1
+        counts["hits"] += x is not None
+        return x
+
+    monkeypatch.setattr(cs._intlinalg.ImageSolver, "preimage", counted)
+    spec = make_spec([(1, 0), (0, 1)] + [(1, 1)] * 3, [2] * 5)
+    patterns = cs.enumerate_admissible(spec)
+    gens = [cs.minimal_generators(cs.ConeSemigroup(spec, p)) for p in patterns]
+    assert (len(patterns), sum(len(g.sigma) for g in gens)) == (6, 12)
+    assert counts == {"calls": 4416, "hits": 30}
+    counts.update(calls=0, hits=0)
+    assert cs.minimal_common_upper_bounds(P(SPEC_5_3, "+1+2"), (1, -1), (1, 1), 4) == [(2, 0)]
+    assert counts == {"calls": 15, "hits": 9}
+
+
 def test_minimal_common_upper_bounds_requires_membership():
     cone = P(SPEC_5_3, "+1+2")
     with pytest.raises(NotInSemigroup):

@@ -1,8 +1,126 @@
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
 from pgraphs import _intlinalg as la
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the Fraction Gauss-Jordan solver and the Fraction
+# Caratheodory search that the integer kernel replaced.  The kernel must
+# reproduce them exactly, not just equivalently.
+
+
+def fraction_rank(rows):
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return 0
+    rank = 0
+    for col in range(len(mat[0])):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col] / prow[col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def fraction_solve_unique(matrix, rhs):
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    aug = [list(map(Fraction, matrix[i])) + [Fraction(rhs[i])] for i in range(nrows)]
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, nrows) if aug[i][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [a * inv for a in aug[row]]
+        for i in range(nrows):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        row += 1
+    if any(aug[i][ncols] != 0 for i in range(row, nrows)):
+        return None
+    return [aug[i][ncols] for i in range(ncols)]
+
+
+def fraction_min_norm_point(points):
+    pts = list(points)
+    dim = len(pts[0])
+    for size in range(1, min(len(pts), dim + 1) + 1):
+        for subset in combinations(pts, size):
+            gram = [[la.dot(s, t) for t in subset] + [1] for s in subset]
+            gram.append([1] * size + [0])
+            sol = fraction_solve_unique(gram, [0] * size + [1])
+            if sol is None or any(c < 0 for c in sol[:size]):
+                continue
+            p = tuple(sum(c * s[i] for c, s in zip(sol, subset)) for i in range(dim))
+            norm2 = la.dot(p, p)
+            if all(la.dot(q, p) >= norm2 for q in pts):
+                return p
+    raise AssertionError("no Caratheodory subset met the KKT conditions")
+
+
+def fraction_independent_rows(rows):
+    chosen = []
+    for i, r in enumerate(rows):
+        if fraction_rank([rows[j] for j in chosen] + [r]) == len(chosen) + 1:
+            chosen.append(i)
+    return chosen
+
+
+def fraction_preimage(rows, v):
+    basis = fraction_independent_rows(rows)
+    sol = fraction_solve_unique([rows[i] for i in basis], [v[i] for i in basis])
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    x = tuple(int(c) for c in sol)
+    if any(la.dot(r, x) != vi for r, vi in zip(rows, v)):
+        return None
+    return x
+
+
+def det(m):
+    def sign(p):
+        return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+    return sum(sign(p) * prod(m[i][p[i]] for i in range(len(m))) for p in permutations(range(len(m))))
+
+
+def random_system(rng):
+    """A seeded random system: square, over- or underdetermined, with
+    dependent rows or zero columns mixed in, and an int or Fraction rhs
+    that is consistent about half the time."""
+    nrows, ncols = rng.randint(0, 5), rng.randint(1, 4)
+    rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.3:  # dependent row
+        a, b = rng.choice(rows), rng.choice(rows)
+        rows.insert(rng.randrange(len(rows) + 1), [2 * x - y for x, y in zip(a, b)])
+    if rows and rng.random() < 0.1:  # zero column
+        col = rng.randrange(ncols)
+        for r in rows:
+            r[col] = 0
+    if rng.random() < 0.5:  # consistent: rhs in the column space
+        x = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
+    else:
+        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in rows]
+    if rng.random() < 0.5 and all(c.denominator == 1 for c in map(Fraction, rhs)):
+        rhs = [int(c) for c in rhs]
+    return rows, rhs
 
 
 def test_rational_rank():
@@ -65,3 +183,92 @@ def test_image_solver():
     assert solver.preimage((0, 0)) == (0, 0)
     with pytest.raises(ValueError):
         la.ImageSolver([(1, 1), (2, 2)], 2)  # rank deficient
+
+
+def test_solve_unique_and_rank_match_the_fraction_oracle():
+    rng = random.Random(8)
+    outcomes = {"solved": 0, "none": 0, "int rhs": 0, "square": 0, "over": 0, "under": 0}
+    for _ in range(2500):
+        rows, rhs = random_system(rng)
+        want = fraction_solve_unique(rows, rhs)
+        got = la.solve_unique(rows, rhs)
+        assert got == want, (rows, rhs)
+        if got is not None:
+            assert all(type(c) is Fraction for c in got)
+        assert la.rational_rank(rows) == fraction_rank(rows), rows
+        assert la.independent_row_indices(rows) == fraction_independent_rows(rows), rows
+        outcomes["solved" if want is not None else "none"] += 1
+        outcomes["int rhs"] += all(type(c) is int for c in rhs)
+        if rows:
+            shape = len(rows) - len(rows[0])
+            outcomes["square" if shape == 0 else "over" if shape > 0 else "under"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_solve_scaled_is_integral_over_a_positive_denominator():
+    rng = random.Random(9)
+    for _ in range(500):
+        rows, rhs = random_system(rng)
+        rhs = [int(c * 6) for c in map(Fraction, rhs)]
+        sol = la.solve_scaled(rows, rhs)
+        if sol is None:
+            assert fraction_solve_unique(rows, rhs) is None
+            continue
+        y, d = sol
+        assert d > 0 and all(type(c) is int for c in y)
+        assert [la.dot(r, y) for r in rows] == [d * b for b in rhs]
+
+
+def test_min_norm_point_matches_the_fraction_oracle():
+    rng = random.Random(10)
+    kinds = {"repeated": 0, "collinear": 0, "zero": 0}
+    for n in range(480):
+        dim = n % 4 + 1
+        pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.25:
+            pts.append(rng.choice(pts))
+            kinds["repeated"] += 1
+        if rng.random() < 0.25:
+            p = rng.choice(pts)
+            pts.append(tuple(rng.choice((-2, 2, 3)) * c for c in p))
+            kinds["collinear"] += 1
+        if rng.random() < 0.15:
+            pts.insert(rng.randrange(len(pts) + 1), (0,) * dim)
+            kinds["zero"] += 1
+        got = la.min_norm_point(pts)
+        assert got == fraction_min_norm_point(pts), pts
+        assert all(type(c) is Fraction for c in got)
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_image_solver_matches_the_fraction_oracle():
+    rng = random.Random(11)
+    seen = {"hit": 0, "divisibility miss": 0, "non-basis miss": 0}
+    solvers = 0
+    while solvers < 150:
+        k = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(rng.randint(k, 5))]
+        basis = fraction_independent_rows(rows)
+        if len(basis) != k or abs(det([rows[i] for i in basis])) < 2:
+            continue
+        solvers += 1
+        solver = la.ImageSolver(rows, k)
+        assert solver.basis_idx == basis
+        others = [i for i in range(len(rows)) if i not in basis]
+        for _ in range(12):
+            v = list(la.dot(r, [rng.randint(-4, 4) for _ in range(k)]) for r in rows)
+            move = rng.random()
+            if move < 0.4:
+                v[rng.choice(basis)] += rng.choice((-1, 1))
+            elif move < 0.7 and others:
+                v[rng.choice(others)] += rng.choice((-1, 1))
+            want = fraction_preimage(rows, v)
+            assert solver.preimage(v) == want, (rows, v)
+            sol = fraction_solve_unique([rows[i] for i in basis], [v[i] for i in basis])
+            if want is not None:
+                seen["hit"] += 1
+            elif any(c.denominator != 1 for c in sol):
+                seen["divisibility miss"] += 1
+            else:
+                seen["non-basis miss"] += 1
+    assert min(seen.values()) >= 100, seen
