@@ -5,10 +5,10 @@ nothing is ever rounded.  Every solve, rank and independent-row query
 runs through one fraction-free elimination, `_eliminate`, whose entries
 stay integers and whose every division is exact.  A rational solution
 comes back as integer numerators over one positive denominator, and a
-caller divides by it once, if at all: `solve_unique`, `min_norm_point`
-and `primitive` are the only places that build Fractions.  The integer
-kernel lattice needs unimodular steps, not a rational solve, and has
-its own reduction in `kernel_basis`.
+caller divides by it once, if at all: `min_norm_point` and `primitive`
+are the only places that build Fractions.  The integer kernel lattice
+needs unimodular steps, not a rational solve, and has its own reduction
+in `kernel_basis`.
 """
 
 from __future__ import annotations
@@ -111,22 +111,6 @@ def solve_scaled(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[l
         return None  # rank-deficient or inconsistent
     y = [row[ncols] for row in aug[:ncols]]
     return (y, d) if d > 0 else ([-c for c in y], -d)
-
-
-def solve_unique(matrix: Sequence[Sequence[int]], rhs: Sequence) -> list[Fraction] | None:
-    """Solve M y = rhs when M has full column rank, as Fractions.
-
-    The right-hand side may hold Fractions: it is scaled by the lcm of
-    their denominators, solved by `solve_scaled`, and each coordinate is
-    divided once by the common denominator.  Returns None if the system
-    is inconsistent or underdetermined.
-    """
-    den = lcm(*(Fraction(b).denominator for b in rhs))
-    sol = solve_scaled(matrix, [int(b * den) for b in rhs])
-    if sol is None:
-        return None
-    y, d = sol
-    return [Fraction(c, d * den) for c in y]
 
 
 def kernel_basis(rows: Sequence[Vec], ncols: int) -> list[Vec]:

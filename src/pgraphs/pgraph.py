@@ -11,6 +11,7 @@ corrupted slices rather than silently reconstructing them.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -760,7 +761,13 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
     """Componentwise product of rooted, strongly simple slices.
 
     Levels and residues concatenate; an edge moves one factor along one
-    of its generators and fixes the rest.
+    of its generators and fixes the rest.  Vertices run over the level
+    combinations, lexicographic in each factor's sorted levels, then over
+    the factors' fibers sorted by residues, and are indexed by their
+    tuples of factor vertex indices.  That is the (level, residues) order
+    unless a factor level repeats a vertex or holds a residue tuple that
+    is a proper prefix of another, which no slice from build_slice,
+    external_product or an export does.
     """
     if not slices:
         raise ValueError("need at least one slice")
@@ -770,53 +777,37 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
             raise NotApplicable(f"factor fails rooted/strongly-simple: {report.failures[:1]}")
 
     ranks = [len(s.levels[0]) for s in slices]
-    offsets = [sum(ranks[:i]) for i in range(len(slices))]
-    total = sum(ranks)
-
-    def embed(vec: GroupElement, i: int) -> GroupElement:
-        out = [0] * total
-        for j, c in enumerate(vec):
-            out[offsets[i] + j] = c
-        return tuple(out)
-
-    labelled = []
-    for i, s in enumerate(slices):
-        for gi, g in enumerate(s.generators):
-            labelled.append((embed(g, i), i, gi))
-    labelled.sort(key=lambda t: t[0])
-    gen_vecs = tuple(t[0] for t in labelled)
+    labelled = sorted(
+        ((0,) * sum(ranks[:i]) + g + (0,) * sum(ranks[i + 1 :]), i, gi)
+        for i, s in enumerate(slices)
+        for gi, g in enumerate(s.generators)
+    )
     gen_map = {(i, gi): new for new, (_, i, gi) in enumerate(labelled)}
-
-    combos = list(product(*[range(len(s.vertices)) for s in slices]))
-    verts = {}
-    for combo in combos:
-        vs = [slices[i].vertices[idx] for i, idx in enumerate(combo)]
-        level = tuple(c for v in vs for c in v.level)
-        residues = tuple(c for v in vs for c in v.residues)
-        verts[combo] = Vertex(level, residues)
-    vertices = sorted(verts.values(), key=lambda v: (v.level, v.residues))
-    index = {v: i for i, v in enumerate(vertices)}
-    combo_index = {combo: index[v] for combo, v in verts.items()}
-
-    edges: list[Edge] = []
-    for combo in combos:
-        for i, s in enumerate(slices):
-            for gi, ws in s.succ[combo[i]].items():
-                for w in ws:
-                    target = combo[:i] + (w,) + combo[i + 1 :]
-                    edges.append(
-                        (combo_index[combo], combo_index[target], gen_map[(i, gi)])
-                    )
-    edges.sort()
-
-    levels = sorted({v.level for v in vertices})
+    fibers = [
+        [(x, sorted(ids, key=lambda v: s.vertices[v].residues))
+         for x, ids in sorted(s.fiber_indices.items()) if ids]
+        for s in slices
+    ]
+    levels, vertices, index = [], [], {}
+    for combo in product(*fibers):
+        levels.append(level := sum((x for x, _ in combo), ()))
+        for ids in product(*(fiber for _, fiber in combo)):
+            index[ids] = len(vertices)
+            residues = sum((s.vertices[v].residues for s, v in zip(slices, ids)), ())
+            vertices.append(Vertex(level, residues))
+    edges = sorted(
+        (n, index[ids[:i] + (w,) + ids[i + 1 :]], gen_map[(i, gi)])
+        for ids, n in index.items()
+        for i, s in enumerate(slices)
+        for gi, ws in s.succ[ids[i]].items()
+        for w in ws
+    )
     return PGraphSlice(
-        generators=gen_vecs,
+        generators=tuple(vec for vec, _, _ in labelled),
         depth=sum(s.depth for s in slices),
         levels=tuple(levels),
         vertices=tuple(vertices),
         edges=tuple(edges),
-        semigroup=None,
     )
 
 
@@ -884,7 +875,6 @@ def virtually_product_subsemigroup(slice_: PGraphSlice) -> VirtuallyProductRepor
         levels=tuple(even_levels),
         vertices=vertices,
         edges=tuple(edges),
-        semigroup=None,
     )
     return VirtuallyProductReport(
         q_generators=q_gens,
@@ -984,12 +974,19 @@ def slice_from_json_dict(data: dict) -> PGraphSlice:
         if len(x) != len(levels[0]):
             raise ValueError(f"levels[{i}].x: length {len(x)}, want {len(levels[0])}")
     level_set = set(levels)
-    vertices = []
+    first = {}
     for i, e in enumerate(raw["vertices"]):
         level = _json_ints(e, "level", f"vertices[{i}]")
         if level not in level_set:
             raise ValueError(f"vertices[{i}].level: {list(level)} is not a listed level")
-        vertices.append(Vertex(level, _json_ints(e, "residues", f"vertices[{i}]")))
+        v = Vertex(level, _json_ints(e, "residues", f"vertices[{i}]"))
+        if (j := first.setdefault(v, i)) != i:
+            raise ValueError(f"vertices[{i}]: duplicates vertices[{j}]")
+    vertices = tuple(first)
+    sizes = Counter(v.level for v in vertices)
+    for i, (e, x) in enumerate(zip(raw["levels"], levels)):
+        if type(size := e.get("size")) is not int or size != sizes[x]:
+            raise ValueError(f"levels[{i}].size: {size!r}, want {sizes[x]}")
     edges = []
     keys = ("from", "to", "gen")
     for i, e in enumerate(raw["edges"]):
@@ -1012,9 +1009,8 @@ def slice_from_json_dict(data: dict) -> PGraphSlice:
         generators=gens,
         depth=_level_depth(levels, gens),
         levels=levels,
-        vertices=tuple(vertices),
+        vertices=vertices,
         edges=tuple(edges),
-        semigroup=None,
     )
 
 

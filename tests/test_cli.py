@@ -96,6 +96,18 @@ def test_graph_build_dot_golden(capsys, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "example_5_1_d3.dot").read_bytes()
 
 
+def test_product_dot_golden(capsys, tmp_path):
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "p.dot"
+    for name, path, *pattern in (("example_5_1", a, "--pattern=+1+2"), ("moller_tree", b)):
+        cfg = str(bundled_config_path(name))
+        argv = ("graph-build", cfg, *pattern, "--depth", "1", "--out", str(path))
+        assert run(capsys, *argv)[0] == 0
+    code, _, _ = run(capsys, "product", str(a), str(b), "--format", "dot", "--out", str(out))
+    assert code == 0
+    golden = GOLDEN_DIR / "product_5_1_d1_x_moller_tree_d1.dot"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_graph_check_all(capsys):
     code, out, _ = run(
         capsys,
@@ -224,6 +236,20 @@ def test_product_rejects_malformed_slices(capsys, tmp_path):
         (dict(data, edges=[edge] + data["edges"][1:]), "edges[0].to"),
         ({k: v for k, v in data.items() if k != "vertices"}, "vertices"),
         (dict(data, levels=data["levels"] + [{"x": [5], "size": 0}]), "levels[2].x"),
+        (dict(data, vertices=data["vertices"] + data["vertices"][1:2]),
+         "vertices[4]: duplicates vertices[1]"),
+        (dict(data, levels=[dict(data["levels"][0], size=5)] + data["levels"][1:]),
+         "levels[0].size"),
+        (dict(data, levels=[data["levels"][0], dict(data["levels"][1], size="two")]),
+         "levels[1].size"),
+        (
+            {
+                "levels": [{"x": [0], "size": 1}, {"x": [1], "size": 2}],
+                "vertices": [{"level": [i], "residues": [0]} for i in (0, 1, 1)],
+                "edges": [{"from": 0, "to": 1, "gen": 0}, {"from": 0, "to": 2, "gen": 0}],
+            },
+            "vertices[2]: duplicates vertices[1]",
+        ),
     ]
     bad = tmp_path / "bad.json"
     for payload, name in cases:

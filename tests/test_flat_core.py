@@ -138,6 +138,7 @@ def test_kernel_lattice_is_saturated(rows):
             continue
         # solve x = sum c_i * basis_i exactly; coefficients must be integers
         mat = [[b[i] for b in basis] for i in range(3)]
-        sol = _intlinalg.solve_unique(mat, list(x))
+        sol = _intlinalg.solve_scaled(mat, list(x))
         assert sol is not None
-        assert all(c.denominator == 1 for c in sol)
+        y, d = sol
+        assert all(Fraction(c, d).denominator == 1 for c in y)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -130,12 +130,11 @@ def test_rational_rank():
     assert la.rational_rank([]) == 0
 
 
-def test_solve_unique():
-    assert la.solve_unique([(2, 0), (0, 4)], (6, 8)) == [3, 2]
-    assert la.solve_unique([(1, 1), (2, 2)], (1, 3)) is None  # inconsistent
-    assert la.solve_unique([(1, 1), (2, 2)], (1, 2)) is None  # underdetermined
-    sol = la.solve_unique([(1,), (1,)], (Fraction(1, 2), Fraction(1, 2)))
-    assert sol == [Fraction(1, 2)]
+def test_solve_scaled():
+    assert la.solve_scaled([(2, 0), (0, 4)], (6, 8)) == ([24, 16], 8)
+    assert la.solve_scaled([(2,), (4,)], (1, 2)) == ([1], 2)
+    assert la.solve_scaled([(1, 1), (2, 2)], (1, 3)) is None  # inconsistent
+    assert la.solve_scaled([(1, 1), (2, 2)], (1, 2)) is None  # underdetermined
 
 
 def test_kernel_basis():
@@ -185,16 +184,19 @@ def test_image_solver():
         la.ImageSolver([(1, 1), (2, 2)], 2)  # rank deficient
 
 
-def test_solve_unique_and_rank_match_the_fraction_oracle():
+def test_solve_scaled_and_rank_match_the_fraction_oracle():
     rng = random.Random(8)
     outcomes = {"solved": 0, "none": 0, "int rhs": 0, "square": 0, "over": 0, "under": 0}
     for _ in range(2500):
         rows, rhs = random_system(rng)
+        den = lcm(*(Fraction(b).denominator for b in rhs))
         want = fraction_solve_unique(rows, rhs)
-        got = la.solve_unique(rows, rhs)
-        assert got == want, (rows, rhs)
-        if got is not None:
-            assert all(type(c) is Fraction for c in got)
+        sol = la.solve_scaled(rows, [int(b * den) for b in rhs])
+        assert (sol is None) == (want is None), (rows, rhs)
+        if sol is not None:
+            y, d = sol
+            assert [Fraction(c, d * den) for c in y] == want, (rows, rhs)
+            assert d > 0 and all(type(c) is int for c in y)
         assert la.rational_rank(rows) == fraction_rank(rows), rows
         assert la.independent_row_indices(rows) == fraction_independent_rows(rows), rows
         outcomes["solved" if want is not None else "none"] += 1

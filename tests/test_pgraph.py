@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -71,6 +73,62 @@ def _truncated_edges(s, model):
                 v = truncate(model, x, y, s.vertices[w])
                 edges.append((index[v], w, gi))
     return sorted(edges)
+
+
+def _sorted_product(slices):
+    """Reference: the external product built by sorting one Vertex per
+    combination of factor vertices by (level, residues)."""
+    for s in slices:
+        report = pg.check_rooted_strongly_simple(s)
+        if not report.ok:
+            raise NotApplicable(f"factor fails rooted/strongly-simple: {report.failures[:1]}")
+
+    ranks = [len(s.levels[0]) for s in slices]
+    offsets = [sum(ranks[:i]) for i in range(len(slices))]
+    total = sum(ranks)
+
+    def embed(vec, i):
+        out = [0] * total
+        for j, c in enumerate(vec):
+            out[offsets[i] + j] = c
+        return tuple(out)
+
+    labelled = []
+    for i, s in enumerate(slices):
+        for gi, g in enumerate(s.generators):
+            labelled.append((embed(g, i), i, gi))
+    labelled.sort(key=lambda t: t[0])
+    gen_vecs = tuple(t[0] for t in labelled)
+    gen_map = {(i, gi): new for new, (_, i, gi) in enumerate(labelled)}
+
+    combos = list(itertools.product(*[range(len(s.vertices)) for s in slices]))
+    verts = {}
+    for combo in combos:
+        vs = [slices[i].vertices[idx] for i, idx in enumerate(combo)]
+        level = tuple(c for v in vs for c in v.level)
+        residues = tuple(c for v in vs for c in v.residues)
+        verts[combo] = Vertex(level, residues)
+    vertices = sorted(verts.values(), key=lambda v: (v.level, v.residues))
+    index = {v: i for i, v in enumerate(vertices)}
+    combo_index = {combo: index[v] for combo, v in verts.items()}
+
+    edges = []
+    for combo in combos:
+        for i, s in enumerate(slices):
+            for gi, ws in s.succ[combo[i]].items():
+                for w in ws:
+                    target = combo[:i] + (w,) + combo[i + 1 :]
+                    edges.append((combo_index[combo], combo_index[target], gen_map[(i, gi)]))
+    edges.sort()
+
+    levels = sorted({v.level for v in vertices})
+    return pg.PGraphSlice(
+        generators=gen_vecs,
+        depth=sum(s.depth for s in slices),
+        levels=tuple(levels),
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+    )
 
 
 def test_build_slice_edges_match_per_vertex_truncation():
@@ -747,6 +805,78 @@ def test_diagonal_padic_slice_is_explicit_tree_product():
     )
 
 
+def _assert_matches_sorted_product(factors):
+    prod = pg.external_product(factors)
+    want = _sorted_product(factors)
+    assert prod == want
+    assert pg.slice_to_json(prod) == pg.slice_to_json(want)
+    return prod
+
+
+def test_external_product_matches_sorted_product_on_bundled_pairs():
+    slices = list(dict.fromkeys(s for *_, s in bundled_slices()))
+    pairs = [
+        (a, b) for a in slices for b in slices if len(a.vertices) * len(b.vertices) <= 300
+    ]
+    for a, b in pairs:
+        _assert_matches_sorted_product([a, b])
+    assert len(pairs) > 3000
+
+
+def _shuffled(s, rng):
+    """The slice with its vertex and level order shuffled, edges remapped."""
+    order = list(range(len(s.vertices)))
+    rng.shuffle(order)
+    new = {old: n for n, old in enumerate(order)}
+    levels = list(s.levels)
+    rng.shuffle(levels)
+    return pg.PGraphSlice(
+        generators=s.generators,
+        depth=s.depth,
+        levels=tuple(levels),
+        vertices=tuple(s.vertices[i] for i in order),
+        edges=tuple(sorted((new[u], new[w], g) for u, w, g in s.edges)),
+    )
+
+
+def test_external_product_matches_sorted_product_on_shuffled_factors():
+    rng = random.Random(9)
+    slices = [s for *_, s in bundled_slices() if 1 < len(s.vertices) <= 40]
+    for _ in range(80):
+        factors = [_shuffled(s, rng) for s in rng.sample(slices, rng.choice((1, 2, 2, 3)))]
+        if math.prod(len(s.vertices) for s in factors) <= 2000:
+            _assert_matches_sorted_product(factors)
+
+
+def test_external_product_matches_sorted_product_on_imported_factors():
+    uneven = pg.slice_from_json_dict(
+        {
+            "levels": [{"x": [0], "size": 1}, {"x": [1], "size": 2}],
+            "vertices": [
+                {"level": [0], "residues": []},
+                {"level": [1], "residues": [-5]},
+                {"level": [1], "residues": [1, 2]},
+            ],
+            "edges": [{"from": 0, "to": 1, "gen": 0}, {"from": 0, "to": 2, "gen": 0}],
+        }
+    )
+    tree = make_slice("tree3", "+1", 2)
+    _assert_matches_sorted_product([uneven, tree])
+    _assert_matches_sorted_product([tree, uneven])
+
+    # level [2] is listed but holds no vertex: no product level comes from it
+    chain = pg.slice_from_json_dict(
+        {
+            "levels": [{"x": [i], "size": int(i < 2)} for i in range(3)],
+            "vertices": [{"level": [i], "residues": [0]} for i in range(2)],
+            "edges": [{"from": 0, "to": 1, "gen": 0}],
+        }
+    )
+    out = _assert_matches_sorted_product([chain, tree])
+    assert {x[0] for x in out.levels} == {0, 1}
+    _assert_matches_sorted_product([tree, chain, uneven])
+
+
 def test_external_product_rejects_bad_factor():
     bad = _retarget_edge_target(make_slice("5_2", "+1+2+3", 2))
     with pytest.raises(NotApplicable):
@@ -801,6 +931,10 @@ def test_json_round_trip():
         (lambda d: d["edges"][0].update(gen="0"), "edges[0].gen"),
         (lambda d: d["edges"][0].update(gen=1 - d["edges"][0]["gen"]), "inconsistent"),
         (lambda d: d["edges"][0].update(gen=5), "generator labels"),
+        (lambda d: d["vertices"].append(d["vertices"][2]), "vertices[5]: duplicates vertices[2]"),
+        (lambda d: d["levels"][1].update(size=5), "levels[1].size: 5, want 2"),
+        (lambda d: d["levels"][0].update(size="two"), "levels[0].size: 'two', want 1"),
+        (lambda d: d["levels"][2].pop("size"), "levels[2].size"),
     ],
 )
 def test_json_import_names_bad_field(edit, field):
