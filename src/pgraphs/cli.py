@@ -197,12 +197,10 @@ def _build_from_args(args, model, defaults):
 def _write_slice(slice_, args) -> int:
     """Export a slice to args.out in args.format and report its size."""
     out = Path(args.out)
-    if args.format == "dot":
-        text = pg.slice_to_dot(slice_)
-    else:
-        text = pg.slice_to_json(slice_)
+    chunks = [pg.slice_to_dot(slice_)] if args.format == "dot" else pg.slice_to_json_chunks(slice_)
     try:
-        out.write_text(text)
+        with out.open("w") as f:
+            f.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"--out: cannot write {out}: {exc}") from exc
     print(

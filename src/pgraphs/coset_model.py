@@ -20,9 +20,9 @@ fiber sizes come from the shared formula; only truncation differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
-from math import prod
+from functools import cached_property, partial
+from itertools import product, repeat
+from typing import NamedTuple
 
 from .cone_semigroup import ConeSemigroup
 from .errors import LevelNotComparable, NonPrimeModulus, NotInSemigroup
@@ -65,13 +65,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A point of the fiber over a level: one residue per component,
     each below the component's cap at that level."""
 
     level: GroupElement
     residues: tuple[int, ...]
+
+
+pair_vertex = partial(tuple.__new__, Vertex)  # Vertex(*pair), with no Python frame per call
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,7 @@ def fiber(model: CosetModel, P: ConeSemigroup, x: GroupElement) -> list[Vertex]:
     The length equals scale(x)."""
     if not P.contains(x):
         raise NotInSemigroup(f"level {x} is outside the cone")
-    cap = caps(model, x)
-    return [Vertex(tuple(x), res) for res in product(*(range(c) for c in cap))]
+    return list(map(pair_vertex, zip(repeat(tuple(x)), product(*map(range, caps(model, x))))))
 
 
 def _comparable_caps(model: CosetModel, x: GroupElement, y: GroupElement):
@@ -151,15 +152,6 @@ def _comparable_caps(model: CosetModel, x: GroupElement, y: GroupElement):
     return cap_x, cap_y
 
 
-def _truncate_residue(model: CosetModel, r: int, cx: int, cy: int) -> int:
-    """One component's residue r below cap cy, truncated to cap cx: the
-    p-adic backend reduces modulo cx, the tree backend keeps the leading
-    digits (word prefix)."""
-    if isinstance(model, PadicModel):
-        return r % cx
-    return r // (cy // cx)
-
-
 def truncate(model: CosetModel, x: GroupElement, y: GroupElement, v: Vertex) -> Vertex:
     """Map a vertex at level y down to its ancestor at level x.
 
@@ -169,9 +161,10 @@ def truncate(model: CosetModel, x: GroupElement, y: GroupElement, v: Vertex) -> 
     if tuple(v.level) != tuple(y):
         raise LevelNotComparable(f"vertex level {v.level} is not {y}")
     cap_x, cap_y = _comparable_caps(model, x, y)
-    res = tuple(
-        _truncate_residue(model, r, cx, cy) for r, cx, cy in zip(v.residues, cap_x, cap_y)
-    )
+    if isinstance(model, PadicModel):  # reduce modulo the smaller cap
+        res = tuple(r % cx for r, cx in zip(v.residues, cap_x))
+    else:  # keep the leading digits: the word prefix
+        res = tuple(r // (cy // cx) for r, cx, cy in zip(v.residues, cap_x, cap_y))
     return Vertex(tuple(x), res)
 
 
@@ -181,18 +174,26 @@ def truncation_positions(model: CosetModel, x: GroupElement, y: GroupElement) ->
     fiber(y), both fibers in lexicographic residue order.
 
     The model is diagonal, so the map is a product of one map per
-    component: residues r at y land at position sum_j t_j(r_j) * stride_j
-    of fiber(x), where t_j truncates component j and stride_j is the
-    product of the caps at x after component j.  Expanding one column of
-    cap_y[j] terms per component, first component outermost, lists the
-    positions in fiber(y)'s order.
+    component: residues r at y land at the mixed-radix position of
+    (t_1(r_1), t_2(r_2), ...) in fiber(x), where t_j truncates component
+    j.  Expanding one column t_j(0), ..., t_j(cap_y[j] - 1) per component,
+    first component outermost, lists the positions in fiber(y)'s order.
     """
     cap_x, cap_y = _comparable_caps(model, x, y)
+    if isinstance(model, PadicModel):  # r % cx: the residues below cx, cy // cx times over
+        columns = [list(range(cx)) * (cy // cx) for cx, cy in zip(cap_x, cap_y)]
+    else:  # r // (cy // cx): each residue below cx, cy // cx times in a row
+        columns = [[r for r in range(cx) for _ in range(cy // cx)] for cx, cy in zip(cap_x, cap_y)]
+    return mixed_radix(columns, cap_x)
+
+
+def mixed_radix(columns, sizes) -> list[int]:
+    """Column j lists positions in a fiber of size sizes[j].  For each
+    choice of one entry per column, first column outermost, the position
+    of that tuple in the fibers' product laid out in lexicographic order."""
     positions = [0]
-    for j, (cx, cy) in enumerate(zip(cap_x, cap_y)):
-        stride = prod(cap_x[j + 1 :])
-        column = [_truncate_residue(model, r, cx, cy) * stride for r in range(cy)]
-        positions = [p + c for p in positions for c in column]
+    for column, n in zip(columns, sizes):
+        positions = [p * n + c for p in positions for c in column]
     return positions
 
 

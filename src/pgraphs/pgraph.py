@@ -13,13 +13,15 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from graphlib import CycleError, TopologicalSorter
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
+from operator import attrgetter, itemgetter
+from typing import Iterator
 
 from ._intlinalg import rational_rank, vadd, vsub
 from .cone_semigroup import ConeSemigroup, GeneratorSet
-from .coset_model import CosetModel, Vertex, fiber, truncation_positions
+from .coset_model import CosetModel, Vertex, fiber, mixed_radix, pair_vertex, truncation_positions
 from .errors import LevelNotComparable, NotApplicable
 from .flat_core import GroupElement, rho
 
@@ -260,9 +262,9 @@ def build_slice(
             y = vadd(x, g)
             if y not in levels:
                 continue
-            sx, sy = start[x], start[y]
             positions = truncation_positions(model, x, y)
-            edges.extend((sx + pos, sy + i, gi) for i, pos in enumerate(positions))
+            targets = range(start[y], start[y] + len(positions))
+            edges.extend(zip(map(start[x].__add__, positions), targets, repeat(gi)))
     edges.sort()
 
     return PGraphSlice(
@@ -283,8 +285,9 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     """Root reachability plus path-independence of ancestors.
 
     Verifies (a) a single root whose descendants cover the slice, (b)
-    exactly one sigma-predecessor wherever the level below exists, and
-    (c) for every comparable level pair, all generator words induce the
+    that each edge steps by its generator's vector and that each vertex
+    has exactly one sigma-predecessor wherever the level below exists,
+    and (c) for every comparable level pair, all generator words induce the
     same ancestor map on the upper fiber.
 
     Part (c) reads the ancestor table rather than walking every word.
@@ -305,8 +308,17 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     except NotApplicable as exc:
         return CheckReport("rooted_strongly_simple", False, (str(exc),))
 
-    for w, v in enumerate(slice_.vertices):
-        for gi, g in enumerate(slice_.generators):
+    gens, vertices = slice_.generators, slice_.vertices
+    steps = {(vertices[u].level, vertices[w].level, gi) for u, w, gi in slice_.edges}
+    bad = {(x, y, gi) for x, y, gi in steps if not 0 <= gi < len(gens) or vsub(y, x) != gens[gi]}
+    for u, w, gi in slice_.edges if bad else ():
+        if (x := vertices[u].level, y := vertices[w].level, gi) in bad:
+            step = f"steps by {vsub(y, x)}, not by generator {gi}"
+            failures.append(f"edge {vertices[u]} -> {vertices[w]} {step}")
+            witnesses.append(("step", u, w, gi))
+
+    for w, v in enumerate(vertices):
+        for gi, g in enumerate(gens):
             below = vsub(v.level, g)
             expected = 1 if below in slice_.level_set else 0
             got = len(slice_.pred[w].get(gi, ()))
@@ -763,11 +775,16 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
     Levels and residues concatenate; an edge moves one factor along one
     of its generators and fixes the rest.  Vertices run over the level
     combinations, lexicographic in each factor's sorted levels, then over
-    the factors' fibers sorted by residues, and are indexed by their
-    tuples of factor vertex indices.  That is the (level, residues) order
-    unless a factor level repeats a vertex or holds a residue tuple that
-    is a proper prefix of another, which no slice from build_slice,
+    the factors' fibers sorted by residues, so each combination is one
+    block in mixed radix.  That is the (level, residues) order unless a
+    factor level repeats a vertex or holds a residue tuple that is a
+    proper prefix of another, which no slice from build_slice,
     external_product or an export does.
+
+    A factor passes the rooted check, so each vertex over y has one
+    g-predecessor, over y - g, if y - g is a level, and none otherwise.
+    Its g-edges into fiber(y) form one column of positions in fiber(y - g),
+    and the product's g-edges into a block expand it in mixed radix.
     """
     if not slices:
         raise ValueError("need at least one slice")
@@ -783,25 +800,32 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
         for gi, g in enumerate(s.generators)
     )
     gen_map = {(i, gi): new for new, (_, i, gi) in enumerate(labelled)}
-    fibers = [
-        [(x, sorted(ids, key=lambda v: s.vertices[v].residues))
-         for x, ids in sorted(s.fiber_indices.items()) if ids]
-        for s in slices
-    ]
-    levels, vertices, index = [], [], {}
-    for combo in product(*fibers):
-        levels.append(level := sum((x for x, _ in combo), ()))
-        for ids in product(*(fiber for _, fiber in combo)):
-            index[ids] = len(vertices)
-            residues = sum((s.vertices[v].residues for s, v in zip(slices, ids)), ())
-            vertices.append(Vertex(level, residues))
-    edges = sorted(
-        (n, index[ids[:i] + (w,) + ids[i + 1 :]], gen_map[(i, gi)])
-        for ids, n in index.items()
-        for i, s in enumerate(slices)
-        for gi, ws in s.succ[ids[i]].items()
-        for w in ws
-    )
+    residues, steps = [], []  # per factor and level: residues; (gi, level below, column)
+    for s in slices:
+        fibers = {x: sorted(ids, key=lambda v: s.vertices[v].residues)
+                  for x, ids in sorted(s.fiber_indices.items()) if ids}
+        pos = {v: p for ids in fibers.values() for p, v in enumerate(ids)}
+        residues.append({x: [s.vertices[v].residues for v in ids] for x, ids in fibers.items()})
+        steps.append({y: [(gi, x, [pos[s.pred[w][gi][0]] for w in ids])
+                          for gi, g in enumerate(s.generators) if (x := vsub(y, g)) in fibers]
+                      for y, ids in fibers.items()})
+
+    block, levels, vertices, edges = {}, [], [], []  # block: a level combination's indices
+    for combo in product(*residues):
+        levels.append(level := sum(combo, ()))
+        concat = map(tuple, map(chain.from_iterable, product(*map(dict.get, residues, combo))))
+        first = len(vertices)
+        vertices.extend(map(pair_vertex, zip(repeat(level), concat)))
+        block[combo] = range(first, len(vertices))
+    for combo, target in block.items():
+        for i, y in enumerate(combo):
+            for gi, x, column in steps[i][y]:
+                source = combo[:i] + (x,) + combo[i + 1 :]
+                n = list(map(len, map(dict.get, residues, source)))
+                radix = [*map(range, n[:i]), column, *map(range, n[i + 1 :])]
+                sources = map(block[source].start.__add__, mixed_radix(radix, n))
+                edges.extend(zip(sources, target, repeat(gen_map[(i, gi)])))
+    edges.sort()
     return PGraphSlice(
         generators=tuple(vec for vec, _, _ in labelled),
         depth=sum(s.depth for s in slices),
@@ -902,13 +926,16 @@ def slice_to_json_dict(slice_: PGraphSlice) -> dict:
     }
 
 
+JSON_CHUNK = 2048  # records formatted by one % in slice_to_json_chunks
+
+
 @cache
-def _json_template(fields: tuple[tuple[str, int | None], ...]) -> str:
+def _json_template(keys: tuple[str, ...], *lengths: int | None) -> str:
     """json.dumps(..., indent=2) text of one array element of a slice
-    export, with a %d slot per integer.  Each field is (key, n): an array
-    of n integers, or a single integer when n is None."""
+    export, with a %d slot per integer.  Key i holds an array of
+    lengths[i] integers, or a single integer when lengths[i] is None."""
     lines = []
-    for key, n in fields:
+    for key, n in zip(keys, lengths):
         if n is None:
             value = "%d"
         elif n == 0:
@@ -919,33 +946,42 @@ def _json_template(fields: tuple[tuple[str, int | None], ...]) -> str:
     return "    {\n" + ",\n".join(lines) + "\n    }"
 
 
-def _json_array(key: str, items: list[str]) -> str:
-    body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-    return f'  "{key}": {body}'
+def slice_to_json_chunks(slice_: PGraphSlice) -> Iterator[str]:
+    """The export text, json.dumps(slice_to_json_dict(slice_), indent=2)
+    + "\n", in pieces: each run of up to JSON_CHUNK records of an array
+    is one % over their joined templates.  Templates are keyed by list
+    lengths, so uneven residue lists come out the same."""
+    vertices, edges = slice_.vertices, slice_.edges
+    sizes = Counter(map(attrgetter("level"), vertices))
+    arrays = [  # key, one template per record, records, nesting depth of their integers
+        ("levels", [_json_template(("x", "size"), len(x), None) for x in slice_.levels],
+         [(*x, sizes[x]) for x in slice_.levels], 1),
+        ("vertices", list(_by_shape(partial(_json_template, ("level", "residues")), vertices)),
+         vertices, 2),
+        ("edges", [_json_template(("from", "to", "gen"), None, None, None)] * len(edges),
+         edges, 1),
+    ]
+    for n, (key, templates, records, depth) in enumerate(arrays):
+        yield (",\n" if n else "{\n") + f'  "{key}": ' + ("[\n" if records else "[]")
+        for i in range(0, len(records), JSON_CHUNK):
+            ints = records[i : i + JSON_CHUNK]
+            for _ in range(depth):
+                ints = chain.from_iterable(ints)
+            yield (",\n" if i else "") + ",\n".join(templates[i : i + JSON_CHUNK]) % tuple(ints)
+        yield "\n  ]" if records else ""
+    yield "\n}\n"
+
+
+def _by_shape(template, vertices: tuple[Vertex, ...]) -> Iterator[str]:
+    """template(len(v.level), len(v.residues)) for each vertex v."""
+    levels, residues = map(attrgetter("level"), vertices), map(attrgetter("residues"), vertices)
+    return map(template, map(len, levels), map(len, residues))
 
 
 def slice_to_json(slice_: PGraphSlice) -> str:
     """The export text: exactly json.dumps(slice_to_json_dict(slice_),
-    indent=2) + "\n", written from one template per record shape, so no
-    per-record dict is built.  Shapes are keyed by list lengths, so
-    imported slices with uneven residue lists come out the same."""
-    levels = [
-        _json_template((("x", len(x)), ("size", None))) % (*x, len(slice_.fiber_at(x)))
-        for x in slice_.levels
-    ]
-    vertices = [
-        _json_template((("level", len(v.level)), ("residues", len(v.residues))))
-        % (*v.level, *v.residues)
-        for v in slice_.vertices
-    ]
-    edge = _json_template((("from", None), ("to", None), ("gen", None)))
-    edges = [edge % e for e in slice_.edges]
-    arrays = [
-        _json_array("levels", levels),
-        _json_array("vertices", vertices),
-        _json_array("edges", edges),
-    ]
-    return "{\n" + ",\n".join(arrays) + "\n}\n"
+    indent=2) + "\n", with no per-record dict built."""
+    return "".join(slice_to_json_chunks(slice_))
 
 
 def _json_ints(entry, key: str, where: str) -> tuple[int, ...]:
@@ -970,14 +1006,16 @@ def slice_from_json_dict(data: dict) -> PGraphSlice:
     if not raw["levels"]:
         raise ValueError("levels: at least one level required")
     levels = tuple(_json_ints(e, "x", f"levels[{i}]") for i, e in enumerate(raw["levels"]))
+    level_index: dict[GroupElement, int] = {}
     for i, x in enumerate(levels):
         if len(x) != len(levels[0]):
             raise ValueError(f"levels[{i}].x: length {len(x)}, want {len(levels[0])}")
-    level_set = set(levels)
+        if (j := level_index.setdefault(x, i)) != i:
+            raise ValueError(f"levels[{i}].x: duplicates levels[{j}]")
     first = {}
     for i, e in enumerate(raw["vertices"]):
         level = _json_ints(e, "level", f"vertices[{i}]")
-        if level not in level_set:
+        if level not in level_index:
             raise ValueError(f"vertices[{i}].level: {list(level)} is not a listed level")
         v = Vertex(level, _json_ints(e, "residues", f"vertices[{i}]"))
         if (j := first.setdefault(v, i)) != i:
@@ -1029,20 +1067,22 @@ def _level_depth(levels: tuple[GroupElement, ...], gens: tuple[GroupElement, ...
     return depth
 
 
+@cache
+def _dot_name_template(levels: int, residues: int) -> str:
+    return "L" + ",".join(["%d"] * levels) + "@" + ",".join(["%d"] * residues)
+
+
 def slice_to_dot(slice_: PGraphSlice) -> str:
-    """Deterministic DOT text; vertex names are L<x>@<residues>."""
-
-    def name(v: Vertex) -> str:
-        x = ",".join(map(str, v.level))
-        r = ",".join(map(str, v.residues))
-        return f"L{x}@{r}"
-
-    names = [name(v) for v in slice_.vertices]
-    lines = ["digraph pgraph {"]
-    lines.extend(f'  "{n}";' for n in names)
-    lines.extend(f'  "{names[u]}" -> "{names[w]}" [label="{g}"];' for u, w, g in slice_.edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Deterministic DOT text; vertex names are L<x>@<residues>.  One %
+    formats every name, one every vertex line and one every edge line."""
+    vertices, edges = slice_.vertices, slice_.edges
+    ints = tuple(chain.from_iterable(chain.from_iterable(vertices)))
+    names = ("\n".join(_by_shape(_dot_name_template, vertices)) % ints).splitlines()
+    u, w, g = (map(itemgetter(k), edges) for k in range(3))
+    fields = chain.from_iterable(zip(map(names.__getitem__, u), map(names.__getitem__, w), g))
+    nodes = "".join(['  "%s";\n'] * len(names)) % tuple(names)
+    arcs = "".join(['  "%s" -> "%s" [label="%d"];\n'] * len(edges)) % tuple(fields)
+    return "digraph pgraph {\n" + nodes + arcs + "}\n"
 
 
 __all__ = [
@@ -1066,6 +1106,7 @@ __all__ = [
     "cone_certificate",
     "cones_isomorphic",
     "slice_to_json",
+    "slice_to_json_chunks",
     "slice_to_json_dict",
     "slice_from_json_dict",
     "slice_to_dot",

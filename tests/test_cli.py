@@ -96,6 +96,14 @@ def test_graph_build_dot_golden(capsys, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "example_5_1_d3.dot").read_bytes()
 
 
+def test_graph_build_json_golden(capsys, tmp_path):
+    cfg = str(bundled_config_path("example_5_3"))
+    out = tmp_path / "g.json"
+    argv = ("graph-build", cfg, "--pattern=+1+2", "--depth", "2", "--out", str(out))
+    assert run(capsys, *argv)[0] == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "example_5_3_d2.json").read_bytes()
+
+
 def test_product_dot_golden(capsys, tmp_path):
     a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "p.dot"
     for name, path, *pattern in (("example_5_1", a, "--pattern=+1+2"), ("moller_tree", b)):
@@ -242,6 +250,8 @@ def test_product_rejects_malformed_slices(capsys, tmp_path):
          "levels[0].size"),
         (dict(data, levels=[data["levels"][0], dict(data["levels"][1], size="two")]),
          "levels[1].size"),
+        (dict(data, levels=data["levels"] + data["levels"][1:]),
+         "levels[2].x: duplicates levels[1]"),
         (
             {
                 "levels": [{"x": [0], "size": 1}, {"x": [1], "size": 2}],

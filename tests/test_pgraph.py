@@ -131,6 +131,68 @@ def _sorted_product(slices):
     )
 
 
+def _record_json_template(fields):
+    """Reference: json.dumps(..., indent=2) text of one array element,
+    with a %d slot per integer; each field is (key, n), an array of n
+    integers or a single integer when n is None."""
+    lines = []
+    for key, n in fields:
+        if n is None:
+            value = "%d"
+        elif n == 0:
+            value = "[]"
+        else:
+            value = "[\n" + ",\n".join(["        %d"] * n) + "\n      ]"
+        lines.append(f'      "{key}": {value}')
+    return "    {\n" + ",\n".join(lines) + "\n    }"
+
+
+def _record_json(s):
+    """Reference: the export text formatted one record at a time."""
+
+    def array(key, items):
+        body = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+        return f'  "{key}": {body}'
+
+    levels = [
+        _record_json_template((("x", len(x)), ("size", None))) % (*x, len(s.fiber_at(x)))
+        for x in s.levels
+    ]
+    vertices = [
+        _record_json_template((("level", len(v.level)), ("residues", len(v.residues))))
+        % (*v.level, *v.residues)
+        for v in s.vertices
+    ]
+    edge = _record_json_template((("from", None), ("to", None), ("gen", None)))
+    arrays = [
+        array("levels", levels),
+        array("vertices", vertices),
+        array("edges", [edge % e for e in s.edges]),
+    ]
+    return "{\n" + ",\n".join(arrays) + "\n}\n"
+
+
+def _record_dot(s):
+    """Reference: the DOT text formatted one vertex and one edge at a time."""
+
+    def name(v):
+        return f"L{','.join(map(str, v.level))}@{','.join(map(str, v.residues))}"
+
+    names = [name(v) for v in s.vertices]
+    lines = ["digraph pgraph {"]
+    lines.extend(f'  "{n}";' for n in names)
+    lines.extend(f'  "{names[u]}" -> "{names[w]}" [label="{g}"];' for u, w, g in s.edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_writers_match_records(s):
+    text = pg.slice_to_json(s)
+    assert text == _record_json(s)
+    assert "".join(pg.slice_to_json_chunks(s)) == text
+    assert pg.slice_to_dot(s) == _record_dot(s)
+
+
 def test_build_slice_edges_match_per_vertex_truncation():
     for name, pattern, depth, model, s in bundled_slices():
         assert list(s.edges) == _truncated_edges(s, model), (name, str(pattern), depth)
@@ -883,6 +945,25 @@ def test_external_product_rejects_bad_factor():
         pg.external_product([bad])
 
 
+def test_external_product_rejects_an_edge_off_its_generator_step():
+    # every in-degree is right, but the edge 0 -> 2 steps by (2,), not (1,)
+    s = pg.PGraphSlice(
+        generators=((1,),),
+        depth=2,
+        levels=((0,), (1,), (2,)),
+        vertices=tuple(Vertex((i,), ()) for i in range(3)),
+        edges=((0, 1, 0), (0, 2, 0)),
+    )
+    report = pg.check_rooted_strongly_simple(s)
+    assert not report.ok and report.witnesses == (("step", 0, 2, 0),)
+    assert report.failures == (
+        "edge Vertex(level=(0,), residues=()) -> Vertex(level=(2,), residues=())"
+        " steps by (2,), not by generator 0",
+    )
+    with pytest.raises(NotApplicable, match="steps by"):
+        pg.external_product([s])
+
+
 # ---------------------------------------------------------------------------
 # virtually a product of trees
 
@@ -935,6 +1016,7 @@ def test_json_round_trip():
         (lambda d: d["levels"][1].update(size=5), "levels[1].size: 5, want 2"),
         (lambda d: d["levels"][0].update(size="two"), "levels[0].size: 'two', want 1"),
         (lambda d: d["levels"][2].pop("size"), "levels[2].size"),
+        (lambda d: d["levels"][2].update(x=d["levels"][1]["x"]), "levels[2].x: duplicates levels[1]"),
     ],
 )
 def test_json_import_names_bad_field(edit, field):
@@ -983,6 +1065,23 @@ def test_slice_to_json_equals_json_dumps_on_built_slices():
     assert pg.slice_to_json(prod) == _dumped(prod)
 
 
+def test_writers_match_record_oracles_on_built_slices():
+    slices = [s for *_, s in bundled_slices()]
+    assert any(not s.edges for s in slices)  # depth 0
+    prod = pg.external_product([make_slice("5_1", "+1+2", 2), make_slice("tree3", "+1", 2)])
+    long = make_slice("tree3", "+1", 8)
+    assert len(long.edges) == 9840 > 4 * pg.JSON_CHUNK
+    for s in slices + [prod, long]:
+        _assert_writers_match_records(s)
+
+
+def test_writers_match_record_oracles_on_shuffled_slices():
+    # levels and fibers out of order: a level's vertices are not contiguous
+    rng = random.Random(10)
+    for *_, s in bundled_slices():
+        _assert_writers_match_records(_shuffled(s, rng))
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -1003,6 +1102,7 @@ def test_slice_to_json_equals_json_dumps_on_imported_slices(data):
     s = pg.slice_from_json_dict(data)
     assert pg.slice_to_json(s) == _dumped(s)
     assert json.loads(pg.slice_to_json(s)) == data
+    _assert_writers_match_records(s)
 
 
 def test_dot_deterministic():
