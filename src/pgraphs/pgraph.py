@@ -6,6 +6,15 @@ generator-labelled truncation pairs.  All structural checks (rooted,
 strongly simple, factorization, fiber counts, regularity to a depth,
 product-of-trees) work purely on the stored edge data, so they detect
 corrupted slices rather than silently reconstructing them.
+
+The checks read the edges through the slice's step columns: per level
+and generator, the position of each vertex's predecessor in the fiber
+below, fibers taken in residue order.  The rooted check runs on them and
+on the position-list ancestor maps they compose into.  Factorization is
+proved from a passing rooted check and enumerated otherwise.
+Regularity is decided by one positional isomorphism between cones when
+the rooted check passes, and by the cone matcher otherwise or where that
+map fails.  Failing slices take per-vertex paths that name every failure.
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain, combinations, product, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, combinations, islice, product, repeat
+from operator import attrgetter, itemgetter, le
 from typing import Iterator
 
 from ._intlinalg import rational_rank, vadd, vsub
@@ -62,6 +71,44 @@ class PGraphSlice:
 
     def fiber_at(self, x: GroupElement) -> tuple[int, ...]:
         return self.fiber_indices[x]
+
+    @cached_property
+    def fibers(self) -> dict[GroupElement, tuple[int, ...]]:
+        """Each level's vertex indices in residue order."""
+        key = self.vertices.__getitem__
+        return {x: tuple(sorted(ids, key=key)) for x, ids in self.fiber_indices.items()}
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Each vertex's position in its level's entry of `fibers`."""
+        out: dict[int, int] = {}
+        for ids in self.fibers.values():
+            out.update(zip(ids, range(len(ids))))
+        return out
+
+    @cached_property
+    def step_columns(self) -> dict[tuple[GroupElement, int], tuple[int, ...] | None]:
+        """cols[(y, gi)][i] is the position in fibers[y - g] of the
+        g-predecessor of fibers[y][i], for each level y and generator g
+        with y - g a level.  Read off the edges; the column is None when
+        some vertex over y has no g-edge in, several, or one from off
+        level y - g."""
+        several = object()
+        pred = [[None] * len(self.vertices) for _ in self.generators]  # per generator and vertex
+        for u, w, gi in self.edges:
+            if 0 <= gi < len(pred):  # an edge off the generators is no step
+                row = pred[gi]
+                row[w] = u if row[w] is None else several
+        level = list(map(attrgetter("level"), self.vertices))
+        out: dict[tuple[GroupElement, int], tuple[int, ...] | None] = {}
+        for x, steps in self.level_steps.items():
+            for gi, y in steps:
+                us = list(map(pred[gi].__getitem__, self.fibers[y]))
+                if None in us or several in us or not set(map(level.__getitem__, us)) <= {x}:
+                    out[(y, gi)] = None
+                else:
+                    out[(y, gi)] = tuple(map(self.position.__getitem__, us))
+        return out
 
     @cached_property
     def succ(self) -> tuple[dict[int, tuple[int, ...]], ...]:
@@ -176,25 +223,32 @@ class PGraphSlice:
         amap = self.ancestor_table.get((x, self.vertices[w].level))
         return None if amap is None else amap.get(w)
 
+    @cached_property
+    def ancestor_positions(self) -> dict[tuple[GroupElement, GroupElement], list[int]]:
+        """`ancestor_table` on positions: amap[(x, y)][i] is the position
+        in fibers[x] of the ancestor of fibers[y][i].
 
-@dataclass(frozen=True)
-class MorphismWitness:
-    """A (source, target) pair with its degree; faithful by strong simplicity."""
+        Built as `ancestor_table` is, one step column composed with
+        amap[(x + g, y)], so it needs every step column: only a slice
+        that passes part (b) of the rooted check has this table.
+        """
+        cols = self.step_columns
+        table: dict[tuple[GroupElement, GroupElement], list[int]] = {}
+        for x in self._levels_top_down:
+            for y in self.reachable[x]:
+                if y == x:
+                    table[(x, x)] = list(range(len(self.fibers[x])))
+                    continue
+                gi, nxt = next(
+                    (gi, nxt) for gi, nxt in self.level_steps[x] if y in self.reachable[nxt]
+                )
+                table[(x, y)] = list(map(cols[(nxt, gi)].__getitem__, table[(nxt, y)]))
+        return table
 
-    source: Vertex
-    target: Vertex
-    degree: GroupElement
-
-
-def morphism(slice_: PGraphSlice, source: Vertex, target: Vertex) -> MorphismWitness | None:
-    """The unique morphism source -> target, or None if there is none."""
-    si = slice_.vertex_index.get(source)
-    ti = slice_.vertex_index.get(target)
-    if si is None or ti is None:
-        return None
-    if slice_.ancestor(ti, source.level) != si:
-        return None
-    return MorphismWitness(source, target, vsub(target.level, source.level))
+    @cached_property
+    def rooted_report(self) -> CheckReport:
+        """The report of `check_rooted_strongly_simple`, computed once."""
+        return _rooted_strongly_simple(self)
 
 
 @dataclass(frozen=True)
@@ -290,16 +344,31 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     and (c) for every comparable level pair, all generator words induce the
     same ancestor map on the upper fiber.
 
-    Part (c) reads the ancestor table rather than walking every word.
+    The report is computed once per slice and cached as `rooted_report`.
+
+    Parts (a) and (b) are first decided wholesale.  Part (b) holds
+    exactly when every edge steps by its generator and every step
+    column exists.  Given (b), part (a) holds exactly when every level
+    holding a vertex is reachable from level 0 by generator steps: along
+    such a path each vertex has a predecessor one step down, back to the
+    root, and every edge steps up a generator.  Only when either fails do
+    per-vertex loops name the failures.
+
+    Part (c) runs on `ancestor_positions` rather than walking every word.
     A word from x to y is a step g from x followed by a word from x + g
     to y.  So when all words from each such x + g agree, the words from
-    x agree exactly when stepping back along g from amap[(x + g, y)]
+    x agree exactly when composing g's step column with amap[(x + g, y)]
     gives amap[(x, y)] for every g.  A pair that fails this test is
     marked, and so is every pair (x', y) with a step from x' into a
     marked pair.  Only marked pairs walk their words to name the
     disagreeing ones, so the failures, and their order, are those of
     walking the words of every pair.
     """
+    return slice_.rooted_report
+
+
+def _rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
+    """The rooted check's report; see check_rooted_strongly_simple."""
     failures: list[str] = []
     witnesses: list = []
 
@@ -308,17 +377,84 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     except NotApplicable as exc:
         return CheckReport("rooted_strongly_simple", False, (str(exc),))
 
-    gens, vertices = slice_.generators, slice_.vertices
-    steps = {(vertices[u].level, vertices[w].level, gi) for u, w, gi in slice_.edges}
+    gens, vertices, edges = slice_.generators, slice_.vertices, slice_.edges
+    level = list(map(attrgetter("level"), vertices)).__getitem__
+    sources, targets, labels = (map(itemgetter(k), edges) for k in range(3))
+    steps = set(zip(map(level, sources), map(level, targets), labels))
     bad = {(x, y, gi) for x, y, gi in steps if not 0 <= gi < len(gens) or vsub(y, x) != gens[gi]}
-    for u, w, gi in slice_.edges if bad else ():
+    for u, w, gi in edges if bad else ():
         if (x := vertices[u].level, y := vertices[w].level, gi) in bad:
             step = f"steps by {vsub(y, x)}, not by generator {gi}"
             failures.append(f"edge {vertices[u]} -> {vertices[w]} {step}")
             witnesses.append(("step", u, w, gi))
 
-    for w, v in enumerate(vertices):
-        for gi, g in enumerate(gens):
+    reach = {vertices[root].level}
+    stack = list(reach)
+    while stack:
+        for _, y in slice_.level_steps[stack.pop()]:
+            if y not in reach:
+                reach.add(y)
+                stack.append(y)
+    if (
+        bad
+        or None in slice_.step_columns.values()
+        or any(ids for x, ids in slice_.fiber_indices.items() if x not in reach)
+    ):
+        failures_ab, witnesses_ab = _rooted_failures(slice_, root)
+        failures += failures_ab
+        witnesses += witnesses_ab
+    if failures:
+        return CheckReport(
+            "rooted_strongly_simple", False, tuple(failures), tuple(witnesses)
+        )
+
+    table, cols = slice_.ancestor_positions, slice_.step_columns
+    marked: set[tuple[GroupElement, GroupElement]] = set()
+    for x in slice_._levels_top_down:
+        for y in slice_.reachable[x]:
+            ups = [(gi, nxt) for gi, nxt in slice_.level_steps[x] if y in slice_.reachable[nxt]]
+            # the first step built table[(x, y)]; the others must agree with it
+            if any((nxt, y) in marked for _, nxt in ups) or any(
+                list(map(cols[(nxt, gi)].__getitem__, table[(nxt, y)])) != table[(x, y)]
+                for gi, nxt in ups[1:]
+            ):
+                marked.add((x, y))
+
+    for x in slice_.levels:
+        for y in slice_.reachable[x]:
+            if (x, y) not in marked:
+                continue
+            words = slice_.gen_words(x, y)
+            ref = {w: slice_.walk_back(w, words[0]) for w in slice_.fiber_at(y)}
+            for word in words[1:]:
+                for w in slice_.fiber_at(y):
+                    got = slice_.walk_back(w, word)
+                    if got != ref[w]:
+                        failures.append(
+                            f"vertex {slice_.vertices[w]} has word-dependent ancestors "
+                            f"at level {x}: words {words[0]} vs {word}"
+                        )
+                        witnesses.append(("ambiguous", w, x, words[0], word))
+    return CheckReport(
+        "rooted_strongly_simple", not failures, tuple(failures), tuple(witnesses)
+    )
+
+
+def _passes_rooted(slice_: PGraphSlice) -> bool:
+    """Whether the slice passes the rooted check; False on a level cycle."""
+    try:
+        return check_rooted_strongly_simple(slice_).ok
+    except NotApplicable:
+        return False
+
+
+def _rooted_failures(slice_: PGraphSlice, root: int) -> tuple[list[str], list]:
+    """Per-vertex failures and witnesses: the in-degrees of part (b),
+    then reachability from the root, part (a)."""
+    failures: list[str] = []
+    witnesses: list = []
+    for w, v in enumerate(slice_.vertices):
+        for gi, g in enumerate(slice_.generators):
             below = vsub(v.level, g)
             expected = 1 if below in slice_.level_set else 0
             got = len(slice_.pred[w].get(gi, ()))
@@ -341,46 +477,7 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
         if w not in seen:
             failures.append(f"vertex {slice_.vertices[w]} unreachable from root")
             witnesses.append(("unreachable", w))
-
-    if failures:
-        return CheckReport(
-            "rooted_strongly_simple", False, tuple(failures), tuple(witnesses)
-        )
-
-    table = slice_.ancestor_table
-    marked: set[tuple[GroupElement, GroupElement]] = set()
-    for x in slice_._levels_top_down:
-        for y in slice_.reachable[x]:
-            amap = table[(x, y)]
-            for gi, nxt in slice_.level_steps[x]:
-                if y not in slice_.reachable[nxt]:
-                    continue
-                up = table[(nxt, y)]
-                if (nxt, y) in marked or any(
-                    (slice_.step_back(up[w], gi) if w in up else None) != amap.get(w)
-                    for w in slice_.fiber_at(y)
-                ):
-                    marked.add((x, y))
-                    break
-
-    for x in slice_.levels:
-        for y in slice_.reachable[x]:
-            if (x, y) not in marked:
-                continue
-            words = slice_.gen_words(x, y)
-            ref = {w: slice_.walk_back(w, words[0]) for w in slice_.fiber_at(y)}
-            for word in words[1:]:
-                for w in slice_.fiber_at(y):
-                    got = slice_.walk_back(w, word)
-                    if got != ref[w]:
-                        failures.append(
-                            f"vertex {slice_.vertices[w]} has word-dependent ancestors "
-                            f"at level {x}: words {words[0]} vs {word}"
-                        )
-                        witnesses.append(("ambiguous", w, x, words[0], word))
-    return CheckReport(
-        "rooted_strongly_simple", not failures, tuple(failures), tuple(witnesses)
-    )
+    return failures, witnesses
 
 
 def check_factorization(slice_: PGraphSlice) -> CheckReport:
@@ -392,9 +489,29 @@ def check_factorization(slice_: PGraphSlice) -> CheckReport:
 
     A u in fiber(z) with u -> w is w's ancestor at z, so at most one u
     qualifies: the count is 1 when anc(anc(w, z), x) == anc(w, x) and 0
-    otherwise.  All three ancestors are lookups in the ancestor table,
-    whose map for (x, z) covers only fiber(z), so an ancestor of w that
-    left fiber(z) on a corrupted slice counts 0.
+    otherwise.
+
+    A slice that passes the rooted check passes this one, so then the
+    cached rooted report decides it.  By part (b) each vertex over y has
+    exactly one g-predecessor, over y - g, wherever y - g is a level, so
+    walking back along any word stays on the slice and anc(w, x) exists.
+    The first word from x to z followed by the first word from z to y is
+    a word from x to y, and walking back along it gives
+    anc(anc(w, z), x).  By part (c) every word from x to y gives the
+    same ancestor, anc(w, x).  So every count is 1.  Any other slice is
+    enumerated.
+    """
+    if check_rooted_strongly_simple(slice_).ok:
+        return CheckReport("factorization", True)
+    return _factorization_by_enumeration(slice_)
+
+
+def _factorization_by_enumeration(slice_: PGraphSlice) -> CheckReport:
+    """check_factorization by counting every split.
+
+    All three ancestors are lookups in the ancestor table, whose map for
+    (x, z) covers only fiber(z), so an ancestor of w that left fiber(z)
+    on a corrupted slice counts 0.
     """
     failures: list[str] = []
     witnesses: list = []
@@ -625,16 +742,95 @@ def check_regularity(slice_: PGraphSlice, depth_d: int) -> CheckReport:
     """Descendant cones truncated to depth_d are pairwise isomorphic.
 
     Only vertices whose full depth_d cone fits inside the slice take
-    part.  Their cones are sorted into isomorphism classes, each cone
-    compared by `cones_isomorphic`, which is complete and sound, with
-    the first cone of each class.  The vertices outside the largest
-    class fail, so a corruption inside one cone blames that cone's root
-    rather than every other vertex.  On a tie the class found first
-    counts as the largest; it holds the first eligible vertex whenever
-    that vertex's class is among the largest.
+    part: those over a level x with x + delta a level for every delta in
+    D, the sums of at most depth_d generators.  When the slice passes
+    the rooted check, `_cones_agree_by_position` tries one explicit
+    isomorphism between every two cones; if it holds for all of them,
+    the check passes.  Otherwise, and on any other slice, the matcher
+    (`_regularity_by_matcher`) decides.
     """
     if depth_d < 0:
         raise ValueError("depth_d must be >= 0")
+    deltas = _cone_deltas(slice_.generators, depth_d)
+    levels = [x for x in slice_.levels if all(vadd(x, d) in slice_.level_set for d in deltas)]
+    count = sum(len(slice_.fiber_at(x)) for x in levels)
+    if count and _cones_agree_by_position(slice_, deltas, levels):
+        details = (f"compared {count} cones at depth {depth_d}",)
+        return CheckReport("regularity", True, details=details)
+    return _regularity_by_matcher(slice_, depth_d)
+
+
+def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> bool:
+    """Whether the slice passes the rooted check, has distinct generators,
+    and gives every cone rooted over `levels` the same signature.
+
+    The cone of v over x is every w with level(w) - x in D and
+    anc(w, x) = v; its edges are the g-edges into each such w, for each
+    g with level(w) - x - g in D.  Proof, from parts (b) and (c) of the
+    rooted check.  A path of at most depth_d edges from v to w steps by
+    generators, so level(w) - x lies in D, and walking w back along it
+    reaches v, so anc(w, x) = v.  Conversely, write level(w) - x as
+    g1 + ... + gk with k <= depth_d.  Each partial sum lies in D, so x
+    plus it is a level, as v is eligible.  Walking w back along that
+    word follows unique predecessors to anc(w, x) = v: a path of k
+    edges.  A cone edge u -> w along g has u = pred_g(w), at offset
+    level(w) - x - g in D.  Conversely, when that offset lies in D,
+    pred_g(w) lies over a level, has ancestor v at x, and so is in the
+    cone.  Distinct generators join distinct pairs of nodes, so
+    `descendant_cone`, which keeps one edge per pair, keeps them all.
+
+    The signature lists the cone's node count at each offset delta in D,
+    and, for each delta and g with delta - g in D, the rank of each
+    node's g-predecessor among the cone's nodes at delta - g, nodes at an
+    offset taken in residue order.  Two cones with one signature are
+    isomorphic: send the i-th node at each offset of one to the i-th
+    node at that offset of the other.  That map keeps offsets, is a
+    bijection by the counts, and sends each edge pred_g(w) -> w to the
+    edge into the image of w along g by the ranks.  Both cones have
+    equally many edges, so it maps edges onto edges.  With all
+    signatures equal, every cone is in one isomorphism class, which is
+    the matcher's pass.
+    """
+    gens = slice_.generators
+    if len(set(gens)) < len(gens) or not _passes_rooted(slice_):
+        return False
+    table, cols, fibers = slice_.ancestor_positions, slice_.step_columns, slice_.fibers
+    offsets = sorted(deltas)
+    steps = [(d, gi, e) for d in offsets
+             for gi, g in enumerate(gens) if (e := vsub(d, g)) in deltas]
+    first = None
+    for x in levels:
+        nodes, rank = {}, {}  # per offset: each cone's nodes; each node's rank in its cone
+        for d in offsets:
+            nodes[d] = groups = [[] for _ in fibers[x]]
+            rank[d] = ranks = []
+            for i, a in enumerate(table[(x, vadd(x, d))]):
+                ranks.append(len(groups[a]))
+                groups[a].append(i)
+        pred_rank = {(d, gi): list(map(rank[e].__getitem__, cols[(vadd(x, d), gi)]))
+                     for d, gi, e in steps}
+        for p in range(len(fibers[x])):
+            signature = (
+                [len(nodes[d][p]) for d in offsets],
+                [list(map(pred_rank[(d, gi)].__getitem__, nodes[d][p])) for d, gi, _ in steps],
+            )
+            if first is None:
+                first = signature
+            elif signature != first:
+                return False
+    return True
+
+
+def _regularity_by_matcher(slice_: PGraphSlice, depth_d: int) -> CheckReport:
+    """check_regularity by sorting every cone into isomorphism classes.
+
+    Each cone is compared by `cones_isomorphic`, which is complete and
+    sound, with the first cone of each class.  The vertices outside the
+    largest class fail, so a corruption inside one cone blames that
+    cone's root rather than every other vertex.  On a tie the class
+    found first counts as the largest; it holds the first eligible
+    vertex whenever that vertex's class is among the largest.
+    """
     deltas = _cone_deltas(slice_.generators, depth_d)
     eligible = [
         i
@@ -710,10 +906,56 @@ def check_product_of_trees(slice_: PGraphSlice) -> ProductOfTreesResult:
 
     A generator set with rational relations cannot give a product of
     trees at all; that is reported separately as not_free_semigroup.
+
+    On a slice that passes the rooted check the test reads step columns.
+    Each w over x + g + h has a = pred_h(w) over x + g and b = pred_g(w)
+    over x + h, and by part (c) both have the parent anc(w, x): (a, b)
+    is a pair of siblings.  So every sibling pair has exactly one common
+    child exactly when the w's pairs are distinct and as many as the
+    sibling pairs.  Where that fails, the witness is named in successor
+    order, which on sorted edges is vertex order; a slice with unsorted
+    edges, or one that fails the rooted check, runs the test on its
+    edges.
     """
     gens = slice_.generators
     if gens and rational_rank(gens) < len(gens):
         return ProductOfTreesResult(NOT_FREE)
+    if not _passes_rooted(slice_):
+        return _product_of_trees_by_edges(slice_)
+    cols, fibers = slice_.step_columns, slice_.fibers
+    for x in slice_.levels:
+        for gi, gj in combinations(range(len(gens)), 2):
+            xg, xh = vadd(x, gens[gi]), vadd(x, gens[gj])
+            xgh = vadd(xg, gens[gj])
+            if not {xg, xh, xgh} <= slice_.level_set:
+                continue
+            counts = Counter(zip(cols[(xgh, gj)], cols[(xgh, gi)]))
+            parents = [cols[(xg, gi)], cols[(xh, gj)]]
+            sizes_h = Counter(parents[1])
+            siblings = sum(n * sizes_h[p] for p, n in Counter(parents[0]).items())
+            if len(counts) == len(fibers[xgh]) == siblings:
+                continue
+            edges = slice_.edges
+            if not all(map(le, edges, islice(edges, 1, None))):
+                return _product_of_trees_by_edges(slice_)
+            kids = []  # per parent position: (child, its position) along gi, then gj
+            for up, column in zip((xg, xh), parents):
+                kids.append([[] for _ in fibers[x]])
+                for q, p in enumerate(column):
+                    kids[-1][p].append((fibers[up][q], q))
+            for v in slice_.fiber_at(x):
+                p = slice_.position[v]
+                for a, qa in sorted(kids[0][p]):
+                    for b, qb in sorted(kids[1][p]):
+                        if (c := counts[(qa, qb)]) != 1:
+                            return ProductOfTreesResult(NOT_PRODUCT, (x, gi, gj, a, b, c))
+    return ProductOfTreesResult(PRODUCT_OF_TREES)
+
+
+def _product_of_trees_by_edges(slice_: PGraphSlice) -> ProductOfTreesResult:
+    """The square condition of a free generator set, read off `pred` and
+    `succ`; see check_product_of_trees."""
+    gens = slice_.generators
     for x in slice_.levels:
         for gi, gj in combinations(range(len(gens)), 2):
             xg, xh = vadd(x, gens[gi]), vadd(x, gens[gj])
@@ -783,8 +1025,8 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
 
     A factor passes the rooted check, so each vertex over y has one
     g-predecessor, over y - g, if y - g is a level, and none otherwise.
-    Its g-edges into fiber(y) form one column of positions in fiber(y - g),
-    and the product's g-edges into a block expand it in mixed radix.
+    Its g-edges into fiber(y) form its step column into y, and the
+    product's g-edges into a block expand that column in mixed radix.
     """
     if not slices:
         raise ValueError("need at least one slice")
@@ -802,13 +1044,11 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
     gen_map = {(i, gi): new for new, (_, i, gi) in enumerate(labelled)}
     residues, steps = [], []  # per factor and level: residues; (gi, level below, column)
     for s in slices:
-        fibers = {x: sorted(ids, key=lambda v: s.vertices[v].residues)
-                  for x, ids in sorted(s.fiber_indices.items()) if ids}
-        pos = {v: p for ids in fibers.values() for p, v in enumerate(ids)}
+        fibers = {x: ids for x, ids in sorted(s.fibers.items()) if ids}
         residues.append({x: [s.vertices[v].residues for v in ids] for x, ids in fibers.items()})
-        steps.append({y: [(gi, x, [pos[s.pred[w][gi][0]] for w in ids])
+        steps.append({y: [(gi, x, s.step_columns[(y, gi)])
                           for gi, g in enumerate(s.generators) if (x := vsub(y, g)) in fibers]
-                      for y, ids in fibers.items()})
+                      for y in fibers})
 
     block, levels, vertices, edges = {}, [], [], []  # block: a level combination's indices
     for combo in product(*residues):
@@ -1087,12 +1327,10 @@ def slice_to_dot(slice_: PGraphSlice) -> str:
 
 __all__ = [
     "PGraphSlice",
-    "MorphismWitness",
     "CheckReport",
     "ProductOfTreesResult",
     "VirtuallyProductReport",
     "build_slice",
-    "morphism",
     "check_rooted_strongly_simple",
     "check_factorization",
     "check_fiber_regularity",

@@ -132,6 +132,28 @@ def test_graph_check_all(capsys):
     assert "product-of-trees: not_product" in out
 
 
+CHECK_LADDER = [("moller_tree", "+1", (4, 5, 6)), ("example_5_2", "+1+2+3", (3, 4)),
+                ("example_5_3", "+1+2", (2, 3)), ("coprime_2_3", "+1+2", (3, 4)),
+                ("example_5_1", "+1+2", (4, 5))]
+
+
+def _graph_check_transcript(capsys) -> str:
+    """Each ladder job's command, stdout and exit code, in ladder order."""
+    parts = []
+    for name, pattern, depths in CHECK_LADDER:
+        for depth in depths:
+            argv = (f"--pattern={pattern}", "--depth", str(depth), "--bound", "16",
+                    "--checks", "all")
+            code, out, _ = run(capsys, "graph-check", str(bundled_config_path(name)), *argv)
+            parts.append(f"$ graph-check {name}.json {' '.join(argv)}\n{out}exit {code}\n")
+    return "".join(parts)
+
+
+def test_graph_check_all_golden(capsys):
+    golden = GOLDEN_DIR / "graph_check_all.txt"
+    assert _graph_check_transcript(capsys) == golden.read_text()
+
+
 def test_graph_check_moller(capsys):
     code, out, _ = run(
         capsys, "graph-check", str(bundled_config_path("moller_tree")), "--depth", "3"

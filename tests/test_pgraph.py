@@ -368,6 +368,125 @@ def test_checks_match_word_walking_reference():
             assert rooted.witnesses == ambiguous
 
 
+def _rooted_reference_witnesses(s):
+    """Reference: the rooted check's witnesses, from per-edge step tests,
+    per-vertex in-degrees, a vertex search from the root, and then the
+    word walk."""
+    witnesses = []
+    for u, w, gi in s.edges:
+        x, y = s.vertices[u].level, s.vertices[w].level
+        step = tuple(b - a for a, b in zip(x, y))
+        if not 0 <= gi < len(s.generators) or step != s.generators[gi]:
+            witnesses.append(("step", u, w, gi))
+    for w, v in enumerate(s.vertices):
+        for gi, g in enumerate(s.generators):
+            below = tuple(a - b for a, b in zip(v.level, g))
+            expected = int(below in s.level_set)
+            if (got := len(s.pred[w].get(gi, ()))) != expected:
+                witnesses.append(("in_degree", w, gi, got, expected))
+    seen, stack = {s.root_index}, [s.root_index]
+    while stack:
+        for w in itertools.chain.from_iterable(s.succ[stack.pop()].values()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    witnesses += [("unreachable", w) for w in range(len(s.vertices)) if w not in seen]
+    return tuple(witnesses) or _word_walking_checks(s)[0]
+
+
+def _fuzzed(s, rng):
+    """The slice with 1-3 edges retargeted, re-sourced or swapped: a
+    retarget or re-source moves one end within its level, a swap exchanges
+    the sources of two edges into one level along one generator."""
+    edges = list(s.edges)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(edges))
+        u, w, g = edges[i]
+        kind = rng.choice(("retarget", "resource", "swap"))
+        if kind == "swap":
+            level = s.vertices[w].level
+            mates = [j for j, (u2, w2, g2) in enumerate(edges)
+                     if g2 == g and u2 != u and s.vertices[w2].level == level]
+            if mates:
+                j = rng.choice(mates)
+                edges[i], edges[j] = (edges[j][0], w, g), (u, edges[j][1], g)
+            continue
+        end = w if kind == "retarget" else u
+        others = [t for t in s.fiber_at(s.vertices[end].level) if t != end]
+        if others:
+            t = rng.choice(others)
+            edges[i] = (u, t, g) if kind == "retarget" else (t, w, g)
+    return dataclasses.replace(s, edges=tuple(sorted(edges)))
+
+
+def test_checks_match_references_on_fuzzed_slices():
+    # the rooted check decides (a) and (b) wholesale and (c) on positions;
+    # factorization is proved from it; regularity compares cones by position
+    rng = random.Random(11)
+    slices = [s for *_, s in bundled_slices() if len(s.vertices) <= 400
+              and any(len(ids) > 1 for ids in s.fiber_indices.values())]
+    outcomes = Counter()
+    for _ in range(200):
+        s = clean = rng.choice(slices)
+        while s.edges == clean.edges:
+            s = _fuzzed(clean, rng)
+        rooted = pg.check_rooted_strongly_simple(s)
+        assert rooted.witnesses == _rooted_reference_witnesses(s)
+        assert rooted.ok == (not rooted.witnesses)
+        factorization = pg.check_factorization(s)
+        assert factorization == pg._factorization_by_enumeration(s)
+        assert factorization.witnesses == _word_walking_checks(s)[1]
+        # the matcher takes up to a minute on some corrupted 313-vertex slices
+        for depth in range(s.depth if len(s.vertices) <= 200 else 0):
+            regularity = pg.check_regularity(s, depth)
+            assert regularity == pg._regularity_by_matcher(s, depth)
+            outcomes["regularity", rooted.ok, regularity.ok] += 1
+        outcomes["rooted", rooted.ok] += 1
+    assert outcomes["rooted", True] > 20 and outcomes["rooted", False] > 80
+    assert outcomes["regularity", True, False] > 5 and outcomes["regularity", True, True] > 20
+
+
+def test_step_columns_match_predecessors():
+    rng = random.Random(12)
+    clean = [s for *_, s in bundled_slices() if s.edges and len(s.vertices) <= 400]
+    s = make_slice("5_2", "+1+2+3", 2)
+    u, w, g = s.edges[-1]
+    sibling = next(t for t in s.fiber_at(s.vertices[u].level) if t != u)
+    odd = [  # one edge hung from the root, off its level; two edges off the generators;
+        # the last edge twice; a second g-edge into its target, from its source's level
+        dataclasses.replace(s, edges=tuple(sorted(s.edges[:-1] + ((0, w, g),)))),
+        dataclasses.replace(s, edges=s.edges + ((0, w, -1), (0, w, 2))),
+        dataclasses.replace(s, edges=s.edges + ((u, w, g),)),
+        dataclasses.replace(s, edges=tuple(sorted(s.edges + ((sibling, w, g),)))),
+    ]
+    for t in odd:
+        assert pg.check_rooted_strongly_simple(t).witnesses == _rooted_reference_witnesses(t)
+    for s in clean + odd + [_fuzzed(rng.choice(clean), rng) for _ in range(100)]:
+        for x, steps in s.level_steps.items():
+            for gi, y in steps:
+                preds = [s.pred[w].get(gi, ()) for w in s.fibers[y]]
+                if all(len(us) == 1 and s.vertices[us[0]].level == x for us in preds):
+                    want = tuple(s.fibers[x].index(us[0]) for us in preds)
+                else:
+                    want = None
+                assert s.step_columns[(y, gi)] == want
+        assert all(s.fibers[v.level][s.position[i]] == i for i, v in enumerate(s.vertices))
+
+
+def test_rooted_check_names_vertices_over_unreachable_levels():
+    # in-degrees are right, but no generator step leads from 0 to 1 or 3
+    s = pg.PGraphSlice(
+        generators=((2,),),
+        depth=1,
+        levels=((0,), (1,), (3,)),
+        vertices=(Vertex((0,), ()), Vertex((1,), ()), Vertex((3,), ())),
+        edges=((1, 2, 0),),
+    )
+    report = pg.check_rooted_strongly_simple(s)
+    assert report.witnesses == (("unreachable", 1), ("unreachable", 2))
+    assert report.witnesses == _rooted_reference_witnesses(s)
+
+
 def test_swapped_sources_are_ambiguous():
     report = pg.check_rooted_strongly_simple(
         _swap_edge_sources(make_slice("5_3", "+1+2", 3), (2, 0))
@@ -388,6 +507,9 @@ def test_level_cycle_not_applicable():
         s.reachable
     with pytest.raises(NotApplicable, match="cycle"):
         pg.check_fiber_regularity(s)
+    # the rooted check raises on the cycle, so regularity goes to the matcher
+    assert pg.check_regularity(s, 0) == pg._regularity_by_matcher(s, 0)
+    assert pg.check_regularity(s, 0).details == ("compared 2 cones at depth 0",)
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +556,14 @@ def test_factorization_split_counts_by_hand():
 
 
 def test_morphism_witness():
+    # the morphism into w from level (1, 0) is the edge from its ancestor there
     s = make_slice("5_2", "+1+2+3", 2)
     w = s.fiber_at((1, 1))[3]
-    target = s.vertices[w]
-    source = s.vertices[s.ancestor(w, (1, 0))]
-    m = pg.morphism(s, source, target)
-    assert m is not None and m.degree == (0, 1)
-    other = next(v for v in s.fiber_at((1, 0)) if s.vertices[v] != source)
-    assert pg.morphism(s, s.vertices[other], target) is None
+    v = s.ancestor(w, (1, 0))
+    degree = tuple(a - b for a, b in zip(s.vertices[w].level, s.vertices[v].level))
+    assert degree == (0, 1) and (v, w, s.generators.index(degree)) in s.edges
+    others = [u for u in s.fiber_at((1, 0)) if u != v]
+    assert others and not any((u, w, gi) in s.edges for u in others for gi in range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +722,39 @@ def test_regularity_blames_the_corrupted_root_cone():
         " majority cone at depth 2"
     )
     assert report.details == ("compared 9 cones at depth 2",)
+
+
+def test_regularity_of_permuted_slices_needs_no_matcher(monkeypatch):
+    # on renumbered slices the matcher took 9 s to more than 60 s; cones
+    # compared by residue position do not depend on vertex numbering
+    def no_matcher(c1, c2):
+        raise AssertionError("cones_isomorphic called")
+
+    monkeypatch.setattr(pg, "cones_isomorphic", no_matcher)
+    rng = random.Random(5)
+    for key, text, depth, cone_depth in [("5_2", "+1+2+3", 3, 2), ("5_2", "+1+2+3", 4, 3),
+                                         ("5_3", "+1+2", 4, 3)]:
+        clean = make_slice(key, text, depth)
+        for _ in range(2):
+            s = _shuffled(clean, rng)
+            assert s.fiber_indices != clean.fiber_indices
+            report = pg.check_regularity(s, cone_depth)
+            assert report == pg.check_regularity(clean, cone_depth) and report.ok
+
+
+def test_regularity_with_a_repeated_generator_goes_to_the_matcher():
+    # generators 0 and 1 are both (1,) and join the same pairs; a cone keeps
+    # one edge per pair, labelled by the generator met last in successor
+    # order, which the unsorted edges make 0 out of the root and 1 below
+    vertices = [Vertex((0,), ())] + [Vertex((1,), (i,)) for i in range(2)]
+    vertices += [Vertex((2,), (i, j)) for i in range(2) for j in range(2)]
+    edges = [(0, 1, 1), (0, 2, 1), (0, 1, 0), (0, 2, 0)]
+    edges += [(p, c, g) for p, cs in ((1, (3, 4)), (2, (5, 6))) for g in (0, 1) for c in cs]
+    s = pg.PGraphSlice(((1,), (1,)), 2, ((0,), (1,), (2,)), tuple(vertices), tuple(edges))
+    assert pg.check_rooted_strongly_simple(s).ok
+    report = pg.check_regularity(s, 1)
+    assert report == pg._regularity_by_matcher(s, 1)
+    assert report.witnesses == (("cone", 0, 1),)
 
 
 def _move_leaf(s):
@@ -785,6 +940,23 @@ def test_product_of_trees_statuses():
     assert result.status == pg.NOT_PRODUCT and result.witness is not None
     assert pg.check_product_of_trees(make_slice("coprime", "+1+2", 2)).is_product
     assert pg.check_product_of_trees(make_slice("5_3", "+1+2", 2)).status == pg.NOT_FREE
+
+
+def test_product_of_trees_matches_edge_reading():
+    # step columns on slices that pass the rooted check, pred and succ otherwise
+    rng = random.Random(13)
+    clean = [s for *_, s in bundled_slices() if len(s.vertices) <= 400]
+    statuses = Counter()
+    for s in clean + [_shuffled(rng.choice(clean), rng) for _ in range(60)]:
+        unsorted = dataclasses.replace(s, edges=s.edges[::-1])
+        fuzzed = _fuzzed(s, rng) if s.edges else s
+        for t in (s, unsorted, fuzzed):
+            result = pg.check_product_of_trees(t)
+            if result.status != pg.NOT_FREE:
+                assert result == pg._product_of_trees_by_edges(t)
+            statuses[result.status, pg.check_rooted_strongly_simple(t).ok] += 1
+    assert statuses[pg.NOT_PRODUCT, True] > 20 and statuses[pg.PRODUCT_OF_TREES, True] > 20
+    assert statuses[pg.NOT_PRODUCT, False] > 5
 
 
 def test_predict_product_of_trees():
