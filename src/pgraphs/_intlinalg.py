@@ -221,12 +221,14 @@ class ImageSolver:
     def preimage(self, v: Sequence[int]) -> Vec | None:
         """The unique integer x with W x = v, or None if there is none."""
         vb = [v[i] for i in self.basis_idx]
+        det = self._det
         x = []
         for row in self._adj:
-            num, rem = divmod(dot(row, vb), self._det)
+            num, rem = divmod(sum(map(mul, row, vb)), det)
             if rem:
                 return None
             x.append(num)
-        if any(dot(r, x) != v[i] for r, i in self._others):
-            return None
+        for r, i in self._others:
+            if sum(map(mul, r, x)) != v[i]:
+                return None
         return tuple(x)

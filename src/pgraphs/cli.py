@@ -17,6 +17,7 @@ identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -305,7 +306,11 @@ def cmd_product(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: parsing
+    leaves it unchanged, so every `main` call reuses it.  Callers must
+    not add to it."""
     ap = argparse.ArgumentParser(
         prog="pgraphs",
         description="cone semigroups and truncated coset graphs of flat-group actions",

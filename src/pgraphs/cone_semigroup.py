@@ -7,12 +7,14 @@ cone must have rho_j >= 0) or to J- (rho_j <= 0).  The cone
 
 is the maximal subsemigroup with those expansion directions, and the
 scale function is multiplicative on it.  This module decides exactly
-which full patterns occur (admissibility, by Gordan's alternative),
-finds the unique minimal generating set of an admissible cone and the
-minimal common upper bounds of a pair by one layered search for minimal
-lattice points, up to a depth proved from the extreme rays, and counts
-the steps that absorb an element into the cone, which proves the cone
-maximal.  Search bounds only cap work;
+which full patterns occur (admissibility, by Gordan's alternative) and
+lists them by a walk over the chambers of the hyperplane arrangement
+{rho_j = 0}, which puts only the chambers' neighbours to the test, not
+all 2^q patterns.  It finds the unique minimal generating set of an
+admissible cone and the minimal common upper bounds of a pair by one
+layered search for minimal lattice points, up to a depth proved from the
+extreme rays, and counts the steps that absorb an element into the cone,
+which proves the cone maximal.  Search bounds only cap work;
 CertificationFailed names the bound a search needs.
 """
 
@@ -21,7 +23,9 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
+from math import gcd
+from operator import add, ge, sub
 
 from . import _intlinalg
 from .errors import CertificationFailed, KernelNotTrivial, NotApplicable, NotInSemigroup
@@ -150,16 +154,67 @@ def is_admissible(spec: FlatGroupSpec, pattern: SignPattern) -> AdmissibilityRes
     return AdmissibilityResult(_intlinalg.primitive(p))
 
 
+def _pattern_of(plus_mask: int, components: int) -> SignPattern:
+    """The full pattern whose J+ holds component j exactly when bit j - 1
+    of `plus_mask` is set."""
+    plus = frozenset(j for j in range(1, components + 1) if plus_mask >> (j - 1) & 1)
+    return SignPattern(plus, frozenset(range(1, components + 1)) - plus)
+
+
 def enumerate_admissible(spec: FlatGroupSpec) -> list[SignPattern]:
-    """All admissible full sign patterns, lexicographic on sorted J+."""
+    """All admissible full sign patterns, lexicographic on sorted J+.
+
+    The admissible patterns are the chambers of the central arrangement of
+    hyperplanes {rho_j = 0}: a witness x with sign(rho_j(x)) the pattern's
+    sign on every j lies off every hyperplane, in one chamber, and every
+    point of a chamber is such a witness.  Rows on one line through 0 share
+    a hyperplane, so the rows are grouped by primitive direction up to
+    sign; on every chamber, rows of one group with equal directions have
+    equal signs and opposite ones opposite signs.  The walk starts at the
+    chamber of x0 = (1, M, M^2, ...), M = 2 max|w| + 1, and flips one group
+    at a time, keeping a flipped pattern exactly when `is_admissible`
+    admits it.  It finds every chamber:
+
+    * x0 lies off every hyperplane.  A primitive direction d has integer
+      entries |d_i| <= max|w|, and with t its last nonzero index,
+      |sum_{i<t} d_i M^i| <= max|w| (M^t - 1) / (M - 1) < M^t <= |d_t M^t|,
+      as M >= max|w| + 2, so d.x0 != 0.  Its pattern needs no test.
+    * Two chambers that share a facet differ in exactly one group's
+      signs.  The facet spans a hyperplane of the arrangement, and only
+      one: the hyperplanes are distinct, and two of them meet in a
+      subspace of dimension k - 2.
+    * The chamber graph, whose edges join chambers sharing a facet, is
+      connected (Zaslavsky, Mem. AMS 154, 1975).  A segment between
+      generic points of two chambers meets no intersection of two
+      hyperplanes, so it passes from chamber to chamber through facets.
+
+    So every chamber is reached by single-group flips through chambers,
+    which the walk keeps; this is the cell enumeration of Avis and Fukuda's
+    reverse search (Discrete Appl. Math. 65, 1996).  Each pattern is
+    tested at most once, and patterns that split a group are never tested:
+    Gordan's test would refuse them all.
+    """
     q = spec.components
-    found = []
-    for bits in product((False, True), repeat=q):
-        plus = frozenset(j + 1 for j in range(q) if bits[j])
-        minus = frozenset(range(1, q + 1)) - plus
-        pattern = SignPattern(plus, minus)
-        if is_admissible(spec, pattern).admissible:
-            found.append(pattern)
+    top = 2 * max(abs(c) for row in spec.weights for c in row) + 1
+    x0 = [top**i for i in range(spec.rank)]
+    start = sum(1 << j for j, row in enumerate(spec.weights) if _intlinalg.dot(row, x0) > 0)
+    groups: dict[GroupElement, int] = {}  # direction up to sign -> bit mask of its rows
+    for j, row in enumerate(spec.weights):
+        g = gcd(*row)
+        d = tuple(c // g for c in row)
+        key = max(d, _intlinalg.vneg(d))
+        groups[key] = groups.get(key, 0) | 1 << j
+    chambers, todo, seen = [start], [start], {start}
+    while todo:
+        mask = todo.pop()
+        for flip in groups.values():
+            nxt = mask ^ flip
+            if nxt not in seen:
+                seen.add(nxt)
+                if is_admissible(spec, _pattern_of(nxt, q)).admissible:
+                    chambers.append(nxt)
+                    todo.append(nxt)
+    found = [_pattern_of(mask, q) for mask in chambers]
     found.sort(key=lambda p: tuple(sorted(p.j_plus)))
     return found
 
@@ -186,16 +241,6 @@ class GeneratorSet:
     sigma_minus: tuple[GroupElement, ...]
     max_layer: int = field(default=0, compare=False)
     certified_layer: int = field(default=0, compare=False)
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def _ray_bound(flipped: tuple[GroupElement, ...], rank: int) -> int:
@@ -257,15 +302,25 @@ def _minimal_points(
 
     Offsets are walked layer by layer.  Two images of one layer never
     dominate each other, so a point is minimal exactly when its image
-    dominates no kept image of a lower layer.
+    dominates no kept image of a lower layer.  The offsets of layer m, the
+    compositions of m into q parts, come from their bars: q - 1 positions
+    0 < b_1 < ... < b_{q-1} < m + q, with b_0 = 0 and b_q = m + q, give
+    the parts b_i - b_{i-1} - 1 (stars and bars), so the image base + offset
+    has entries (base_i - 1) + b_i - b_{i-1}.  The map is a bijection,
+    and it keeps lexicographic order: the first i parts fix b_1..b_i and
+    grow with b_i when the ones before are fixed, so `combinations`, which
+    yields the bars in lexicographic order, yields the offsets in it too.
     """
     solver = _intlinalg.ImageSolver(flipped, rank)
+    low = tuple(c - 1 for c in base)
+    q = len(base)
     kept: list[tuple[tuple[int, ...], GroupElement]] = []
     for m in range(first, last + 1):
-        for off in _compositions(m, len(base)):
-            v = _intlinalg.vadd(base, off)
+        end = (m + q,)
+        for bars in combinations(range(1, m + q), q - 1):
+            v = tuple(map(sub, map(add, low, bars + end), (0,) + bars))
             x = solver.preimage(v)
-            if x is not None and not any(all(a >= b for a, b in zip(v, w)) for w, _ in kept):
+            if x is not None and not any(all(map(ge, v, w)) for w, _ in kept):
                 kept.append((v, x))
     return kept
 

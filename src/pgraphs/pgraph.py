@@ -19,7 +19,6 @@ map fails.  Failing slices take per-vertex paths that name every failure.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
@@ -679,6 +678,8 @@ def descendant_cone(slice_: PGraphSlice, v: int, depth: int) -> DescendantCone:
 def cone_certificate(slice_: PGraphSlice, v: int, depth: int) -> str:
     """Deterministic isomorphism-invariant digest of a descendant cone's
     stable colours; equal for isomorphic cones."""
+    import hashlib  # only this function hashes; a module-level import slows every CLI start
+
     colours = descendant_cone(slice_, v, depth).colours
     return hashlib.sha256(repr(sorted(colours.values())).encode()).hexdigest()
 

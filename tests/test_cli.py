@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pgraphs
+from pgraphs import cli
 from pgraphs.cli import bundled_config_path, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -430,6 +431,32 @@ def test_run_checks_flags_corrupted_slice():
 def test_usage_error(capsys):
     assert main([]) == 2
     assert main(["graph-build", "nope.json", "--out", "x"]) == 2
+
+
+def test_one_parser_serves_a_usage_error_and_then_valid_commands(capsys, tmp_path):
+    cfg = str(bundled_config_path("example_5_2"))
+    out = str(tmp_path / "s.json")
+    calls = [
+        ["graph-build", cfg, "--depth", "-1", "--out", out],
+        [],
+        ["semigroups", cfg, "--bound", "0"],
+        ["bogus"],
+        ["validate", cfg],
+        ["semigroups", cfg],
+        ["graph-build", cfg, "--pattern=+1+2+3", "--depth", "2", "--out", out],
+        ["graph-check", cfg, "--pattern=+1+2+3", "--depth", "2"],
+        ["qlo", cfg, "--pattern=+1+2+3", "--a=1,0", "--b=0,1"],
+        ["--help"],
+    ]
+    cli.build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 2, 2, 2, 0, 0, 0, 0, 0, 0]
 
 
 def test_cli_import_does_not_load_networkx():

@@ -35,6 +35,24 @@ def full_patterns(spec):
         yield cs.SignPattern.of(plus, set(range(1, q + 1)) - plus)
 
 
+def admissible_by_exhaustion(spec):
+    """The 2^q filter the chamber walk replaced: every full pattern put to
+    Gordan's test, lexicographic on sorted J+."""
+    found = [p for p in full_patterns(spec) if cs.is_admissible(spec, p).admissible]
+    return sorted(found, key=lambda p: tuple(sorted(p.j_plus)))
+
+
+def compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to `total`, lex order:
+    the layer walk the bar positions replaced."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
 def random_cones(seed, count):
     """Seeded random specs, alternating rank 2 (weights in -2..2, 2 or 3
     rows) and rank 3 (weights in -1..1, 3 or 4 rows), each with one of its
@@ -164,6 +182,78 @@ def test_enumerate_admissible_counts():
     pats_3 = cs.enumerate_admissible(SPEC_5_3)
     assert [tuple(sorted(p.j_plus)) for p in pats_3] == [(), (1,), (1, 2), (2,)]
     assert len(cs.enumerate_admissible(SPEC_5_1)) == 4
+
+
+def random_arrangement_specs(seed, count):
+    """Seeded random specs of rank 1 to 3 with 1 to 8 rows in -3..3: about
+    half the rows repeat, scale or negate an earlier row, and every third
+    spec draws its rows from a plane of Z^3, so its uniscalar kernel is
+    nontrivial."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        rank, q = rng.randint(1, 3), rng.randint(1, 8)
+        plane = len(specs) % 3 == 2
+        if plane:
+            rank = 3
+        rows = []
+        while len(rows) < q:
+            if rows and rng.random() < 0.5:
+                row = tuple(rng.choice((-2, -1, 1, 2)) * c for c in rng.choice(rows))
+            elif plane:
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                row = (a, b, a - b)
+            else:
+                row = tuple(rng.randint(-3, 3) for _ in range(rank))
+            if any(row):
+                rows.append(row)
+        specs.append(make_spec(rows, [2] * q))
+    return specs
+
+
+def test_enumerate_admissible_matches_the_exhaustive_filter():
+    specs = [SPEC_5_1, SPEC_5_2, SPEC_5_3, SPEC_FAR_WITNESS, SPEC_STEEP_RAY]
+    specs += [make_spec([(1, 0), (0, 1)] + [(1, 1)] * 3, [2] * 5),
+              make_spec([(1,), (-2,), (3,), (1,)], [2] * 4),
+              make_spec([(1, 1, 0), (-2, -2, 0), (0, 0, 1), (1, 1, 1)], [2] * 4)]
+    specs += random_arrangement_specs(5, 60)
+    assert any(uniscalar_kernel(spec) for spec in specs)
+    for spec in specs:
+        walked = cs.enumerate_admissible(spec)
+        assert walked == admissible_by_exhaustion(spec), spec
+        for pattern in walked:
+            witness = cs.is_admissible(spec, pattern).witness
+            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            assert all(sum(a * b for a, b in zip(row, witness)) > 0 for row in flipped)
+
+
+def test_chamber_walk_tests_seven_patterns_on_the_rank2_q5_rung():
+    # three groups of rows, (1,0), (0,1) and three times (1,1): the walk
+    # tests the 2^3 - 1 group sign vectors other than its start, the
+    # exhaustive filter all 2^5 patterns
+    spec = make_spec([(1, 0), (0, 1)] + [(1, 1)] * 3, [2] * 5)
+    cs.is_admissible.cache_clear()
+    patterns = cs.enumerate_admissible(spec)
+    assert cs.is_admissible.cache_info().misses == 7
+    cs.is_admissible.cache_clear()
+    assert admissible_by_exhaustion(spec) == patterns
+    assert cs.is_admissible.cache_info().misses == 32
+
+
+def test_layer_walk_asks_for_images_in_composition_order(monkeypatch):
+    asked = []
+
+    def record(self, v):
+        asked.append(v)
+        return None
+
+    monkeypatch.setattr(cs._intlinalg.ImageSolver, "preimage", record)
+    for q in range(1, 7):
+        for base in ((0,) * q, tuple(range(q, 0, -1))):
+            asked.clear()
+            assert cs._minimal_points(((1,),) * q, 1, base, 0, 8) == []
+            want = [tuple(map(sum, zip(base, off))) for m in range(9) for off in compositions(m, q)]
+            assert asked == want
 
 
 # ---------------------------------------------------------------------------
