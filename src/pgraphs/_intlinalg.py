@@ -196,18 +196,18 @@ def primitive(v: Sequence[Fraction]) -> Vec:
 
 
 class ImageSolver:
-    """Solves W x = v for x in Z^k, where W (q x k) has full column rank.
+    """Solves B x = b for x in Z^k, with B the greedy independent rows of a
+    matrix W (q x k) of full column rank.
 
-    At construction it picks the greedy independent rows B of W and
-    eliminates [B | I] once, which leaves d I on the left and d B^-1, the
-    integer adjugate of B up to sign, on the right.  A solve is then an
-    integer matrix-vector product, one exact-division test by d > 0 and
-    the residual check on the rows outside B.
+    B is invertible, so the image W x is fixed by its coordinates B x.  A
+    caller can walk candidate coordinates b, solve B x = b, and form W x
+    from each integral x.  At construction the solver eliminates [B | I]
+    once, which leaves d I on the left and d B^-1, the integer adjugate
+    of B up to sign, on the right.  A solve is then an integer
+    matrix-vector product and one exact-division test by d > 0.
     """
 
     def __init__(self, rows: Sequence[Vec], ncols: int):
-        self.rows = [tuple(r) for r in rows]
-        self.ncols = ncols
         self.basis_idx = independent_row_indices(rows)
         if len(self.basis_idx) != ncols:
             raise ValueError("matrix does not have full column rank")
@@ -216,19 +216,15 @@ class ImageSolver:
         sign = 1 if det > 0 else -1
         self._det = sign * det
         self._adj = [[sign * c for c in row[ncols:]] for row in aug]
-        self._others = [(self.rows[i], i) for i in range(len(rows)) if i not in self.basis_idx]
 
-    def preimage(self, v: Sequence[int]) -> Vec | None:
-        """The unique integer x with W x = v, or None if there is none."""
-        vb = [v[i] for i in self.basis_idx]
+    def preimage(self, b: Sequence[int]) -> Vec | None:
+        """The integer x with B x = b, or None when adj(B) b is not
+        divisible by det(B), that is, when B^-1 b is not integral."""
         det = self._det
         x = []
         for row in self._adj:
-            num, rem = divmod(sum(map(mul, row, vb)), det)
+            num, rem = divmod(sum(map(mul, row, b)), det)
             if rem:
                 return None
             x.append(num)
-        for r, i in self._others:
-            if sum(map(mul, r, x)) != v[i]:
-                return None
         return tuple(x)

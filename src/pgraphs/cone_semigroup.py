@@ -12,10 +12,12 @@ lists them by a walk over the chambers of the hyperplane arrangement
 {rho_j = 0}, which puts only the chambers' neighbours to the test, not
 all 2^q patterns.  It finds the unique minimal generating set of an
 admissible cone and the minimal common upper bounds of a pair by one
-layered search for minimal lattice points, up to a depth proved from the
-extreme rays, and counts the steps that absorb an element into the cone,
-which proves the cone maximal.  Search bounds only cap work;
-CertificationFailed names the bound a search needs.
+search for minimal lattice points, up to a depth proved from the extreme
+rays.  The search walks the images on k = rank independent rows, a
+simplex in Z^k, not the compositions of every layer in N^q.  The module
+also counts the steps that absorb an element into the cone, which proves
+the cone maximal.  Search bounds only cap work; CertificationFailed names
+the bound a search needs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 
 from . import _intlinalg
 from .errors import CertificationFailed, KernelNotTrivial, NotApplicable, NotInSemigroup
@@ -297,31 +299,49 @@ def _search_depth(flipped: tuple[GroupElement, ...], rank: int, base: tuple[int,
 def _minimal_points(
     flipped: tuple[GroupElement, ...], rank: int, base: tuple[int, ...], first: int, last: int
 ) -> list[tuple[tuple[int, ...], GroupElement]]:
-    """Minimal lattice points of Q = {u : F u >= base} with offsets first..last
-    above base, as (image F u, u) pairs in layer order.
+    """Minimal lattice points of Q = {u : F u >= base} with offsets
+    sum(F u) - sum(base) in first..last, as (image F u, u) pairs in layer
+    order, lexicographic on the image within a layer.
 
-    Offsets are walked layer by layer.  Two images of one layer never
-    dominate each other, so a point is minimal exactly when its image
-    dominates no kept image of a lower layer.  The offsets of layer m, the
-    compositions of m into q parts, come from their bars: q - 1 positions
-    0 < b_1 < ... < b_{q-1} < m + q, with b_0 = 0 and b_q = m + q, give
-    the parts b_i - b_{i-1} - 1 (stars and bars), so the image base + offset
-    has entries (base_i - 1) + b_i - b_{i-1}.  The map is a bijection,
-    and it keeps lexicographic order: the first i parts fix b_1..b_i and
-    grow with b_i when the ones before are fixed, so `combinations`, which
-    yields the bars in lexicographic order, yields the offsets in it too.
+    The walk runs over the k = rank coordinates b = F_B u of the image on
+    the independent rows B that `ImageSolver` picks, not over the whole
+    image in N^q.  It takes every t = b - base_B in the simplex
+    {t in N^k : sum(t) <= last} and keeps b when B x = b has an integer
+    solution x with v = F x >= base and an offset sum(v) - sum(base) in
+    range.  The kept points are exactly the lattice points of Q in the
+    offset range, so their minimal points are the ones sought:
+
+    * A lattice point u of Q with offset at most `last` has t >= 0 and
+      sum(t) <= offset <= last, because the coordinates of F u - base off
+      B are >= 0 as well.
+    * B is invertible, so each b is the image of at most one x, and for
+      b = F_B u that x is u.
+
+    The simplex points come from their bars: k positions 0 < c_1 < ... <
+    c_k <= last + k, with c_0 = 0, give the parts t_i = c_i - c_{i-1} - 1
+    and the slack last + k - c_k (stars and bars), so b_i is
+    (base_B)_i - 1 + c_i - c_{i-1}.  The walk asks C(last + k, k)
+    questions, against C(last + q, q) for the compositions of the layers
+    0..last of the image (one fewer when first > 0), and q >= k.  The
+    kept points are sorted by (layer, image).  Two images of one layer
+    never dominate each other, so a point is minimal exactly when its
+    image dominates no kept image of a lower layer.
     """
     solver = _intlinalg.ImageSolver(flipped, rank)
-    low = tuple(c - 1 for c in base)
-    q = len(base)
+    low = tuple(base[i] - 1 for i in solver.basis_idx)
+    lowest, highest = sum(base) + first, sum(base) + last
+    found = []
+    for bars in combinations(range(1, last + rank + 1), rank):
+        x = solver.preimage(tuple(map(sub, map(add, low, bars), (0,) + bars)))
+        if x is not None:
+            v = tuple([sum(map(mul, row, x)) for row in flipped])
+            if lowest <= (layer := sum(v)) <= highest and all(map(ge, v, base)):
+                found.append((layer, v, x))
+    found.sort()
     kept: list[tuple[tuple[int, ...], GroupElement]] = []
-    for m in range(first, last + 1):
-        end = (m + q,)
-        for bars in combinations(range(1, m + q), q - 1):
-            v = tuple(map(sub, map(add, low, bars + end), (0,) + bars))
-            x = solver.preimage(v)
-            if x is not None and not any(all(map(ge, v, w)) for w, _ in kept):
-                kept.append((v, x))
+    for _, v, x in found:
+        if not any(all(map(ge, v, w)) for w, _ in kept):
+            kept.append((v, x))
     return kept
 
 

@@ -395,6 +395,17 @@ def test_semigroups_names_needed_bound(capsys, tmp_path):
     assert ["+1+2+3", "(1,0)", "(10,1)", "2^(2n1-3n2)"] in [r.split() for r in out.splitlines()]
 
 
+def test_semigroups_names_the_long_ray_rank3_bound(capsys, tmp_path):
+    # pattern +1-2-3+4 has fifteen generators and needs 54
+    cfg = tmp_path / "rank3.json"
+    rows = [(-1, 0, 2), (0, -2, 1), (2, -2, -1), (2, 1, 0)]
+    cfg.write_text(json.dumps(
+        {"kind": "padic", "rank": 3, "rows": [{"prime": 2, "exponents": list(e)} for e in rows]}
+    ))
+    code, out, err = run(capsys, "semigroups", str(cfg))
+    assert code == 1 and out == "" and "54" in err
+
+
 def test_qlo_names_needed_bound(capsys, tmp_path):
     cfg = padic_config(tmp_path, [(-4, -2), (-1, 3)])
     argv = ("qlo", cfg, "--pattern", "+1+2", "--a=-4,-1", "--b=-1,2")

@@ -3,10 +3,13 @@ import random
 import subprocess
 import sys
 from itertools import product
+from math import comb
+from operator import add, ge
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pgraphs import _intlinalg as la
 from pgraphs import cone_semigroup as cs
 from pgraphs.errors import CertificationFailed, KernelNotTrivial, NotApplicable, NotInSemigroup
 from pgraphs.flat_core import make_spec, rho, scale, uniscalar_kernel
@@ -43,14 +46,30 @@ def admissible_by_exhaustion(spec):
 
 
 def compositions(total, parts):
-    """All tuples of `parts` nonnegative ints summing to `total`, lex order:
-    the layer walk the bar positions replaced."""
+    """All tuples of `parts` nonnegative ints summing to `total`, lex order."""
     if parts == 1:
         yield (total,)
         return
     for head in range(total + 1):
         for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def minimal_points_by_compositions(flipped, base, first, last):
+    """The walk `_minimal_points` replaced: every image base + offset, the
+    offsets the compositions of each layer first..last in N^q, with a full
+    solve F u = v.  The dominance test comes before the solve here; a
+    dominated image is refused either way, so the result is the same."""
+    kept = []
+    for m in range(first, last + 1):
+        for off in compositions(m, len(base)):
+            v = tuple(map(add, base, off))
+            if any(all(map(ge, v, w)) for w, _ in kept):
+                continue
+            sol = la.solve_scaled(flipped, v)
+            if sol is not None and not any(c % sol[1] for c in sol[0]):
+                kept.append((v, tuple(c // sol[1] for c in sol[0])))
+    return kept
 
 
 def random_cones(seed, count):
@@ -240,20 +259,43 @@ def test_chamber_walk_tests_seven_patterns_on_the_rank2_q5_rung():
     assert cs.is_admissible.cache_info().misses == 32
 
 
-def test_layer_walk_asks_for_images_in_composition_order(monkeypatch):
+def test_walk_asks_for_the_simplex_points_in_bar_order(monkeypatch):
+    # the second row repeats the first, so the basis is rows 0, 2, ..., k
     asked = []
 
-    def record(self, v):
-        asked.append(v)
+    def record(self, b):
+        asked.append(b)
         return None
 
     monkeypatch.setattr(cs._intlinalg.ImageSolver, "preimage", record)
-    for q in range(1, 7):
-        for base in ((0,) * q, tuple(range(q, 0, -1))):
+    for k in (1, 2, 3):
+        unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        flipped = tuple(unit[:1] + [tuple(2 * c for c in unit[0])] + unit[1:])
+        basis = [0] + list(range(2, k + 1))
+        for base in ((0,) * (k + 1), tuple(range(k + 1, 0, -1))):
             asked.clear()
-            assert cs._minimal_points(((1,),) * q, 1, base, 0, 8) == []
-            want = [tuple(map(sum, zip(base, off))) for m in range(9) for off in compositions(m, q)]
+            assert cs._minimal_points(flipped, k, base, 0, 8) == []
+            want = [
+                tuple(base[i] + c for i, c in zip(basis, t))
+                for t in product(range(9), repeat=k)
+                if sum(t) <= 8
+            ]
             assert asked == want
+
+
+def test_simplex_walk_matches_the_composition_walk():
+    rng = random.Random(13)
+    cones = random_cones(13, 40)
+    for spec, text in cones:
+        flipped = P(spec, text).flipped_rows()
+        q = spec.components
+        for base in ((0,) * q, tuple(rng.randint(0, 3) for _ in range(q))):
+            first = 0 if any(base) else 1
+            last = min(cs._search_depth(flipped, spec.rank, base), 9)
+            got = cs._minimal_points(flipped, spec.rank, base, first, last)
+            assert got == minimal_points_by_compositions(flipped, base, first, last), (
+                spec.weights, text, base)
+    assert {spec.rank for spec, _ in cones} == {2, 3}
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +563,13 @@ def test_searches_solve_a_pinned_number_of_images(monkeypatch):
     # The benchmark's preimage call count and hit ratio measure the
     # search's work only while the solver is asked the same questions in
     # the same order; pin both on the rank2_q5 ladder rung and the smoke
-    # qlo pair, whatever kernel answers them.
+    # qlo pair, whatever kernel answers them.  The walk asks one question
+    # per point of the simplex {t in N^k : sum(t) <= depth}.
     counts = {"calls": 0, "hits": 0}
     preimage = cs._intlinalg.ImageSolver.preimage
 
-    def counted(self, v):
-        x = preimage(self, v)
+    def counted(self, b):
+        x = preimage(self, b)
         counts["calls"] += 1
         counts["hits"] += x is not None
         return x
@@ -536,10 +579,27 @@ def test_searches_solve_a_pinned_number_of_images(monkeypatch):
     patterns = cs.enumerate_admissible(spec)
     gens = [cs.minimal_generators(cs.ConeSemigroup(spec, p)) for p in patterns]
     assert (len(patterns), sum(len(g.sigma) for g in gens)) == (6, 12)
-    assert counts == {"calls": 4416, "hits": 30}
+    assert counts == {"calls": 202, "hits": 202}
+    assert counts["calls"] == sum(comb(g.certified_layer + 2, 2) for g in gens)
     counts.update(calls=0, hits=0)
-    assert cs.minimal_common_upper_bounds(P(SPEC_5_3, "+1+2"), (1, -1), (1, 1), 4) == [(2, 0)]
+    cone = P(SPEC_5_3, "+1+2")
+    assert cs.minimal_common_upper_bounds(cone, (1, -1), (1, 1), 4) == [(2, 0)]
     assert counts == {"calls": 15, "hits": 9}
+    assert counts["calls"] == comb(cs._search_depth(cone.flipped_rows(), 2, (2, 2)) + 2, 2)
+
+
+def test_long_ray_rank3_cone_is_certified_at_its_depth():
+    # a long ray: a walk over the compositions of layers 1..54 in N^4 asks
+    # C(58, 4) - 1 = 424269 questions here, the simplex walk C(57, 3) = 29260
+    spec = make_spec([(-1, 0, 2), (0, -2, 1), (2, -2, -1), (2, 1, 0)], [2] * 4)
+    cone = P(spec, "+1-2-3+4")
+    g = cs.minimal_generators(cone, 54)
+    assert (len(g.sigma), g.certified_layer, g.max_layer) == (15, 54, 20)
+    want = minimal_points_by_compositions(cone.flipped_rows(), (0,) * 4, 1, 54)
+    assert g.sigma == tuple(sorted(x for _, x in want))
+    assert g.max_layer == max(sum(v) for v, _ in want)
+    with pytest.raises(CertificationFailed, match="54"):
+        cs.minimal_generators(cone)
 
 
 def test_minimal_common_upper_bounds_requires_membership():
