@@ -7,11 +7,14 @@ strongly simple, factorization, fiber counts, regularity to a depth,
 product-of-trees) work purely on the stored edge data, so they detect
 corrupted slices rather than silently reconstructing them.
 
-The checks read the edges through the slice's step columns: per level
-and generator, the position of each vertex's predecessor in the fiber
-below, fibers taken in residue order.  The rooted check runs on them and
-on the position-list ancestor maps they compose into.  Factorization is
-proved from a passing rooted check and enumerated otherwise.
+The checks read the edges backward through one array, `parents`: per
+generator, each vertex's unique predecessor, or a lost marker.  Two
+forms are read off it: the step columns (per level and generator, the
+position of each vertex's predecessor in the fiber below, fibers taken
+in residue order) and the one ancestor table (per comparable level
+pair, the ancestor of each vertex, in residue order).  The rooted check
+runs on both.  Factorization is proved from a passing rooted check and
+enumerated on the ancestor table otherwise.
 Regularity is decided by one positional isomorphism between cones when
 the rooted check passes, and by the cone matcher otherwise or where that
 map fails.  Failing slices take per-vertex paths that name every failure.
@@ -86,27 +89,33 @@ class PGraphSlice:
         return out
 
     @cached_property
+    def parents(self) -> tuple[list[int], ...]:
+        """parents[g][w] is the unique g-predecessor of vertex w, read off
+        the edges, or the lost marker len(vertices) when w has no g-edge
+        in or several.  parents[g][lost] is lost, so a walk back that
+        loses its way stays lost.  An edge off the generators is no step."""
+        lost = len(self.vertices)
+        rows: list[list] = [[None] * lost for _ in self.generators]
+        for u, w, gi in self.edges:
+            if 0 <= gi < len(rows):
+                rows[gi][w] = u if rows[gi][w] is None else lost
+        return tuple([lost if u is None else u for u in row] + [lost] for row in rows)
+
+    @cached_property
     def step_columns(self) -> dict[tuple[GroupElement, int], tuple[int, ...] | None]:
         """cols[(y, gi)][i] is the position in fibers[y - g] of the
         g-predecessor of fibers[y][i], for each level y and generator g
-        with y - g a level.  Read off the edges; the column is None when
-        some vertex over y has no g-edge in, several, or one from off
-        level y - g."""
-        several = object()
-        pred = [[None] * len(self.vertices) for _ in self.generators]  # per generator and vertex
-        for u, w, gi in self.edges:
-            if 0 <= gi < len(pred):  # an edge off the generators is no step
-                row = pred[gi]
-                row[w] = u if row[w] is None else several
-        level = list(map(attrgetter("level"), self.vertices))
+        with y - g a level.  The column is None when some vertex over y
+        has no g-edge in, several, or one from off level y - g."""
+        level = [*map(attrgetter("level"), self.vertices), None]  # the lost marker's is None
         out: dict[tuple[GroupElement, int], tuple[int, ...] | None] = {}
         for x, steps in self.level_steps.items():
             for gi, y in steps:
-                us = list(map(pred[gi].__getitem__, self.fibers[y]))
-                if None in us or several in us or not set(map(level.__getitem__, us)) <= {x}:
-                    out[(y, gi)] = None
-                else:
+                us = list(map(self.parents[gi].__getitem__, self.fibers[y]))
+                if set(map(level.__getitem__, us)) <= {x}:
                     out[(y, gi)] = tuple(map(self.position.__getitem__, us))
+                else:
+                    out[(y, gi)] = None
         return out
 
     @cached_property
@@ -115,13 +124,6 @@ class PGraphSlice:
         for u, w, g in self.edges:
             out[u].setdefault(g, []).append(w)
         return tuple({g: tuple(ws) for g, ws in d.items()} for d in out)
-
-    @cached_property
-    def pred(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        out: list[dict[int, list[int]]] = [{} for _ in self.vertices]
-        for u, w, g in self.edges:
-            out[w].setdefault(g, []).append(u)
-        return tuple({g: tuple(us) for g, us in d.items()} for d in out)
 
     @cached_property
     def root_index(self) -> int:
@@ -177,72 +179,45 @@ class PGraphSlice:
 
     def step_back(self, w: int, g: int) -> int | None:
         """The unique g-predecessor of vertex w, or None if not unique."""
-        us = self.pred[w].get(g, ())
-        return us[0] if len(us) == 1 else None
+        u = self.parents[g][w]
+        return None if u == len(self.vertices) else u
 
     def walk_back(self, w: int, word: tuple[int, ...]) -> int | None:
         """Ancestor of w obtained by undoing the word's steps in reverse."""
-        cur: int | None = w
         for g in reversed(word):
-            if cur is None:
-                return None
-            cur = self.step_back(cur, g)
-        return cur
+            w = self.parents[g][w]
+        return None if w == len(self.vertices) else w
 
     @cached_property
-    def ancestor_table(self) -> dict[tuple[GroupElement, GroupElement], dict[int, int]]:
-        """amap[(x, y)] maps each w in fiber(y) to its ancestor at level x.
+    def ancestor_table(self) -> dict[tuple[GroupElement, GroupElement], list[int]]:
+        """amap[(x, y)][i] is the ancestor at level x of fibers[y][i]: the
+        vertex `walk_back` reaches along the first word of gen_words(x, y),
+        or the lost marker len(vertices) where a step back is not unique.
 
-        The ancestor is the one `walk_back` finds along the first word of
-        `gen_words(x, y)`; w is missing where a step back is not unique.
-        That word starts with the smallest generator g whose target
-        x + g still reaches y, and continues with the first word from
-        x + g, so amap[(x, y)] is amap[(x + g, y)] followed by one step
-        back along g.  Levels are visited top-down, so that map exists.
+        That word starts with the smallest generator g whose target x + g
+        still reaches y, and continues with the first word from x + g, so
+        amap[(x, y)] is amap[(x + g, y)] followed by one step back along g.
+        Levels are visited top-down, so that map exists.  Entries are
+        vertex ids, not positions: on a corrupted slice a walk can leave
+        its level, and the failure paths must see where it went.
         """
-        table: dict[tuple[GroupElement, GroupElement], dict[int, int]] = {}
+        table: dict[tuple[GroupElement, GroupElement], list[int]] = {}
         for x in self._levels_top_down:
             for y in self.reachable[x]:
                 if y == x:
-                    table[(x, x)] = {w: w for w in self.fiber_at(x)}
+                    table[(x, x)] = list(self.fibers[x])
                     continue
                 gi, nxt = next(
                     (gi, nxt) for gi, nxt in self.level_steps[x] if y in self.reachable[nxt]
                 )
-                amap = {}
-                for w, u in table[(nxt, y)].items():
-                    v = self.step_back(u, gi)
-                    if v is not None:
-                        amap[w] = v
-                table[(x, y)] = amap
+                table[(x, y)] = list(map(self.parents[gi].__getitem__, table[(nxt, y)]))
         return table
 
     def ancestor(self, w: int, x: GroupElement) -> int | None:
         """Ancestor of vertex w at level x along the first generator word."""
         amap = self.ancestor_table.get((x, self.vertices[w].level))
-        return None if amap is None else amap.get(w)
-
-    @cached_property
-    def ancestor_positions(self) -> dict[tuple[GroupElement, GroupElement], list[int]]:
-        """`ancestor_table` on positions: amap[(x, y)][i] is the position
-        in fibers[x] of the ancestor of fibers[y][i].
-
-        Built as `ancestor_table` is, one step column composed with
-        amap[(x + g, y)], so it needs every step column: only a slice
-        that passes part (b) of the rooted check has this table.
-        """
-        cols = self.step_columns
-        table: dict[tuple[GroupElement, GroupElement], list[int]] = {}
-        for x in self._levels_top_down:
-            for y in self.reachable[x]:
-                if y == x:
-                    table[(x, x)] = list(range(len(self.fibers[x])))
-                    continue
-                gi, nxt = next(
-                    (gi, nxt) for gi, nxt in self.level_steps[x] if y in self.reachable[nxt]
-                )
-                table[(x, y)] = list(map(cols[(nxt, gi)].__getitem__, table[(nxt, y)]))
-        return table
+        v = None if amap is None else amap[self.position[w]]
+        return None if v == len(self.vertices) else v
 
     @cached_property
     def rooted_report(self) -> CheckReport:
@@ -353,15 +328,16 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     root, and every edge steps up a generator.  Only when either fails do
     per-vertex loops name the failures.
 
-    Part (c) runs on `ancestor_positions` rather than walking every word.
+    Part (c) runs on `ancestor_table` rather than walking every word.
     A word from x to y is a step g from x followed by a word from x + g
     to y.  So when all words from each such x + g agree, the words from
-    x agree exactly when composing g's step column with amap[(x + g, y)]
-    gives amap[(x, y)] for every g.  A pair that fails this test is
-    marked, and so is every pair (x', y) with a step from x' into a
-    marked pair.  Only marked pairs walk their words to name the
-    disagreeing ones, so the failures, and their order, are those of
-    walking the words of every pair.
+    x agree exactly when stepping amap[(x + g, y)] back along g gives
+    amap[(x, y)] for every g.  A pair that fails this test is marked,
+    and so is every pair (x', y) with a step from x' into a marked pair.
+    Only marked pairs walk their other words to name the disagreeing
+    ones, against the first word's ancestors in the table, so the
+    failures, and their order, are those of walking the words of every
+    pair.
     """
     return slice_.rooted_report
 
@@ -407,14 +383,14 @@ def _rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
             "rooted_strongly_simple", False, tuple(failures), tuple(witnesses)
         )
 
-    table, cols = slice_.ancestor_positions, slice_.step_columns
+    table, parents = slice_.ancestor_table, slice_.parents
     marked: set[tuple[GroupElement, GroupElement]] = set()
     for x in slice_._levels_top_down:
         for y in slice_.reachable[x]:
             ups = [(gi, nxt) for gi, nxt in slice_.level_steps[x] if y in slice_.reachable[nxt]]
             # the first step built table[(x, y)]; the others must agree with it
             if any((nxt, y) in marked for _, nxt in ups) or any(
-                list(map(cols[(nxt, gi)].__getitem__, table[(nxt, y)])) != table[(x, y)]
+                list(map(parents[gi].__getitem__, table[(nxt, y)])) != table[(x, y)]
                 for gi, nxt in ups[1:]
             ):
                 marked.add((x, y))
@@ -424,7 +400,7 @@ def _rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
             if (x, y) not in marked:
                 continue
             words = slice_.gen_words(x, y)
-            ref = {w: slice_.walk_back(w, words[0]) for w in slice_.fiber_at(y)}
+            ref = dict(zip(slice_.fibers[y], table[(x, y)]))  # (b) holds: none is lost
             for word in words[1:]:
                 for w in slice_.fiber_at(y):
                     got = slice_.walk_back(w, word)
@@ -442,7 +418,7 @@ def _rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
 def _passes_rooted(slice_: PGraphSlice) -> bool:
     """Whether the slice passes the rooted check; False on a level cycle."""
     try:
-        return check_rooted_strongly_simple(slice_).ok
+        return slice_.rooted_report.ok
     except NotApplicable:
         return False
 
@@ -452,11 +428,12 @@ def _rooted_failures(slice_: PGraphSlice, root: int) -> tuple[list[str], list]:
     then reachability from the root, part (a)."""
     failures: list[str] = []
     witnesses: list = []
+    in_degree = Counter((w, gi) for _, w, gi in slice_.edges)
     for w, v in enumerate(slice_.vertices):
         for gi, g in enumerate(slice_.generators):
             below = vsub(v.level, g)
             expected = 1 if below in slice_.level_set else 0
-            got = len(slice_.pred[w].get(gi, ()))
+            got = in_degree[(w, gi)]
             if got != expected:
                 failures.append(
                     f"vertex {v} has {got} predecessors along generator {gi}, want {expected}"
@@ -500,7 +477,7 @@ def check_factorization(slice_: PGraphSlice) -> CheckReport:
     same ancestor, anc(w, x).  So every count is 1.  Any other slice is
     enumerated.
     """
-    if check_rooted_strongly_simple(slice_).ok:
+    if slice_.rooted_report.ok:
         return CheckReport("factorization", True)
     return _factorization_by_enumeration(slice_)
 
@@ -509,12 +486,13 @@ def _factorization_by_enumeration(slice_: PGraphSlice) -> CheckReport:
     """check_factorization by counting every split.
 
     All three ancestors are lookups in the ancestor table, whose map for
-    (x, z) covers only fiber(z), so an ancestor of w that left fiber(z)
-    on a corrupted slice counts 0.
+    (x, z) covers only fiber(z), so an ancestor of w that is lost, or
+    that left fiber(z) on a corrupted slice, counts 0.
     """
     failures: list[str] = []
     witnesses: list = []
-    table = slice_.ancestor_table
+    table, position, lost = slice_.ancestor_table, slice_.position, len(slice_.vertices)
+    level = [*map(attrgetter("level"), slice_.vertices), None]  # the lost marker's is None
     for x in slice_.levels:
         for y in slice_.reachable[x]:
             to_x = table[(x, y)]
@@ -523,14 +501,15 @@ def _factorization_by_enumeration(slice_: PGraphSlice) -> CheckReport:
                     continue
                 to_z, z_to_x = table[(z, y)], table[(x, z)]
                 for w in slice_.fiber_at(y):
-                    v = to_x.get(w)
-                    if v is None:
+                    i = position[w]
+                    if (v := to_x[i]) == lost:
                         failures.append(
                             f"no ancestor of {slice_.vertices[w]} at level {x}"
                         )
                         witnesses.append(("no_ancestor", w, x))
                         continue
-                    count = 1 if z_to_x.get(to_z.get(w)) == v else 0
+                    u = to_z[i]
+                    count = 1 if level[u] == z and z_to_x[position[u]] == v else 0
                     if count != 1:
                         failures.append(
                             f"split {x}->{z}->{y} of morphism to {slice_.vertices[w]}"
@@ -795,7 +774,8 @@ def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> 
     gens = slice_.generators
     if len(set(gens)) < len(gens) or not _passes_rooted(slice_):
         return False
-    table, cols, fibers = slice_.ancestor_positions, slice_.step_columns, slice_.fibers
+    table, cols, fibers = slice_.ancestor_table, slice_.step_columns, slice_.fibers
+    position = slice_.position
     offsets = sorted(deltas)
     steps = [(d, gi, e) for d in offsets
              for gi, g in enumerate(gens) if (e := vsub(d, g)) in deltas]
@@ -805,7 +785,7 @@ def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> 
         for d in offsets:
             nodes[d] = groups = [[] for _ in fibers[x]]
             rank[d] = ranks = []
-            for i, a in enumerate(table[(x, vadd(x, d))]):
+            for i, a in enumerate(map(position.__getitem__, table[(x, vadd(x, d))])):
                 ranks.append(len(groups[a]))
                 groups[a].append(i)
         pred_rank = {(d, gi): list(map(rank[e].__getitem__, cols[(vadd(x, d), gi)]))
@@ -883,7 +863,7 @@ def common_descendants(
             raise LevelNotComparable(f"level {lvl} is not below {z}")
     to_a = slice_.ancestor_table[(alpha.level, z)]
     to_b = slice_.ancestor_table[(beta.level, z)]
-    return sum(1 for w in slice_.fiber_at(z) if to_a.get(w) == ai and to_b.get(w) == bi)
+    return sum(1 for a, b in zip(to_a, to_b) if a == ai and b == bi)
 
 
 PRODUCT_OF_TREES = "product_of_trees"
@@ -954,8 +934,8 @@ def check_product_of_trees(slice_: PGraphSlice) -> ProductOfTreesResult:
 
 
 def _product_of_trees_by_edges(slice_: PGraphSlice) -> ProductOfTreesResult:
-    """The square condition of a free generator set, read off `pred` and
-    `succ`; see check_product_of_trees."""
+    """The square condition of a free generator set, read off `parents`
+    and `succ`; see check_product_of_trees."""
     gens = slice_.generators
     for x in slice_.levels:
         for gi, gj in combinations(range(len(gens)), 2):
@@ -1032,7 +1012,7 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
     if not slices:
         raise ValueError("need at least one slice")
     for s in slices:
-        report = check_rooted_strongly_simple(s)
+        report = s.rooted_report
         if not report.ok:
             raise NotApplicable(f"factor fails rooted/strongly-simple: {report.failures[:1]}")
 
@@ -1144,7 +1124,7 @@ def virtually_product_subsemigroup(slice_: PGraphSlice) -> VirtuallyProductRepor
     return VirtuallyProductReport(
         q_generators=q_gens,
         restricted_levels=len(even_levels),
-        rooted=check_rooted_strongly_simple(restricted),
+        rooted=restricted.rooted_report,
         square=check_product_of_trees(restricted),
     )
 

@@ -154,9 +154,9 @@ def test_criterion_7():
 def test_criterion_8():
     s = bundled_slice("moller_tree", "+1", 4)
     assert [len(s.fiber_at((i,))) for i in range(5)] == [1, 3, 9, 27, 81]
+    preds = Counter(w for _, w, _ in s.edges)
     for i, v in enumerate(s.vertices):
-        preds = sum(len(us) for us in s.pred[i].values())
-        assert preds == (0 if v.level == (0,) else 1)
+        assert preds[i] == (0 if v.level == (0,) else 1)
     assert pg.check_rooted_strongly_simple(s).ok
 
     def tree_slice(d, depth):

@@ -155,6 +155,38 @@ def test_graph_check_all_golden(capsys):
     assert _graph_check_transcript(capsys) == golden.read_text()
 
 
+def test_ladder_checks_take_the_pass_paths(monkeypatch):
+    # every ladder slice passes the rooted check, so no per-vertex failure
+    # path runs, and the cached rooted report is read without the public check
+    from pgraphs import cone_semigroup as cs
+    from pgraphs import pgraph as pg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a failure path ran")
+
+    monkeypatch.setattr(pg.PGraphSlice, "succ", property(refuse))
+    monkeypatch.setattr(pg.PGraphSlice, "walk_back", refuse)
+    for name in ("_rooted_failures", "_factorization_by_enumeration", "_regularity_by_matcher",
+                 "_product_of_trees_by_edges", "descendant_cone", "cones_isomorphic"):
+        monkeypatch.setattr(pg, name, refuse)
+    rooted_calls = []
+    rooted = pg.check_rooted_strongly_simple
+    monkeypatch.setattr(pg, "check_rooted_strongly_simple",
+                        lambda s: rooted_calls.append(s) or rooted(s))
+
+    jobs = [(name, pattern, depth) for name, pattern, depths in CHECK_LADDER for depth in depths]
+    blocks = (GOLDEN_DIR / "graph_check_all.txt").read_text().split("$ ")[1:]
+    assert len(blocks) == len(jobs) == 11
+    for (name, pattern, depth), block in zip(jobs, blocks):
+        model, _ = cli.load_config(bundled_config_path(name))
+        P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse(pattern))
+        s = pg.build_slice(P, cs.minimal_generators(P, 16), model, depth)
+        lines, failed = cli._run_checks(s, [*cli.STRUCTURAL_CHECKS, "product"], depth - 1)
+        assert [*lines, f"exit {int(failed)}"] == block.splitlines()[1:]
+        assert rooted_calls == [s]
+        rooted_calls.clear()
+
+
 def test_graph_check_moller(capsys):
     code, out, _ = run(
         capsys, "graph-check", str(bundled_config_path("moller_tree")), "--depth", "3"

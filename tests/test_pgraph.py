@@ -297,6 +297,26 @@ def _swap_edge_sources(s, level):
     return dataclasses.replace(s, edges=tuple(sorted(edges)))
 
 
+def _predecessors(s):
+    """Reference: each (vertex, generator index)'s predecessors, read off
+    the edges."""
+    out = {}
+    for u, w, gi in s.edges:
+        out.setdefault((w, gi), []).append(u)
+    return out
+
+
+def _reference_walk(pred, w, word):
+    """Reference: the ancestor of w found by undoing the word's steps along
+    unique predecessors, or None where a step back is not unique."""
+    for g in reversed(word):
+        us = pred.get((w, g), ())
+        if len(us) != 1:
+            return None
+        (w,) = us
+    return w
+
+
 def _word_walking_checks(s):
     """Reference: the witnesses of the rooted check's word part and of the
     factorization check, found by walking generator words."""
@@ -349,14 +369,56 @@ def _corrupted_slices():
 
 
 def test_ancestor_table_is_first_word_walk():
-    for s in [make_slice(*args) for args in CLEAN_SLICES] + _corrupted_slices():
+    rng = random.Random(14)
+    clean = [make_slice(*args) for args in CLEAN_SLICES]
+    fuzzed = [_fuzzed(rng.choice(clean), rng) for _ in range(30)]
+    for s in clean + _corrupted_slices() + fuzzed + [_resource_off_level(clean[1])]:
+        pred, lost = _predecessors(s), len(s.vertices)
         table = s.ancestor_table
         assert set(table) == {(x, y) for x in s.levels for y in s.reachable[x]}
         for (x, y), amap in table.items():
             word = s.gen_words(x, y)[0]
-            walked = {w: s.walk_back(w, word) for w in s.fiber_at(y)}
-            assert amap == {w: a for w, a in walked.items() if a is not None}
-            assert all(s.ancestor(w, x) == a for w, a in walked.items())
+            walked = [_reference_walk(pred, w, word) for w in s.fibers[y]]
+            assert amap == [lost if a is None else a for a in walked]
+            assert [s.walk_back(w, word) for w in s.fibers[y]] == walked
+            assert [s.ancestor(w, x) for w in s.fibers[y]] == walked
+
+
+def _resource_off_level(s):
+    """Rehang the last edge along generator 0 from the vertex at its
+    source's position on another level.  That position is in range of
+    the source's fiber, so only a level test tells that a walk back
+    along the edge has left its level."""
+    i = max(i for i, e in enumerate(s.edges) if e[2] == 0)
+    u, w, g = s.edges[i]
+    p = s.position[u]
+    other = next(x for x in s.levels if x != s.vertices[u].level and len(s.fibers[x]) > p)
+    edges = list(s.edges)
+    edges[i] = (s.fibers[other][p], w, g)
+    return dataclasses.replace(s, edges=tuple(sorted(edges)))
+
+
+def test_walk_that_leaves_its_level():
+    s = _resource_off_level(make_slice("5_2", "+1+2+3", 3))
+    assert any(w[0] == "step" for w in pg.check_rooted_strongly_simple(s).witnesses)
+    factorization = pg.check_factorization(s)
+    assert factorization.witnesses == _word_walking_checks(s)[1]
+    assert len(factorization.failures) == len(factorization.witnesses) > 0
+    first_word = lru_cache(maxsize=None)(lambda x, y: s.gen_words(x, y)[0])
+    left = 0
+    for w, v in enumerate(s.vertices):
+        for x in s.levels:
+            if v.level in s.reachable[x]:
+                a = s.walk_back(w, first_word(x, v.level))
+                assert s.ancestor(w, x) == a
+                left += a is not None and s.vertices[a].level != x
+    assert left > 0
+    for z in s.levels:
+        below = [(a, x) for x in s.levels if z in s.reachable[x] for a in s.fiber_at(x)]
+        for (a, x), (b, y) in itertools.combinations(below, 2):
+            count = sum(s.walk_back(w, first_word(x, z)) == a
+                        and s.walk_back(w, first_word(y, z)) == b for w in s.fiber_at(z))
+            assert pg.common_descendants(s, s.vertices[a], s.vertices[b], z) == count
 
 
 def test_checks_match_word_walking_reference():
@@ -372,7 +434,7 @@ def _rooted_reference_witnesses(s):
     """Reference: the rooted check's witnesses, from per-edge step tests,
     per-vertex in-degrees, a vertex search from the root, and then the
     word walk."""
-    witnesses = []
+    witnesses, pred = [], _predecessors(s)
     for u, w, gi in s.edges:
         x, y = s.vertices[u].level, s.vertices[w].level
         step = tuple(b - a for a, b in zip(x, y))
@@ -382,7 +444,7 @@ def _rooted_reference_witnesses(s):
         for gi, g in enumerate(s.generators):
             below = tuple(a - b for a, b in zip(v.level, g))
             expected = int(below in s.level_set)
-            if (got := len(s.pred[w].get(gi, ()))) != expected:
+            if (got := len(pred.get((w, gi), ()))) != expected:
                 witnesses.append(("in_degree", w, gi, got, expected))
     seen, stack = {s.root_index}, [s.root_index]
     while stack:
@@ -462,9 +524,10 @@ def test_step_columns_match_predecessors():
     for t in odd:
         assert pg.check_rooted_strongly_simple(t).witnesses == _rooted_reference_witnesses(t)
     for s in clean + odd + [_fuzzed(rng.choice(clean), rng) for _ in range(100)]:
+        pred = _predecessors(s)
         for x, steps in s.level_steps.items():
             for gi, y in steps:
-                preds = [s.pred[w].get(gi, ()) for w in s.fibers[y]]
+                preds = [pred.get((w, gi), ()) for w in s.fibers[y]]
                 if all(len(us) == 1 and s.vertices[us[0]].level == x for us in preds):
                     want = tuple(s.fibers[x].index(us[0]) for us in preds)
                 else:
@@ -761,7 +824,7 @@ def _move_leaf(s):
     """Rehang the last edge, into a top-level leaf, from a sibling of its source."""
     edges = list(s.edges)
     u, w, g = edges[-1]
-    h, (grandparent,) = next(iter(s.pred[u].items()))
+    grandparent, _, h = next(e for e in s.edges if e[1] == u)
     sibling = next(t for t in s.succ[grandparent][h] if t != u)
     edges[-1] = (sibling, w, g)
     return dataclasses.replace(s, edges=tuple(sorted(edges)))
@@ -943,7 +1006,7 @@ def test_product_of_trees_statuses():
 
 
 def test_product_of_trees_matches_edge_reading():
-    # step columns on slices that pass the rooted check, pred and succ otherwise
+    # step columns on slices that pass the rooted check, parents and succ otherwise
     rng = random.Random(13)
     clean = [s for *_, s in bundled_slices() if len(s.vertices) <= 400]
     statuses = Counter()
