@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from importlib import resources
@@ -373,6 +374,10 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # a command's data is acyclic tuples and ints: pause the cycle collector
+    # while it runs, and leave it as it was found
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -384,6 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     except PGraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -277,13 +277,15 @@ def _search_depth(flipped: tuple[GroupElement, ...], rank: int, base: tuple[int,
     k largest ray layers (Bruns and Gubeladze, Polytopes, Rings, and
     K-Theory, ch. 2).  The layer is an integer, so the floor of that sum
     bounds it.  For base 0 the only vertex is 0 and the depth is the ray
-    bound.
+    bound, returned without the vertex solves.
 
     Each vertex comes from `solve_scaled` as u = y / d with d > 0, so the
     feasibility test F y >= d base and the layer sum(F y) / d stay in
     integers; the largest layer is kept as a numerator over its
     denominator and floored once.
     """
+    if not any(base):
+        return _ray_bound(flipped, rank)
     top, top_d = 0, 1  # every point of Q has layer >= sum(base) >= 0
     for tight in combinations(range(len(flipped)), rank):
         sol = _intlinalg.solve_scaled([flipped[i] for i in tight], [base[i] for i in tight])

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain, combinations, islice, product, repeat
+from itertools import chain, combinations, groupby, islice, product, repeat
 from operator import attrgetter, itemgetter, le
 from typing import Iterator
 
@@ -249,8 +249,16 @@ def build_slice(
     Levels are all sums of at most D generators, closed downward (x in
     the slice and x - sigma in the cone implies x - sigma in the slice);
     fibers and edges follow the model's enumeration and truncation.  The
-    edges for step g from x are one level-pair map: the i-th vertex over
-    x + g goes to position truncation_positions(x, x + g)[i] over x.
+    edges for step g into y are one level-pair map: the i-th vertex over
+    y goes to position truncation_positions(y - g, y)[i] over y - g.
+
+    Edges come out sorted by sorting on their source alone.  Target
+    levels y are visited in sorted order, which is the order of their
+    index blocks, and each (y, g) block lists its targets in ascending
+    order.  The generators are distinct, so a source u meets at most one
+    g per target level, and it meets its edges in ascending target w.
+    The stable sort on u keeps that order, and (u, w) fixes g = level(w)
+    - level(u), so the result is the sorted triples.
     """
     if model.flat_spec() != P.spec:
         raise NotApplicable("model does not derive the cone's flat-group spec")
@@ -285,15 +293,15 @@ def build_slice(
         vertices.extend(fiber(model, P, x))
 
     edges: list[Edge] = []
-    for x in level_list:
+    for y in level_list:
         for gi, g in enumerate(gens):
-            y = vadd(x, g)
-            if y not in levels:
+            x = vsub(y, g)
+            if x not in levels:
                 continue
             positions = truncation_positions(model, x, y)
             targets = range(start[y], start[y] + len(positions))
             edges.extend(zip(map(start[x].__add__, positions), targets, repeat(gi)))
-    edges.sort()
+    edges.sort(key=itemgetter(0))
 
     return PGraphSlice(
         generators=gens,
@@ -1008,6 +1016,14 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
     g-predecessor, over y - g, if y - g is a level, and none otherwise.
     Its g-edges into fiber(y) form its step column into y, and the
     product's g-edges into a block expand that column in mixed radix.
+
+    Blocks are visited in index order and each (block, factor, g) run
+    lists its targets in ascending order.  With distinct generators a
+    source u reaches a block along at most one of them, so u meets its
+    edges in ascending target w, and (u, w) fixes the generator: the
+    stable sort on the source alone gives the sorted triples.  A factor
+    imported with two labels on one step vector breaks that, and its
+    product's edges take a full sort.
     """
     if not slices:
         raise ValueError("need at least one slice")
@@ -1034,7 +1050,7 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
     block, levels, vertices, edges = {}, [], [], []  # block: a level combination's indices
     for combo in product(*residues):
         levels.append(level := sum(combo, ()))
-        concat = map(tuple, map(chain.from_iterable, product(*map(dict.get, residues, combo))))
+        concat = map(sum, product(*map(dict.get, residues, combo)), repeat(()))
         first = len(vertices)
         vertices.extend(map(pair_vertex, zip(repeat(level), concat)))
         block[combo] = range(first, len(vertices))
@@ -1046,9 +1062,10 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
                 radix = [*map(range, n[:i]), column, *map(range, n[i + 1 :])]
                 sources = map(block[source].start.__add__, mixed_radix(radix, n))
                 edges.extend(zip(sources, target, repeat(gen_map[(i, gi)])))
-    edges.sort()
+    generators = tuple(vec for vec, _, _ in labelled)
+    edges.sort(key=itemgetter(0) if len(set(generators)) == len(generators) else None)
     return PGraphSlice(
-        generators=tuple(vec for vec, _, _ in labelled),
+        generators=generators,
         depth=sum(s.depth for s in slices),
         levels=tuple(levels),
         vertices=tuple(vertices),
@@ -1151,52 +1168,80 @@ JSON_CHUNK = 2048  # records formatted by one % in slice_to_json_chunks
 
 
 @cache
+def _json_value(n: int | None) -> str:
+    """json.dumps(..., indent=2) text of one field value of an array
+    element of a slice export, with a %d slot per integer: an array of n
+    integers, or a single integer when n is None."""
+    if n is None:
+        return "%d"
+    return "[\n" + ",\n".join(["        %d"] * n) + "\n      ]" if n else "[]"
+
+
+@cache
 def _json_template(keys: tuple[str, ...], *lengths: int | None) -> str:
-    """json.dumps(..., indent=2) text of one array element of a slice
-    export, with a %d slot per integer.  Key i holds an array of
-    lengths[i] integers, or a single integer when lengths[i] is None."""
-    lines = []
-    for key, n in zip(keys, lengths):
-        if n is None:
-            value = "%d"
-        elif n == 0:
-            value = "[]"
-        else:
-            value = "[\n" + ",\n".join(["        %d"] * n) + "\n      ]"
-        lines.append(f'      "{key}": {value}')
-    return "    {\n" + ",\n".join(lines) + "\n    }"
+    """The text of one array element whose key i holds _json_value(lengths[i])."""
+    fields = ",\n".join(f'      "{key}": {_json_value(n)}' for key, n in zip(keys, lengths))
+    return "    {\n" + fields + "\n    }"
 
 
 def slice_to_json_chunks(slice_: PGraphSlice) -> Iterator[str]:
     """The export text, json.dumps(slice_to_json_dict(slice_), indent=2)
-    + "\n", in pieces: each run of up to JSON_CHUNK records of an array
-    is one % over their joined templates.  Templates are keyed by list
-    lengths, so uneven residue lists come out the same."""
-    vertices, edges = slice_.vertices, slice_.edges
-    sizes = Counter(map(attrgetter("level"), vertices))
-    arrays = [  # key, one template per record, records, nesting depth of their integers
-        ("levels", [_json_template(("x", "size"), len(x), None) for x in slice_.levels],
-         [(*x, sizes[x]) for x in slice_.levels], 1),
-        ("vertices", list(_by_shape(partial(_json_template, ("level", "residues")), vertices)),
-         vertices, 2),
-        ("edges", [_json_template(("from", "to", "gen"), None, None, None)] * len(edges),
-         edges, 1),
+    + "\n", in pieces of one % each.
+
+    Vertices go by runs of consecutive vertices on one level: a run's
+    level text is formatted once and heads each of its records, so each
+    % fills only residues, for up to JSON_CHUNK records of one run.
+    Residue templates are keyed by list length, so uneven residue lists
+    come out the same.  The runs also give the level sizes; a level forms
+    several runs when the slice's vertices are not grouped by level.
+    Edges go JSON_CHUNK records to a %.
+    """
+    runs = [
+        (x, [*map(attrgetter("residues"), run)])
+        for x, run in groupby(slice_.vertices, attrgetter("level"))
     ]
-    for n, (key, templates, records, depth) in enumerate(arrays):
-        yield (",\n" if n else "{\n") + f'  "{key}": ' + ("[\n" if records else "[]")
-        for i in range(0, len(records), JSON_CHUNK):
-            ints = records[i : i + JSON_CHUNK]
-            for _ in range(depth):
-                ints = chain.from_iterable(ints)
-            yield (",\n" if i else "") + ",\n".join(templates[i : i + JSON_CHUNK]) % tuple(ints)
-        yield "\n  ]" if records else ""
+    sizes: Counter = Counter()
+    for x, residues in runs:
+        sizes[x] += len(residues)
+    levels, edge = slice_.levels, _json_template(("from", "to", "gen"), None, None, None)
+    yield '{\n  "levels": '
+    yield from _json_array([(
+        ",\n".join([_json_template(("x", "size"), len(x), None) for x in levels]),
+        tuple(chain.from_iterable((*x, sizes[x]) for x in levels)),
+    )])
+    yield ',\n  "vertices": '
+    yield from _json_array(_vertex_chunks(runs))
+    yield ',\n  "edges": '
+    yield from _json_array(
+        (",\n".join([edge] * len(part)), tuple(chain.from_iterable(part)))
+        for part in _chunks(slice_.edges)
+    )
     yield "\n}\n"
 
 
-def _by_shape(template, vertices: tuple[Vertex, ...]) -> Iterator[str]:
-    """template(len(v.level), len(v.residues)) for each vertex v."""
-    levels, residues = map(attrgetter("level"), vertices), map(attrgetter("residues"), vertices)
-    return map(template, map(len, levels), map(len, residues))
+def _chunks(records: list | tuple) -> Iterator:
+    """Consecutive slices of up to JSON_CHUNK records."""
+    return (records[i : i + JSON_CHUNK] for i in range(0, len(records), JSON_CHUNK))
+
+
+def _vertex_chunks(runs) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(template, residue integers) per chunk of each level run."""
+    for x, residues in runs:
+        head = ('    {\n      "level": ' + _json_value(len(x)) + ',\n      "residues": ') % x
+        for part in _chunks(residues):
+            template = head + ("\n    },\n" + head).join(map(_json_value, map(len, part)))
+            yield template + "\n    }", tuple(chain.from_iterable(part))
+
+
+def _json_array(chunks) -> Iterator[str]:
+    """A JSON array of records, each chunk one % of its template over its
+    integers: '[]' when there is no record."""
+    sep = "[\n"
+    for template, ints in chunks:
+        if template:
+            yield sep + template % ints
+            sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
 
 
 def slice_to_json(slice_: PGraphSlice) -> str:
@@ -1298,7 +1343,8 @@ def slice_to_dot(slice_: PGraphSlice) -> str:
     formats every name, one every vertex line and one every edge line."""
     vertices, edges = slice_.vertices, slice_.edges
     ints = tuple(chain.from_iterable(chain.from_iterable(vertices)))
-    names = ("\n".join(_by_shape(_dot_name_template, vertices)) % ints).splitlines()
+    shapes = (map(len, map(attrgetter(key), vertices)) for key in ("level", "residues"))
+    names = ("\n".join(map(_dot_name_template, *shapes)) % ints).splitlines()
     u, w, g = (map(itemgetter(k), edges) for k in range(3))
     fields = chain.from_iterable(zip(map(names.__getitem__, u), map(names.__getitem__, w), g))
     nodes = "".join(['  "%s";\n'] * len(names)) % tuple(names)

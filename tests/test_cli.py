@@ -510,3 +510,43 @@ def test_cli_import_does_not_load_networkx():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", [0, 1, 2, "raise"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collecting, outcome):
+    import dataclasses
+    import gc
+
+    cfg = str(bundled_config_path("example_5_2"))
+    argv = ["graph-check", cfg, "--pattern=+1+2+3", "--depth", "2"]
+    if outcome == 2:
+        argv += ["--checks", "bogus"]
+    build, paused = cli._build_from_args, []
+
+    def build_then(*args):
+        paused.append(not gc.isenabled())
+        if outcome == "raise":
+            raise RuntimeError("not a pgraphs error")
+        s = build(*args)
+        if outcome != 1:
+            return s
+        edges = list(s.edges)  # retarget the last edge: the rooted check fails
+        u, w, g = edges[-1]
+        edges[-1] = (u, next(t for t in s.fiber_at(s.vertices[w].level) if t != w), g)
+        return dataclasses.replace(s, edges=tuple(sorted(edges)))
+
+    monkeypatch.setattr(cli, "_build_from_args", build_then)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if outcome == "raise":
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert run(capsys, *argv)[0] == outcome
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert paused == [True]

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from operator import add, ge
 
@@ -557,6 +557,33 @@ def test_both_searches_share_one_depth():
         assert cs.minimal_generators(cone, depth).certified_layer == depth
     # a common upper bound of 0 and 0 is 0 itself, at offset 0
     assert cs.minimal_common_upper_bounds(P(SPEC_5_3, "+1+2"), (0, 0), (0, 0)) == [(0, 0)]
+
+
+def search_depth_by_vertices(flipped, rank, base):
+    """`_search_depth` with its vertex loop run for every base, 0 too:
+    the largest feasible vertex layer, floored, plus the ray bound."""
+    top, top_d = 0, 1
+    for tight in combinations(range(len(flipped)), rank):
+        sol = la.solve_scaled([flipped[i] for i in tight], [base[i] for i in tight])
+        if sol is None:
+            continue
+        y, d = sol
+        images = [la.dot(r, y) for r in flipped]
+        if all(a >= d * c for a, c in zip(images, base)) and sum(images) * top_d > top * d:
+            top, top_d = sum(images), d
+    return top // top_d + cs._ray_bound(flipped, rank) - sum(base)
+
+
+def test_search_depth_at_base_zero_skips_only_the_vertex_solves():
+    rng = random.Random(17)
+    cones = random_cones(17, 30)
+    for spec, text in cones:
+        flipped = P(spec, text).flipped_rows()
+        q = spec.components
+        for base in ((0,) * q, tuple(rng.randint(0, 3) for _ in range(q))):
+            want = search_depth_by_vertices(flipped, spec.rank, base)
+            assert cs._search_depth(flipped, spec.rank, base) == want, (spec.weights, text, base)
+    assert {spec.rank for spec, _ in cones} == {2, 3}
 
 
 def test_searches_solve_a_pinned_number_of_images(monkeypatch):

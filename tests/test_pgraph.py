@@ -14,9 +14,9 @@ import pytest
 from pgraphs import cone_semigroup as cs
 from pgraphs import pgraph as pg
 from pgraphs.cli import bundled_config_path, load_config
-from pgraphs.coset_model import PadicModel, TreeModel, Vertex, preimage_count, truncate
-from pgraphs.errors import LevelNotComparable, NotApplicable
-from pgraphs.flat_core import scale
+from pgraphs.coset_model import PadicModel, TreeModel, Vertex, caps, preimage_count, truncate
+from pgraphs.errors import CertificationFailed, LevelNotComparable, NotApplicable
+from pgraphs.flat_core import scale, uniscalar_kernel
 
 MODELS = {
     "5_1": PadicModel(((2, (1, 0)), (2, (0, 1)))),
@@ -197,6 +197,66 @@ def test_build_slice_edges_match_per_vertex_truncation():
     for name, pattern, depth, model, s in bundled_slices():
         assert list(s.edges) == _truncated_edges(s, model), (name, str(pattern), depth)
     assert sum(len(s.edges) for *_, s in bundled_slices()) > 3000
+
+
+def random_padic_slices(seed, count, max_vertices=1500):
+    """(model, slice) pairs off seeded random p-adic models: rank 2 or 3,
+    2 to 4 rows of exponents in -2..2 over primes 2, 3 and 5 mixed, one
+    admissible pattern each, depth 1 to 4.  Draws whose sums of at most
+    depth generators hold more than max_vertices are redrawn before the
+    build, to keep the per-vertex references quick; the downward closure
+    adds only levels whose fibers are smaller than one of those."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rank = rng.choice((2, 3))
+        rows = [
+            (rng.choice((2, 3, 5)), tuple(rng.randint(-2, 2) for _ in range(rank)))
+            for _ in range(rng.randint(rank, rank + 1))
+        ]
+        if not all(any(e) for _, e in rows):
+            continue
+        model = PadicModel(tuple(rows))
+        spec = model.flat_spec()
+        if uniscalar_kernel(spec):
+            continue
+        P = cs.ConeSemigroup(spec, rng.choice(cs.enumerate_admissible(spec)))
+        try:
+            gens = cs.minimal_generators(P, 16)
+        except CertificationFailed:
+            continue
+        depth, sums = rng.randint(1, 4), {(0,) * rank}
+        for _ in range(depth):
+            sums |= {tuple(map(sum, zip(x, g))) for x in sums for g in gens.sigma}
+        if sum(math.prod(caps(model, x)) for x in sums) <= max_vertices:
+            out.append((model, pg.build_slice(P, gens, model, depth)))
+    return out
+
+
+def test_edge_order_off_the_bundled_models():
+    # edges are sorted by their source alone; the block order must make
+    # that the sorted triples on mixed primes, rank 3 and two valencies
+    slices = random_padic_slices(15, 24)
+    assert {len(s.levels[0]) for _, s in slices} == {2, 3}
+    assert any(len({p for p, _ in model.rows}) > 1 for model, _ in slices)
+    trees = [(TreeModel((2, 3)), make_slice_tree((2, 3), depth)) for depth in range(5)]
+    for model, s in slices + trees:
+        assert list(s.edges) == _truncated_edges(s, model)
+    small = [s for _, s in slices + trees if 1 < len(s.vertices) <= 60]
+    rng = random.Random(15)
+    for _ in range(40):
+        _assert_matches_sorted_product(rng.sample(small, rng.choice((2, 2, 3))))
+
+
+def test_external_product_with_a_repeated_generator_sorts_fully():
+    # generators 0 and 1 are both (1,): a source reaches one target along
+    # both, so sorting on the source alone would not give sorted triples
+    vertices = [Vertex((0,), ()), Vertex((1,), (0,)), Vertex((1,), (1,))]
+    edges = [(0, w, g) for g in (0, 1) for w in (1, 2)]
+    s = pg.PGraphSlice(((1,), (1,)), 1, ((0,), (1,)), tuple(vertices), tuple(edges))
+    assert pg.check_rooted_strongly_simple(s).ok
+    prod = _assert_matches_sorted_product([s, make_slice("tree3", "+1", 1)])
+    assert list(prod.edges) == sorted(prod.edges)
 
 
 def test_build_slice_levels_and_fibers():
@@ -1315,6 +1375,27 @@ def test_writers_match_record_oracles_on_shuffled_slices():
     rng = random.Random(10)
     for *_, s in bundled_slices():
         _assert_writers_match_records(_shuffled(s, rng))
+
+
+def test_slice_to_json_splits_a_long_level_run_with_mixed_residue_lengths():
+    n = 2 * pg.JSON_CHUNK + 5  # chunk boundaries fall inside the run over (1, -1)
+    residues = [(i,) * (i % 4) + (-i,) for i in range(n)]
+    vertices = (Vertex((0, 0), ()), *(Vertex((1, -1), r) for r in residues))
+    edges = tuple((0, w, 0) for w in range(1, n + 1))
+    s = pg.PGraphSlice(((1, -1),), 1, ((0, 0), (1, -1)), vertices, edges)
+    assert len({len(r) for r in residues}) == 4
+    assert pg.slice_to_json(s) == _dumped(s)
+    _assert_writers_match_records(s)
+
+
+def test_slice_to_json_sums_a_level_over_non_adjacent_runs():
+    levels = ((0,), (1,), (2,))
+    order = [(1, (0,)), (0, ()), (1, (1, 5)), (1, (2,)), (2, (0,)), (1, ()), (2, (1,))]
+    vertices = tuple(Vertex((x,), r) for x, r in order)
+    s = pg.PGraphSlice(((1,),), 2, levels, vertices, ((1, 0, 0), (1, 2, 0), (0, 4, 0)))
+    assert pg.slice_to_json_dict(s)["levels"][1] == {"x": [1], "size": 4}
+    assert pg.slice_to_json(s) == _dumped(s)
+    _assert_writers_match_records(s)
 
 
 @pytest.mark.parametrize(
