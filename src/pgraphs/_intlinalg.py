@@ -2,13 +2,15 @@
 
 Matrices are sequences of rows of Python ints (arbitrary precision);
 nothing is ever rounded.  Every solve, rank and independent-row query
-runs through one fraction-free elimination, `_eliminate`, whose entries
-stay integers and whose every division is exact.  A rational solution
-comes back as integer numerators over one positive denominator, and a
-caller divides by it once, if at all: `min_norm_point` and `primitive`
-are the only places that build Fractions.  The integer kernel lattice
-needs unimodular steps, not a rational solve, and has its own reduction
-in `kernel_basis`.
+runs through one fraction-free elimination, `_eliminate`, and the
+phase-1 simplex of `gordan_certificate` runs on a fraction-free
+tableau.  Both take their steps with `_pivot`, whose entries stay
+integers and whose every division is exact.  A rational solution comes
+back as integer numerators over one positive denominator, and a caller
+divides by it once, if at all: `min_norm_point` and `primitive` are the
+only places that build Fractions.  The integer kernel lattice needs
+unimodular steps, not a rational solve, and has its own reduction in
+`kernel_basis`.
 """
 
 from __future__ import annotations
@@ -38,16 +40,33 @@ def vneg(x: Vec) -> Vec:
     return tuple(-a for a in x)
 
 
+def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
+    """One fraction-free pivot on mat[r][col], in place, returning the
+    pivot p = mat[r][col].
+
+    Row r stays as it is, and every other row becomes (p * row - row[col]
+    * mat[r]) // prev, with prev the pivot before this one (1 at the
+    start).  When the rows start as integers and every pivot is taken
+    this way, each entry is a minor of the starting matrix (Bareiss,
+    Math. Comp. 22, 1968; Edmonds, J. Res. NBS 71B, 1967), so every `//`
+    is exact and no entry is ever a fraction.
+    """
+    prow = mat[r]
+    p = prow[col]
+    for i, row in enumerate(mat):
+        if i != r:
+            f = row[col]
+            mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+    return p
+
+
 def _eliminate(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss), in place.
 
     Pivots on the first `ncols` columns of the integer rows `mat`: in each
     column the first row at or below the pivots found so far with a
-    nonzero entry, and a column without one is skipped.  Every other row
-    r becomes (p * r - r[col] * pivot row) // prev, with p the new pivot
-    and prev the one before it (1 at the start).  Each entry is then a
-    minor of the input (Bareiss, Math. Comp. 22, 1968), so every `//` is
-    exact and no entry is ever a fraction.
+    nonzero entry, and a column without one is skipped.  Each step is one
+    `_pivot`, so every entry stays an integer.
 
     Returns the pivot columns and the last pivot d (1 when there is
     none), which is the determinant of the pivot block up to sign.  With
@@ -64,13 +83,7 @@ def _eliminate(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        p = prow[col]
-        for i, row in enumerate(mat):
-            if i != rank:
-                f = row[col]
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = p
+        prev = _pivot(mat, rank, col, prev)
         pivots.append(col)
         if len(pivots) == len(mat):
             break
@@ -150,6 +163,61 @@ def kernel_basis(rows: Sequence[Vec], ncols: int) -> list[Vec]:
 def _sign_normal(v: Vec) -> Vec:
     lead = next((x for x in v if x != 0), 0)
     return vneg(v) if lead < 0 else v
+
+
+def gordan_certificate(points: Sequence[Vec]) -> tuple[Vec, int] | None:
+    """Integers (lam, d) with lam >= 0, sum(lam) = d > 0 and
+    sum lam_i points_i = 0 when 0 lies in the convex hull of `points`,
+    and None when it does not.
+
+    Phase 1 of the simplex method on lam >= 0, sum(lam) = 1, P^T lam = 0:
+    dim + 1 rows, one column per point, and one artificial variable per
+    row, which starts as the basis.  The phase-1 cost is the sum of the
+    artificials; it is 0 at a basis exactly when that basis is a feasible
+    lam, and the system is infeasible exactly when the cost stays
+    positive at the optimum.  The tableau is fraction-free: each entry is
+    d times its rational value, with d the last pivot, which is the
+    basis determinant and stays positive because every simplex pivot
+    is.  The cost row is carried below the constraint rows and pivoted
+    with them.  An artificial that leaves the basis is never needed
+    again, so the artificials have no columns; `basis` names the variable
+    of each row, lam_j as j and the artificial of row r as q + r.
+
+    Bland's rule picks both the entering and the leaving variable (the
+    smallest index among the candidates), so the walk terminates even
+    though the start basis is degenerate (Bland, Math. Oper. Res. 2,
+    1977).  A cycle would have to keep every artificial it starts with,
+    so it would run on one fixed tableau, where Bland's rule cannot
+    cycle.  lam is read off the final basis.
+    """
+    q, dim = len(points), len(points[0])
+    mat = [[1] * q + [1]] + [[p[j] for p in points] + [0] for j in range(dim)]
+    # the cost row: d times each reduced cost, then -d times the cost
+    mat.append([-sum(col) for col in zip(*mat)])
+    basis = list(range(q, q + dim + 1))
+    d = 1
+    while mat[-1][q]:
+        cost = mat[-1]
+        enter = next((j for j in range(q) if cost[j] < 0), None)
+        if enter is None:
+            return None  # the cost stays positive: 0 is not in the hull
+        leave = None
+        for r in range(dim + 1):
+            a = mat[r][enter]
+            if a > 0:
+                if leave is None:
+                    leave = r
+                    continue
+                lhs, rhs = mat[r][q] * mat[leave][enter], mat[leave][q] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave = r
+        basis[leave] = enter
+        d = _pivot(mat, leave, enter, d)
+    lam = [0] * q
+    for r, j in enumerate(basis):
+        if j < q:
+            lam[j] = mat[r][q]
+    return tuple(lam), d
 
 
 def min_norm_point(points: Sequence[Vec]) -> tuple[Fraction, ...]:

@@ -27,7 +27,7 @@ from pathlib import Path
 from . import cone_semigroup as cs
 from . import coset_model as cm
 from . import pgraph as pg
-from .errors import CertificationFailed, ConfigError, NotApplicable, PGraphsError
+from .errors import CertificationFailed, ConfigError, NotApplicable, PGraphsError, SliceTooLarge
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -193,7 +193,10 @@ def _build_from_args(args, model, defaults):
     bound = args.bound if args.bound is not None else defaults.get("bound", 16)
     P = cs.ConeSemigroup(spec, pattern)
     gens = cs.minimal_generators(P, norm_bound=bound)
-    return pg.build_slice(P, gens, model, depth)
+    try:
+        return pg.build_slice(P, gens, model, depth)
+    except SliceTooLarge as exc:
+        raise ConfigError(f"--depth {depth}: {exc}; lower --depth") from None
 
 
 def _write_slice(slice_, args) -> int:
@@ -241,8 +244,6 @@ def _run_checks(slice_, which, regularity_depth) -> tuple[list[str], bool]:
 
 
 def cmd_graph_check(args) -> int:
-    model, defaults = load_config(args.config)
-    slice_ = _build_from_args(args, model, defaults)
     which = (
         list(STRUCTURAL_CHECKS) + ["product"]
         if args.checks == "all"
@@ -251,6 +252,8 @@ def cmd_graph_check(args) -> int:
     for name in which:
         if name not in STRUCTURAL_CHECKS + ("product",):
             raise ConfigError(f"unknown check {name!r}")
+    model, defaults = load_config(args.config)
+    slice_ = _build_from_args(args, model, defaults)
     reg_depth = (
         args.regularity_depth
         if args.regularity_depth is not None
@@ -301,7 +304,11 @@ def cmd_product(args) -> int:
             factors.append(pg.slice_from_json_dict(data))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    return _write_slice(pg.external_product(factors), args)
+    try:
+        slice_ = pg.external_product(factors)
+    except SliceTooLarge as exc:
+        raise ConfigError(f"{exc}; multiply smaller slices") from None
+    return _write_slice(slice_, args)
 
 
 # ---------------------------------------------------------------------------

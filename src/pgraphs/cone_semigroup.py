@@ -7,17 +7,19 @@ cone must have rho_j >= 0) or to J- (rho_j <= 0).  The cone
 
 is the maximal subsemigroup with those expansion directions, and the
 scale function is multiplicative on it.  This module decides exactly
-which full patterns occur (admissibility, by Gordan's alternative) and
-lists them by a walk over the chambers of the hyperplane arrangement
-{rho_j = 0}, which puts only the chambers' neighbours to the test, not
-all 2^q patterns.  It finds the unique minimal generating set of an
-admissible cone and the minimal common upper bounds of a pair by one
-search for minimal lattice points, up to a depth proved from the extreme
-rays.  The search walks the images on k = rank independent rows, a
-simplex in Z^k, not the compositions of every layer in N^q.  The module
-also counts the steps that absorb an element into the cone, which proves
-the cone maximal.  Search bounds only cap work; CertificationFailed names
-the bound a search needs.
+which full patterns occur (admissibility, by Gordan's alternative,
+decided by an exact phase-1 simplex; an admissible pattern's strict
+witness is computed only when it is read) and lists them by a walk over
+the chambers of the hyperplane arrangement {rho_j = 0}, which puts only
+the chambers' neighbours to the test, not all 2^q patterns.  It finds
+the unique minimal generating set of an admissible cone and the minimal
+common upper bounds of a pair by one search for minimal lattice points,
+up to a depth proved from the extreme rays.  The search walks the
+images on k = rank independent rows, a simplex in Z^k, not the
+compositions of every layer in N^q.  The module also counts the steps
+that absorb an element into the cone, which proves the cone maximal.
+Search bounds only cap work; CertificationFailed names the bound a
+search needs.
 """
 
 from __future__ import annotations
@@ -127,15 +129,30 @@ class ConeSemigroup:
 
 @dataclass(frozen=True)
 class AdmissibilityResult:
-    """Outcome of the exact admissibility test: a primitive element with
-    strictly correct sign on every component, or None when Gordan's
-    alternative proves that none exists."""
+    """Outcome of the exact admissibility test on the flipped weight rows.
 
-    witness: GroupElement | None
+    `certificate` is Gordan's proof of refusal, integers (lam, d) with
+    lam >= 0, sum(lam) = d > 0 and sum lam_j rows_j = 0, or None when the
+    pattern is admissible.  `witness` is then a primitive element with
+    strictly correct sign on every component: the minimum-norm point of
+    the rows' convex hull, scaled to a primitive integer vector, computed
+    when it is first read and kept.  It is None for a refused pattern.
+    """
+
+    rows: tuple[GroupElement, ...]
+    certificate: tuple[tuple[int, ...], int] | None
 
     @property
     def admissible(self) -> bool:
-        return self.witness is not None
+        return self.certificate is None
+
+    @functools.cached_property
+    def witness(self) -> GroupElement | None:
+        """The minimum-norm point p is nonzero when 0 is outside the hull,
+        and row.p >= |p|^2 > 0 for every row (`min_norm_point`)."""
+        if self.certificate is not None:
+            return None
+        return _intlinalg.primitive(_intlinalg.min_norm_point(self.rows))
 
 
 @functools.cache
@@ -143,17 +160,16 @@ def is_admissible(spec: FlatGroupSpec, pattern: SignPattern) -> AdmissibilityRes
     """Decide admissibility of a full pattern exactly (Gordan's alternative).
 
     Either 0 is a convex combination of the flipped weight rows, and then
-    no x has row.x > 0 on every row, or the minimum-norm point p of their
-    convex hull is nonzero.  Then row.p >= |p|^2 > 0 for every row, so p
-    scaled to a primitive integer vector is a strict witness.  Each
-    (spec, pattern) pair is decided once; a repeated call returns the
-    cached result.
+    no x has row.x > 0 on every row, or some x does.  The phase-1 simplex
+    of `gordan_certificate` decides which on an integer tableau and, in
+    the first case, returns the combination as the refusal's
+    certificate.  The result's witness is computed only when it is read.
+    Each (spec, pattern) pair is decided once; a repeated call returns
+    the cached result.
     """
     pattern.require_full(spec.components)
-    p = _intlinalg.min_norm_point(ConeSemigroup(spec, pattern).flipped_rows())
-    if not any(p):
-        return AdmissibilityResult(None)
-    return AdmissibilityResult(_intlinalg.primitive(p))
+    rows = ConeSemigroup(spec, pattern).flipped_rows()
+    return AdmissibilityResult(rows, _intlinalg.gordan_certificate(rows))
 
 
 def _pattern_of(plus_mask: int, components: int) -> SignPattern:

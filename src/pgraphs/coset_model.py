@@ -134,13 +134,18 @@ def caps(model: CosetModel, x: GroupElement) -> tuple[int, ...]:
     return tuple(s ** max(v, 0) for s, v in zip(spec.relative_scales, r))
 
 
-def fiber(model: CosetModel, P: ConeSemigroup, x: GroupElement) -> list[Vertex]:
+def fiber(
+    model: CosetModel, P: ConeSemigroup, x: GroupElement, cap: tuple[int, ...] | None = None
+) -> list[Vertex]:
     """All vertices over level x, residue tuples in lexicographic order.
 
-    The length equals scale(x)."""
+    The length equals scale(x).  A caller that holds caps(model, x)
+    passes it as `cap`."""
     if not P.contains(x):
         raise NotInSemigroup(f"level {x} is outside the cone")
-    return list(map(pair_vertex, zip(repeat(tuple(x)), product(*map(range, caps(model, x))))))
+    if cap is None:
+        cap = caps(model, x)
+    return list(map(pair_vertex, zip(repeat(tuple(x)), product(*map(range, cap)))))
 
 
 def _comparable_caps(model: CosetModel, x: GroupElement, y: GroupElement):

@@ -39,6 +39,16 @@ class LevelNotComparable(PGraphsError):
     between their fibers exists."""
 
 
+class SliceTooLarge(PGraphsError):
+    """A slice or product would hold more vertices than a build may list;
+    raised from the exact count, before any vertex is listed."""
+
+    def __init__(self, vertices: int, limit: int, what: str = "slice"):
+        self.vertices = vertices
+        self.limit = limit
+        super().__init__(f"the {what} would hold {vertices} vertices, above the limit {limit}")
+
+
 class NotApplicable(PGraphsError):
     """The operation's structural precondition does not hold for this input."""
 

@@ -27,16 +27,26 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain, combinations, groupby, islice, product, repeat
+from math import prod
 from operator import attrgetter, itemgetter, le
 from typing import Iterator
 
 from ._intlinalg import rational_rank, vadd, vsub
 from .cone_semigroup import ConeSemigroup, GeneratorSet
-from .coset_model import CosetModel, Vertex, fiber, mixed_radix, pair_vertex, truncation_positions
-from .errors import LevelNotComparable, NotApplicable
+from .coset_model import (
+    CosetModel, Vertex, caps, fiber, mixed_radix, pair_vertex, truncation_positions,
+)
+from .errors import LevelNotComparable, NotApplicable, SliceTooLarge
 from .flat_core import GroupElement, rho
 
 Edge = tuple[int, int, int]  # (from vertex index, to vertex index, generator index)
+
+# Most vertices a slice or product may hold.  A built slice takes about
+# 400 bytes per vertex with its edges, and about twice that under
+# `graph-check --checks all` (example_5_2, pattern +1+2+3, depths 6-8:
+# 36409 to 757305 vertices), so the limit keeps a build under about 1 GB
+# and 4 s.
+MAX_SLICE_VERTICES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -249,6 +259,9 @@ def build_slice(
     Levels are all sums of at most D generators, closed downward (x in
     the slice and x - sigma in the cone implies x - sigma in the slice);
     fibers and edges follow the model's enumeration and truncation.  The
+    fiber over x has prod(caps(model, x)) vertices, so the slice's size
+    is known exactly from its levels, and SliceTooLarge refuses a slice
+    of more than MAX_SLICE_VERTICES before any fiber is listed.  The
     edges for step g into y are one level-pair map: the i-th vertex over
     y goes to position truncation_positions(y - g, y)[i] over y - g.
 
@@ -285,12 +298,16 @@ def build_slice(
                     changed = True
 
     level_list = sorted(levels)
+    level_caps = [caps(model, x) for x in level_list]
+    size = sum(map(prod, level_caps))
+    if size > MAX_SLICE_VERTICES:
+        raise SliceTooLarge(size, MAX_SLICE_VERTICES)
     # sorted levels, each fiber in lexicographic residue order: canonical
     vertices: list[Vertex] = []
     start: dict[GroupElement, int] = {}
-    for x in level_list:
+    for x, cap in zip(level_list, level_caps):
         start[x] = len(vertices)
-        vertices.extend(fiber(model, P, x))
+        vertices.extend(fiber(model, P, x, cap))
 
     edges: list[Edge] = []
     for y in level_list:
@@ -1003,6 +1020,10 @@ def predict_product_of_trees(spec, generators) -> bool:
 def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGraphSlice:
     """Componentwise product of rooted, strongly simple slices.
 
+    The product holds the product of the factors' vertex counts, and
+    SliceTooLarge refuses more than MAX_SLICE_VERTICES before anything
+    is expanded.
+
     Levels and residues concatenate; an edge moves one factor along one
     of its generators and fixes the rest.  Vertices run over the level
     combinations, lexicographic in each factor's sorted levels, then over
@@ -1027,6 +1048,9 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
     """
     if not slices:
         raise ValueError("need at least one slice")
+    size = prod(len(s.vertices) for s in slices)
+    if size > MAX_SLICE_VERTICES:
+        raise SliceTooLarge(size, MAX_SLICE_VERTICES, "product")
     for s in slices:
         report = s.rooted_report
         if not report.ok:

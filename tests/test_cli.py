@@ -205,6 +205,59 @@ def test_graph_check_unknown_check(capsys):
     assert code == 2 and "unknown check" in err
 
 
+def test_graph_check_validates_checks_before_building(capsys, monkeypatch, tmp_path):
+    def no_build(*args):
+        raise AssertionError("built a slice for an invalid --checks")
+
+    monkeypatch.setattr(cli, "_build_from_args", no_build)
+    cfg = str(bundled_config_path("example_5_2"))
+    for argv in (
+        [cfg, "--pattern=+1+2+3", "--checks", "rooted,bogus"],
+        [cfg, "--pattern=+1+2", "--checks", "bogus"],  # the pattern is wrong too
+        [str(tmp_path / "missing.json"), "--checks", "bogus"],
+    ):
+        code, out, err = run(capsys, "graph-check", *argv)
+        assert (code, out) == (2, "") and "unknown check 'bogus'" in err
+
+
+SLICE_TOO_LARGE = {"kind": "padic", "rank": 2, "rows": [
+    {"prime": 3, "exponents": [1, 1]}, {"prime": 7, "exponents": [-1, 1]}]}
+
+
+@pytest.mark.parametrize("command", ["graph-build", "graph-check"])
+def test_a_slice_too_large_exits_2_naming_depth(capsys, monkeypatch, tmp_path, command):
+    # about 2.5e10 vertices at depth 6; the build used to end in MemoryError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SLICE_TOO_LARGE))
+    out = tmp_path / "x.json"
+    argv = [command, str(cfg), "--pattern=+1+2", "--depth", "6"]
+    if command == "graph-build":
+        argv += ["--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(pgraphs.pgraph, "fiber", None)  # refused before any fiber is listed
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert err == (
+        "config error: --depth 6: the slice would hold 24726434461 vertices, "
+        f"above the limit {pgraphs.pgraph.MAX_SLICE_VERTICES}; lower --depth\n"
+    )
+    argv[argv.index("6")] = "2"
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_product_too_large_exits_2(capsys, monkeypatch, tmp_path):
+    cfg = str(bundled_config_path("example_5_2"))
+    factor = str(tmp_path / "d4.json")
+    assert run(capsys, "graph-build", cfg, "--pattern=+1+2+3", "--depth", "4", "--out", factor)[0] == 0
+    out = tmp_path / "p.json"
+    monkeypatch.setattr(pgraphs.pgraph, "mixed_radix", None)  # refused before expanding
+    code, _, err = run(capsys, "product", factor, factor, "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert "the product would hold 2537649 vertices" in err  # 1593 squared
+
+
 def test_qlo(capsys):
     code, out, _ = run(
         capsys,
@@ -521,8 +574,9 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collectin
 
     cfg = str(bundled_config_path("example_5_2"))
     argv = ["graph-check", cfg, "--pattern=+1+2+3", "--depth", "2"]
-    if outcome == 2:
-        argv += ["--checks", "bogus"]
+    if outcome == 2:  # the size guard refuses the build before listing a fiber
+        argv[-1] = "12"
+        monkeypatch.setattr(pgraphs.pgraph, "fiber", None)
     build, paused = cli._build_from_args, []
 
     def build_then(*args):

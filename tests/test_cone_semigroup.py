@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pgraphs import _intlinalg as la
+from pgraphs import cli
 from pgraphs import cone_semigroup as cs
 from pgraphs.errors import CertificationFailed, KernelNotTrivial, NotApplicable, NotInSemigroup
 from pgraphs.flat_core import make_spec, rho, scale, uniscalar_kernel
@@ -191,6 +192,119 @@ def test_is_admissible_decides_each_pattern_once():
     assert cs.is_admissible(SPEC_5_2, pattern) is first
     equal_spec = make_spec([(1, 0), (1, 1), (0, 1)], [2, 2, 2])
     assert cs.is_admissible(equal_spec, cs.SignPattern.parse("+1-2+3")) is first
+
+
+BUNDLED = ["example_5_1", "example_5_2", "example_5_3", "coprime_2_3", "moller_tree"]
+
+
+def bundled_specs():
+    """The flat specs of the packaged configs, and the rank-2 q = 4 and
+    q = 5 generator-search rungs: (1,0), (0,1) and copies of (1,1)."""
+    specs = [cli.load_config(cli.bundled_config_path(n))[0].flat_spec() for n in BUNDLED]
+    return specs + [make_spec([(1, 0), (0, 1)] + [(1, 1)] * c, [2] * (c + 2)) for c in (2, 3)]
+
+
+def assert_certificate(spec, pattern, certificate):
+    """Re-check a refusal's Gordan certificate from the spec's own rows:
+    lam >= 0, sum(lam) = d > 0 and sum lam_j (sign_j row_j) = 0."""
+    lam, d = certificate
+    signs = [1 if j + 1 in pattern.j_plus else -1 for j in range(spec.components)]
+    assert len(lam) == spec.components and all(c >= 0 for c in lam)
+    assert sum(lam) == d > 0
+    for i in range(spec.rank):
+        assert sum(c * s * row[i] for c, s, row in zip(lam, signs, spec.weights)) == 0
+
+
+def test_simplex_decides_as_min_norm_point_on_every_bundled_pattern():
+    refused = 0
+    for spec in bundled_specs():
+        for pattern in full_patterns(spec):
+            res = cs.is_admissible(spec, pattern)
+            rows = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            p = la.min_norm_point(rows)
+            assert res.admissible == any(p), (spec.weights, str(pattern))
+            if res.admissible:
+                assert res.certificate is None and res.witness == la.primitive(p)
+            else:
+                assert res.witness is None
+                assert_certificate(spec, pattern, res.certificate)
+                refused += 1
+    # example_5_2 refuses 2 of 8 patterns, the rungs 10 of 16 and 26 of 32,
+    # and the other specs admit every pattern
+    assert refused == 2 + 10 + 26
+
+
+@given(st.data())
+def test_simplex_decides_as_min_norm_point_on_degenerate_specs(data):
+    # rows that repeat, scale or negate an earlier row put several rows on
+    # one line through 0, which makes the start bases more degenerate
+    rank = data.draw(st.integers(1, 3), label="rank")
+    nonzero = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    rows = data.draw(st.lists(nonzero, min_size=1, max_size=3), label="rows")
+    for i, m in data.draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from((-2, -1, 1, 2))),
+                                   max_size=3), label="copies"):
+        rows.append(tuple(m * c for c in rows[i % len(rows)]))
+    spec = make_spec(rows, [2] * len(rows))
+    for pattern in full_patterns(spec):
+        res = cs.is_admissible(spec, pattern)
+        p = la.min_norm_point(cs.ConeSemigroup(spec, pattern).flipped_rows())
+        assert res.admissible == any(p)
+        if not res.admissible:
+            assert_certificate(spec, pattern, res.certificate)
+
+
+def random_draw(rank, q):
+    """Rows drawn uniformly from [-3, 3]^rank, zero rows redrawn, all
+    scales 2: the admissibility ladder of the benchmark records."""
+    rng = random.Random(f"7:{rank}:{q}")
+    rows = []
+    while len(rows) < q:
+        row = tuple(rng.randint(-3, 3) for _ in range(rank))
+        if any(row):
+            rows.append(row)
+    return make_spec(rows, [2] * q)
+
+
+def test_chamber_walk_on_the_rank3_q10_draw_matches_the_proved_filter():
+    # the 2^q filter is the oracle, and each of its 1024 decisions is
+    # proved on its own: a refusal by its certificate, an admission by a
+    # strict witness
+    spec = random_draw(3, 10)
+    cs.is_admissible.cache_clear()
+    walked = cs.enumerate_admissible(spec)
+    assert cs.is_admissible.cache_info().misses == 449
+    assert len(walked) == 80
+    assert walked == admissible_by_exhaustion(spec)
+    for pattern in full_patterns(spec):
+        res = cs.is_admissible(spec, pattern)
+        if res.admissible:
+            rows = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            assert all(la.dot(row, res.witness) > 0 for row in rows)
+        else:
+            assert_certificate(spec, pattern, res.certificate)
+
+
+def test_the_cli_and_the_searches_never_compute_a_witness(monkeypatch, capsys):
+    calls = []
+    min_norm_point = la.min_norm_point
+
+    def counted(points):
+        calls.append(points)
+        return min_norm_point(points)
+
+    monkeypatch.setattr(cs._intlinalg, "min_norm_point", counted)
+    cs.is_admissible.cache_clear()
+    cs.enumerate_admissible(random_draw(3, 10))
+    for spec in bundled_specs():
+        for pattern in cs.enumerate_admissible(spec):
+            cs.minimal_generators(cs.ConeSemigroup(spec, pattern))
+    for name in BUNDLED:
+        assert cli.main(["semigroups", str(cli.bundled_config_path(name))]) == 0
+    capsys.readouterr()
+    assert calls == [] and cs.is_admissible.cache_info().misses > 449
+    res = cs.is_admissible(SPEC_5_2, cs.SignPattern.parse("+1+2+3"))
+    assert res.witness == (1, 1) and res.witness == (1, 1)
+    assert len(calls) == 1  # computed when first read, then kept
 
 
 def test_enumerate_admissible_counts():

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import lcm, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pgraphs import _intlinalg as la
 
@@ -255,3 +256,61 @@ def test_image_solver_matches_the_fraction_oracle():
             assert solver.preimage(b) == want, (rows, b)
             seen["hit" if want is not None else "divisibility miss"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+# ---------------------------------------------------------------------------
+# Gordan certificates by the phase-1 simplex, against min_norm_point
+
+
+def assert_gordan_decision(points):
+    """The simplex refuses exactly when the min-norm point is 0, and each
+    refusal's certificate is checked on its own: lam >= 0, sum(lam) = d
+    > 0 and sum lam_i points_i = 0."""
+    cert = la.gordan_certificate(points)
+    assert (cert is not None) == (not any(la.min_norm_point(points))), points
+    if cert is not None:
+        lam, d = cert
+        assert len(lam) == len(points) and all(type(c) is int and c >= 0 for c in lam)
+        assert sum(lam) == d > 0
+        assert all(sum(c * p[j] for c, p in zip(lam, points)) == 0
+                   for j in range(len(points[0]))), (points, cert)
+    return cert
+
+
+def test_gordan_certificate_examples():
+    assert la.gordan_certificate([(1, 1), (-1, 0), (0, -1)]) == ((1, 1, 1), 3)
+    assert la.gordan_certificate([(2, 0), (-1, 0)]) == ((1, 2), 3)
+    assert la.gordan_certificate([(0, 0)]) == ((1,), 1)
+    assert la.gordan_certificate([(1, 2), (-2, -4), (1, 2)]) == ((2, 1, 0), 3)
+    assert la.gordan_certificate([(1, 0), (0, 1)]) is None
+    assert la.gordan_certificate([(1, -100), (-1, 101)]) is None
+
+
+def test_gordan_certificate_on_every_row_triple_of_a_small_grid():
+    # every start basis is degenerate (the right-hand side is 0 on all
+    # rows but one), and the grid holds every repeated, antipodal and
+    # collinear triple of its rows
+    rows = [r for r in product(range(-2, 3), repeat=2) if any(r)]
+    refused = sum(assert_gordan_decision(pts) is not None for pts in product(rows, repeat=3))
+    assert 0 < refused < len(rows) ** 3
+
+
+@given(st.data())
+def test_gordan_certificate_on_repeated_and_antipodal_rows(data):
+    rank = data.draw(st.integers(1, 4), label="rank")
+    row = st.tuples(*[st.integers(-3, 3)] * rank)
+    points = data.draw(st.lists(row, min_size=1, max_size=4), label="rows")
+    copies = data.draw(st.lists(st.tuples(st.integers(0, 7), st.sampled_from((-2, -1, 1, 2))),
+                                max_size=5), label="copies")
+    for i, m in copies:  # repeat, scale or negate an earlier row
+        points.append(tuple(m * c for c in points[i % len(points)]))
+    assert_gordan_decision(data.draw(st.permutations(points), label="order"))
+
+
+def test_pivot_is_the_elimination_step():
+    # two steps by hand; the second divides by the first pivot exactly,
+    # and the last entry is det = 51, a minor as Bareiss promises
+    mat = [[2, 1, 3], [4, -1, 0], [1, 5, 2]]
+    p = la._pivot(mat, 0, 0, 1)
+    assert p == 2 and mat == [[2, 1, 3], [0, -6, -12], [0, 9, 1]]
+    assert la._pivot(mat, 1, 1, p) == -6 and mat == [[-6, 0, -3], [0, -6, -12], [0, 0, 51]]

@@ -15,7 +15,7 @@ from pgraphs import cone_semigroup as cs
 from pgraphs import pgraph as pg
 from pgraphs.cli import bundled_config_path, load_config
 from pgraphs.coset_model import PadicModel, TreeModel, Vertex, caps, preimage_count, truncate
-from pgraphs.errors import CertificationFailed, LevelNotComparable, NotApplicable
+from pgraphs.errors import CertificationFailed, LevelNotComparable, NotApplicable, SliceTooLarge
 from pgraphs.flat_core import scale, uniscalar_kernel
 
 MODELS = {
@@ -257,6 +257,43 @@ def test_external_product_with_a_repeated_generator_sorts_fully():
     assert pg.check_rooted_strongly_simple(s).ok
     prod = _assert_matches_sorted_product([s, make_slice("tree3", "+1", 1)])
     assert list(prod.edges) == sorted(prod.edges)
+
+
+def test_size_guard_counts_exactly_the_vertices_it_would_build(monkeypatch):
+    # the count from the levels' caps equals the built vertex count: a
+    # limit of V builds the slice, and a limit of V - 1 refuses it with V
+    for name, pattern, depth, model, s in bundled_slices():
+        P = cs.ConeSemigroup(model.flat_spec(), pattern)
+        size = len(s.vertices)
+        monkeypatch.setattr(pg, "MAX_SLICE_VERTICES", size)
+        assert pg.build_slice(P, s.generators, model, depth) == s
+        monkeypatch.setattr(pg, "MAX_SLICE_VERTICES", size - 1)
+        with pytest.raises(SliceTooLarge) as refused:
+            pg.build_slice(P, s.generators, model, depth)
+        assert (refused.value.vertices, refused.value.limit) == (size, size - 1)
+
+
+def test_size_guard_refuses_a_huge_slice_before_listing_any_fiber(monkeypatch):
+    # about 1.1e11 vertices at depth 4; building it would exhaust memory
+    model = PadicModel(((5, (0, 1, 1)), (3, (1, -2, 0)), (3, (-1, -2, 1))))
+    P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse("-1+2+3"))
+    gens = cs.minimal_generators(P, 100)
+    monkeypatch.setattr(pg, "fiber", None)  # never called
+    start = time.perf_counter()
+    with pytest.raises(SliceTooLarge, match="would hold 107553164447 vertices") as refused:
+        pg.build_slice(P, gens, model, 4)
+    assert time.perf_counter() - start < 1.0
+    assert refused.value.limit == pg.MAX_SLICE_VERTICES
+
+
+def test_product_size_guard(monkeypatch):
+    a, b = make_slice("5_2", "+1+2+3", 2), make_slice("tree3", "+1", 3)
+    size = len(a.vertices) * len(b.vertices)
+    monkeypatch.setattr(pg, "MAX_SLICE_VERTICES", size)
+    assert len(pg.external_product([a, b]).vertices) == size
+    monkeypatch.setattr(pg, "MAX_SLICE_VERTICES", size - 1)
+    with pytest.raises(SliceTooLarge, match=f"product would hold {size} vertices"):
+        pg.external_product([a, b])
 
 
 def test_build_slice_levels_and_fibers():
