@@ -15,7 +15,6 @@ unimodular steps, not a rational solve, and has its own reduction in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -235,6 +234,8 @@ def min_norm_point(points: Sequence[Vec]) -> tuple[Fraction, ...]:
     the KKT test is (q.P) d >= P.P.  The one division is P / d, for the
     point returned.
     """
+    from fractions import Fraction  # not at module level: loads decimal, ~3 ms per CLI start
+
     pts = list(points)
     dim = len(pts[0])
     gram = [[dot(s, t) for t in pts] for s in pts]

@@ -14,12 +14,13 @@ the chambers of the hyperplane arrangement {rho_j = 0}, which puts only
 the chambers' neighbours to the test, not all 2^q patterns.  It finds
 the unique minimal generating set of an admissible cone and the minimal
 common upper bounds of a pair by one search for minimal lattice points,
-up to a depth proved from the extreme rays.  The search walks the
-images on k = rank independent rows, a simplex in Z^k, not the
-compositions of every layer in N^q.  The module also counts the steps
-that absorb an element into the cone, which proves the cone maximal.
-Search bounds only cap work; CertificationFailed names the bound a
-search needs.
+up to a depth proved from the extreme rays; `_proved_minimal_points`
+proves that depth, refuses it above the caller's bound and runs the
+search for both.  The search walks the images on k = rank independent
+rows, a simplex in Z^k, not the compositions of every layer in N^q.
+The module also counts the steps that absorb an element into the cone,
+which proves the cone maximal.  Search bounds only cap work;
+CertificationFailed names the bound a search needs.
 """
 
 from __future__ import annotations
@@ -52,11 +53,8 @@ class SignPattern:
             if j < 1:
                 raise ValueError("component indices are 1-based")
 
-    def is_full(self, components: int) -> bool:
-        return self.j_plus | self.j_minus == set(range(1, components + 1))
-
     def require_full(self, components: int) -> None:
-        if not self.is_full(components):
+        if self.j_plus | self.j_minus != set(range(1, components + 1)):
             raise NotApplicable(
                 f"pattern {self} does not cover all {components} components"
             )
@@ -363,6 +361,23 @@ def _minimal_points(
     return kept
 
 
+def _proved_minimal_points(
+    P: ConeSemigroup, base: tuple[int, ...], first: int, bound: int, need: str
+) -> tuple[int, list[tuple[tuple[int, ...], GroupElement]]]:
+    """The depth `_search_depth` proves for Q = {u : F u >= base}, F the
+    cone's flipped rows, and `_minimal_points` from offset `first` up to
+    it.  CertificationFailed names that depth, after the stem `need`,
+    when it exceeds `bound`.
+    """
+    flipped = P.flipped_rows()
+    depth = _search_depth(flipped, P.spec.rank, base)
+    if depth > bound:
+        raise CertificationFailed(
+            bound, f"{need} {depth}, above the bound {bound}; raise the bound"
+        )
+    return depth, _minimal_points(flipped, P.spec.rank, base, first, depth)
+
+
 def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
     """Minimal generating set (Hilbert basis) of the cone: the minimal
     nonzero lattice points, found by `_minimal_points` over layers 1 to
@@ -373,16 +388,9 @@ def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
         raise KernelNotTrivial("weight matrix has nontrivial kernel")
     if not is_admissible(P.spec, P.pattern).admissible:
         raise NotApplicable(f"pattern {P.pattern} is not admissible")
-    flipped = P.flipped_rows()
-    origin = (0,) * P.spec.components
-    certify_to = _search_depth(flipped, P.spec.rank, origin)
-    if certify_to > norm_bound:
-        raise CertificationFailed(
-            norm_bound,
-            f"generator set needs layer norm bound {certify_to}, "
-            f"above the bound {norm_bound}; raise the bound",
-        )
-    minimals = _minimal_points(flipped, P.spec.rank, origin, 1, certify_to)
+    certify_to, minimals = _proved_minimal_points(
+        P, (0,) * P.spec.components, 1, norm_bound, "generator set needs layer norm bound"
+    )
     max_layer = max(sum(v) for v, _ in minimals)
 
     sigma = sorted(x for _, x in minimals)
@@ -457,16 +465,9 @@ def minimal_common_upper_bounds(
         raise NotInSemigroup("both inputs must lie in the cone")
     if uniscalar_kernel(P.spec):
         raise KernelNotTrivial("cone order is not antisymmetric")
-    flipped = P.flipped_rows()
     base = tuple(map(max, P.flipped_rho(a), P.flipped_rho(b)))
-    need = _search_depth(flipped, P.spec.rank, base)
-    if need > bound:
-        raise CertificationFailed(
-            bound,
-            f"upper bounds need offset bound {need}, above the bound {bound}; "
-            "raise the bound",
-        )
-    return sorted(x for _, x in _minimal_points(flipped, P.spec.rank, base, 0, need))
+    _, minimals = _proved_minimal_points(P, base, 0, bound, "upper bounds need offset bound")
+    return sorted(x for _, x in minimals)
 
 
 # ---------------------------------------------------------------------------

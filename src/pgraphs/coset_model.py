@@ -200,12 +200,3 @@ def mixed_radix(columns, sizes) -> list[int]:
     for column, n in zip(columns, sizes):
         positions = [p * n + c for p in positions for c in column]
     return positions
-
-
-def preimage_count(model: CosetModel, x: GroupElement, y: GroupElement) -> int:
-    """Size of every truncation preimage class from level y down to x."""
-    cap_x, cap_y = _comparable_caps(model, x, y)
-    n = 1
-    for cx, cy in zip(cap_x, cap_y):
-        n *= cy // cx
-    return n

@@ -17,13 +17,9 @@ class KernelNotTrivial(PGraphsError):
 class CertificationFailed(PGraphsError):
     """Generator search could not certify completeness within the bound."""
 
-    def __init__(self, norm_bound: int, message: str = ""):
+    def __init__(self, norm_bound: int, message: str):
         self.norm_bound = norm_bound
-        text = message or (
-            f"generator set not certified within layer norm bound {norm_bound}; "
-            "raise the bound"
-        )
-        super().__init__(text)
+        super().__init__(message)
 
 
 class NonPrimeModulus(PGraphsError):

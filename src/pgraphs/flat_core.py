@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _intlinalg
 from .errors import DimensionMismatch
@@ -99,6 +98,8 @@ def scale(spec: FlatGroupSpec, x: GroupElement) -> int:
 
 def module_delta(spec: FlatGroupSpec, x: GroupElement) -> Fraction:
     """scale(x) / scale(-x), as an exact rational; multiplicative in x."""
+    from fractions import Fraction  # not at module level: loads decimal, ~3 ms per CLI start
+
     spec.check_element(x)
     return Fraction(scale(spec, x), scale(spec, _intlinalg.vneg(x)))
 

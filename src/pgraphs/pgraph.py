@@ -18,6 +18,12 @@ enumerated on the ancestor table otherwise.
 Regularity is decided by one positional isomorphism between cones when
 the rooted check passes, and by the cone matcher otherwise or where that
 map fails.  Failing slices take per-vertex paths that name every failure.
+
+Each decision has one routine.  `_generator_sums` lists the sums of at
+most D generators, for a slice's levels and for a cone's offsets;
+`_eligible_levels` picks the levels whose cone fits inside the slice,
+for both regularity routes; `_squares` lists the squares (x, gi, gj),
+for both routes of the square condition.
 """
 
 from __future__ import annotations
@@ -187,11 +193,6 @@ class PGraphSlice:
                 words.extend((gi,) + w for w in self.gen_words(nxt, y))
         return words
 
-    def step_back(self, w: int, g: int) -> int | None:
-        """The unique g-predecessor of vertex w, or None if not unique."""
-        u = self.parents[g][w]
-        return None if u == len(self.vertices) else u
-
     def walk_back(self, w: int, word: tuple[int, ...]) -> int | None:
         """Ancestor of w obtained by undoing the word's steps in reverse."""
         for g in reversed(word):
@@ -248,6 +249,16 @@ class CheckReport:
 # Construction
 
 
+def _generator_sums(gens: tuple[GroupElement, ...], rank: int, depth: int) -> set[GroupElement]:
+    """The sums of at most `depth` generators, zero among them."""
+    zero = tuple([0] * rank)
+    sums, frontier = {zero}, {zero}
+    for _ in range(depth):
+        frontier = {vadd(x, g) for x in frontier for g in gens} - sums
+        sums |= frontier
+    return sums
+
+
 def build_slice(
     P: ConeSemigroup,
     generators: GeneratorSet | tuple[GroupElement, ...] | list[GroupElement],
@@ -281,12 +292,7 @@ def build_slice(
         gens = tuple(generators.sigma)
     else:
         gens = tuple(sorted({tuple(g) for g in generators}))
-    zero = tuple([0] * P.spec.rank)
-    levels = {zero}
-    frontier = {zero}
-    for _ in range(depth):
-        frontier = {vadd(x, g) for x in frontier for g in gens} - levels
-        levels |= frontier
+    levels = _generator_sums(gens, P.spec.rank, depth)
     changed = True
     while changed:  # downward closure
         changed = False
@@ -595,13 +601,13 @@ def check_fiber_regularity(slice_: PGraphSlice) -> CheckReport:
 # Regularity via descendant cones
 
 
-def _cone_deltas(generators, depth: int) -> set:
-    deltas = {tuple([0] * len(generators[0]))} if generators else set()
-    frontier = set(deltas)
-    for _ in range(depth):
-        frontier = {vadd(d, g) for d in frontier for g in generators}
-        deltas |= frontier
-    return deltas
+def _eligible_levels(slice_: PGraphSlice, depth_d: int) -> tuple[set, list[GroupElement]]:
+    """D, the sums of at most depth_d generators, and the levels x whose
+    full depth_d cone fits inside the slice: x + delta is a level for
+    every delta in D."""
+    deltas = _generator_sums(slice_.generators, len(slice_.levels[0]), depth_d)
+    fits = [x for x in slice_.levels if all(vadd(x, d) in slice_.level_set for d in deltas)]
+    return deltas, fits
 
 
 @dataclass(frozen=True)
@@ -756,8 +762,7 @@ def check_regularity(slice_: PGraphSlice, depth_d: int) -> CheckReport:
     """
     if depth_d < 0:
         raise ValueError("depth_d must be >= 0")
-    deltas = _cone_deltas(slice_.generators, depth_d)
-    levels = [x for x in slice_.levels if all(vadd(x, d) in slice_.level_set for d in deltas)]
+    deltas, levels = _eligible_levels(slice_, depth_d)
     count = sum(len(slice_.fiber_at(x)) for x in levels)
     if count and _cones_agree_by_position(slice_, deltas, levels):
         details = (f"compared {count} cones at depth {depth_d}",)
@@ -837,12 +842,8 @@ def _regularity_by_matcher(slice_: PGraphSlice, depth_d: int) -> CheckReport:
     found first counts as the largest; it holds the first eligible
     vertex whenever that vertex's class is among the largest.
     """
-    deltas = _cone_deltas(slice_.generators, depth_d)
-    eligible = [
-        i
-        for i, v in enumerate(slice_.vertices)
-        if all(vadd(v.level, d) in slice_.level_set for d in deltas)
-    ]
+    fits = set(_eligible_levels(slice_, depth_d)[1])
+    eligible = [i for i, v in enumerate(slice_.vertices) if v.level in fits]
     if not eligible:
         return CheckReport("regularity", True, details=("no eligible vertices",))
     classes: list[tuple[DescendantCone, list[int]]] = []
@@ -929,65 +930,62 @@ def check_product_of_trees(slice_: PGraphSlice) -> ProductOfTreesResult:
     if not _passes_rooted(slice_):
         return _product_of_trees_by_edges(slice_)
     cols, fibers = slice_.step_columns, slice_.fibers
-    for x in slice_.levels:
-        for gi, gj in combinations(range(len(gens)), 2):
-            xg, xh = vadd(x, gens[gi]), vadd(x, gens[gj])
-            xgh = vadd(xg, gens[gj])
-            if not {xg, xh, xgh} <= slice_.level_set:
-                continue
-            counts = Counter(zip(cols[(xgh, gj)], cols[(xgh, gi)]))
-            parents = [cols[(xg, gi)], cols[(xh, gj)]]
-            sizes_h = Counter(parents[1])
-            siblings = sum(n * sizes_h[p] for p, n in Counter(parents[0]).items())
-            if len(counts) == len(fibers[xgh]) == siblings:
-                continue
-            edges = slice_.edges
-            if not all(map(le, edges, islice(edges, 1, None))):
-                return _product_of_trees_by_edges(slice_)
-            kids = []  # per parent position: (child, its position) along gi, then gj
-            for up, column in zip((xg, xh), parents):
-                kids.append([[] for _ in fibers[x]])
-                for q, p in enumerate(column):
-                    kids[-1][p].append((fibers[up][q], q))
-            for v in slice_.fiber_at(x):
-                p = slice_.position[v]
-                for a, qa in sorted(kids[0][p]):
-                    for b, qb in sorted(kids[1][p]):
-                        if (c := counts[(qa, qb)]) != 1:
-                            return ProductOfTreesResult(NOT_PRODUCT, (x, gi, gj, a, b, c))
+    for x, gi, gj, xg, xh, xgh in _squares(slice_):
+        counts = Counter(zip(cols[(xgh, gj)], cols[(xgh, gi)]))
+        parents = [cols[(xg, gi)], cols[(xh, gj)]]
+        sizes_h = Counter(parents[1])
+        siblings = sum(n * sizes_h[p] for p, n in Counter(parents[0]).items())
+        if len(counts) == len(fibers[xgh]) == siblings:
+            continue
+        edges = slice_.edges
+        if not all(map(le, edges, islice(edges, 1, None))):
+            return _product_of_trees_by_edges(slice_)
+        kids = []  # per parent position: (child, its position) along gi, then gj
+        for up, column in zip((xg, xh), parents):
+            kids.append([[] for _ in fibers[x]])
+            for q, p in enumerate(column):
+                kids[-1][p].append((fibers[up][q], q))
+        for v in slice_.fiber_at(x):
+            p = slice_.position[v]
+            for a, qa in sorted(kids[0][p]):
+                for b, qb in sorted(kids[1][p]):
+                    if (c := counts[(qa, qb)]) != 1:
+                        return ProductOfTreesResult(NOT_PRODUCT, (x, gi, gj, a, b, c))
     return ProductOfTreesResult(PRODUCT_OF_TREES)
 
 
 def _product_of_trees_by_edges(slice_: PGraphSlice) -> ProductOfTreesResult:
     """The square condition of a free generator set, read off `parents`
     and `succ`; see check_product_of_trees."""
-    gens = slice_.generators
+    parents, lost = slice_.parents, len(slice_.vertices)
+    for x, gi, gj, _, _, xgh in _squares(slice_):
+        counts: dict[tuple[int, int], int] = {}
+        for w in slice_.fiber_at(xgh):
+            a = parents[gj][w]  # undo gj: ancestor in fiber(xg)
+            b = parents[gi][w]  # undo gi: ancestor in fiber(xh)
+            if lost in (a, b):
+                return ProductOfTreesResult(NOT_PRODUCT, ("missing_pred", w))
+            counts[(a, b)] = counts.get((a, b), 0) + 1
+        for v in slice_.fiber_at(x):
+            for a in slice_.succ[v].get(gi, ()):
+                for b in slice_.succ[v].get(gj, ()):
+                    c = counts.get((a, b), 0)
+                    if c != 1:
+                        return ProductOfTreesResult(NOT_PRODUCT, (x, gi, gj, a, b, c))
+    return ProductOfTreesResult(PRODUCT_OF_TREES)
+
+
+def _squares(slice_: PGraphSlice) -> Iterator[tuple]:
+    """Each square (x, gi, gj) with gi < gj whose corners xg = x + g_i,
+    xh = x + g_j and xgh = xg + g_j are levels, as (x, gi, gj, xg, xh,
+    xgh), x in level order."""
+    gens, level_set = slice_.generators, slice_.level_set
     for x in slice_.levels:
         for gi, gj in combinations(range(len(gens)), 2):
             xg, xh = vadd(x, gens[gi]), vadd(x, gens[gj])
             xgh = vadd(xg, gens[gj])
-            if not (
-                xg in slice_.level_set
-                and xh in slice_.level_set
-                and xgh in slice_.level_set
-            ):
-                continue
-            counts: dict[tuple[int, int], int] = {}
-            for w in slice_.fiber_at(xgh):
-                a = slice_.step_back(w, gj)  # undo gj: ancestor in fiber(xg)
-                b = slice_.step_back(w, gi)  # undo gi: ancestor in fiber(xh)
-                if a is None or b is None:
-                    return ProductOfTreesResult(NOT_PRODUCT, ("missing_pred", w))
-                counts[(a, b)] = counts.get((a, b), 0) + 1
-            for v in slice_.fiber_at(x):
-                for a in slice_.succ[v].get(gi, ()):
-                    for b in slice_.succ[v].get(gj, ()):
-                        c = counts.get((a, b), 0)
-                        if c != 1:
-                            return ProductOfTreesResult(
-                                NOT_PRODUCT, (x, gi, gj, a, b, c)
-                            )
-    return ProductOfTreesResult(PRODUCT_OF_TREES)
+            if {xg, xh, xgh} <= level_set:
+                yield x, gi, gj, xg, xh, xgh
 
 
 def predict_product_of_trees(spec, generators) -> bool:
@@ -1008,9 +1006,7 @@ def predict_product_of_trees(spec, generators) -> bool:
     supports = [
         frozenset(j for j, r in enumerate(rho(spec, g)) if r != 0) for g in gens
     ]
-    return all(
-        not (supports[i] & supports[j]) for i, j in combinations(range(len(gens)), 2)
-    )
+    return all(not (a & b) for a, b in combinations(supports, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -1286,7 +1282,8 @@ def slice_from_json_dict(data: dict) -> PGraphSlice:
     """Rebuild a slice from exported data; generators are recovered from
     the edge labels and level differences.
 
-    Raises ValueError naming the field when the data is malformed.
+    Raises ValueError naming the field when the data is malformed,
+    including generator steps that lead from a level back to itself.
     """
     raw = {}
     for key in ("levels", "vertices", "edges"):
@@ -1333,13 +1330,18 @@ def slice_from_json_dict(data: dict) -> PGraphSlice:
     if sorted(gen_vec) != list(range(len(gen_vec))):
         raise ValueError(f"edges: generator labels {sorted(gen_vec)} are not 0..n-1")
     gens = tuple(gen_vec[g] for g in range(len(gen_vec)))
-    return PGraphSlice(
+    slice_ = PGraphSlice(
         generators=gens,
         depth=_level_depth(levels, gens),
         levels=levels,
         vertices=vertices,
         edges=tuple(edges),
     )
+    try:
+        slice_._levels_top_down
+    except NotApplicable as exc:
+        raise ValueError("edges: generator steps form a cycle among the levels") from exc
+    return slice_
 
 
 def _level_depth(levels: tuple[GroupElement, ...], gens: tuple[GroupElement, ...]) -> int:

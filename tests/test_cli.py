@@ -368,6 +368,14 @@ def test_product_rejects_malformed_slices(capsys, tmp_path):
             },
             "vertices[2]: duplicates vertices[1]",
         ),
+        (  # generator steps (1,) and (-1,): a cycle of levels
+            {
+                "levels": [{"x": [0], "size": 1}, {"x": [1], "size": 1}],
+                "vertices": [{"level": [0], "residues": []}, {"level": [1], "residues": [0]}],
+                "edges": [{"from": 0, "to": 1, "gen": 0}, {"from": 1, "to": 0, "gen": 1}],
+            },
+            "edges: generator steps form a cycle",
+        ),
     ]
     bad = tmp_path / "bad.json"
     for payload, name in cases:
@@ -558,11 +566,11 @@ def test_one_parser_serves_a_usage_error_and_then_valid_commands(capsys, tmp_pat
 def test_cli_import_does_not_load_networkx():
     src = str(Path(pgraphs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, pgraphs.cli; print('networkx' in sys.modules)"
+    code = "import sys, pgraphs.cli; print([m for m in ('networkx', 'fractions') if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 

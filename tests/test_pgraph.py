@@ -14,7 +14,7 @@ import pytest
 from pgraphs import cone_semigroup as cs
 from pgraphs import pgraph as pg
 from pgraphs.cli import bundled_config_path, load_config
-from pgraphs.coset_model import PadicModel, TreeModel, Vertex, caps, preimage_count, truncate
+from pgraphs.coset_model import PadicModel, TreeModel, Vertex, caps, truncate
 from pgraphs.errors import CertificationFailed, LevelNotComparable, NotApplicable, SliceTooLarge
 from pgraphs.flat_core import scale, uniscalar_kernel
 
@@ -306,6 +306,17 @@ def test_build_slice_levels_and_fibers():
 def test_build_slice_depth_zero():
     s = make_slice("5_2", "+1+2+3", 0)
     assert len(s.vertices) == 1 and not s.edges
+    # with no generators, the sums of at most d generators are {0} at every d
+    P = cs.ConeSemigroup(MODELS["tree3"].flat_spec(), cs.SignPattern.of((1,), ()))
+    bare = pg.PGraphSlice((), 0, ((0,),), (Vertex((0,), ()),), ())
+    for t in (bare, pg.build_slice(P, [], MODELS["tree3"], 2)):
+        assert len(t.vertices) == 1 and not t.edges
+        for d in range(3):
+            assert pg.check_regularity(t, d) == pg._regularity_by_matcher(t, d)
+            assert pg.check_regularity(t, d).details == (f"compared 1 cones at depth {d}",)
+        assert pg.check_rooted_strongly_simple(t).ok and pg.check_factorization(t).ok
+        assert pg.check_fiber_regularity(t).ok
+        assert pg.check_product_of_trees(t).status == pg.PRODUCT_OF_TREES
 
 
 def test_build_slice_5_3_fiber():
@@ -1083,8 +1094,8 @@ def test_common_descendants_examples():
     assert pg.common_descendants(s, a, b, (1, 1)) == 2
     assert pg.common_descendants(s, a, Vertex((0, 1), (0, 0, 1)), (1, 1)) == 0
     root = s.vertices[s.root_index]
-    assert pg.common_descendants(s, root, b, (1, 1)) == preimage_count(
-        MODELS["5_2"], (0, 1), (1, 1)
+    assert pg.common_descendants(s, root, b, (1, 1)) == math.prod(
+        cy // cx for cx, cy in zip(caps(MODELS["5_2"], (0, 1)), caps(MODELS["5_2"], (1, 1)))
     )
     with pytest.raises(LevelNotComparable):
         pg.common_descendants(s, a, b, (1, 0))
@@ -1349,6 +1360,9 @@ def test_json_round_trip():
         (lambda d: d["levels"][0].update(size="two"), "levels[0].size: 'two', want 1"),
         (lambda d: d["levels"][2].pop("size"), "levels[2].size"),
         (lambda d: d["levels"][2].update(x=d["levels"][1]["x"]), "levels[2].x: duplicates levels[1]"),
+        # a step back down, and a zero step: generator steps that close a cycle of levels
+        (lambda d: d["edges"].append({"from": 1, "to": 0, "gen": 2}), "edges: generator steps"),
+        (lambda d: d["edges"].append({"from": 0, "to": 0, "gen": 2}), "edges: generator steps"),
     ],
 )
 def test_json_import_names_bad_field(edit, field):
