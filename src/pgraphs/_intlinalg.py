@@ -8,9 +8,10 @@ tableau.  Both take their steps with `_pivot`, whose entries stay
 integers and whose every division is exact.  A rational solution comes
 back as integer numerators over one positive denominator, and a caller
 divides by it once, if at all: `min_norm_point` and `primitive` are the
-only places that build Fractions.  The integer kernel lattice needs
-unimodular steps, not a rational solve, and has its own reduction in
-`kernel_basis`.
+only places that build Fractions.  The integer kernel lattice and the
+coset box of a lattice (`kernel_basis`, `hermite_diagonal`) need
+unimodular steps, not a rational solve, and share their own reduction,
+`_echelon`.
 """
 
 from __future__ import annotations
@@ -125,38 +126,66 @@ def solve_scaled(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[l
     return (y, d) if d > 0 else ([-c for c in y], -d)
 
 
-def kernel_basis(rows: Sequence[Vec], ncols: int) -> list[Vec]:
-    """Basis of the integer kernel lattice {x in Z^ncols : (rows) x = 0}.
+def _echelon(mat: list[list[int]], ncols: int) -> None:
+    """Row echelon form of the first `ncols` columns by unimodular row
+    steps (swaps and integer multiples of one row subtracted from
+    another), in place; any later columns ride along.
 
-    Row-reduces the transpose with unimodular operations; transform rows
-    hitting zero form a lattice basis (not merely a rational one).
+    In each column the row of least nonzero magnitude at or below the
+    pivots found so far becomes the pivot, and every row below it is
+    reduced modulo it, until only the pivot is nonzero there.  The steps
+    are invertible over the integers, so the rows span the same lattice
+    throughout.
     """
-    # A = transpose(rows): ncols rows of length len(rows); track U with U*A = H.
-    nr = len(rows)
-    a = [[rows[j][i] for j in range(nr)] for i in range(ncols)]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     row = 0
-    for col in range(nr):
+    for col in range(ncols):
         while True:
-            live = [i for i in range(row, ncols) if a[i][col] != 0]
+            live = [i for i in range(row, len(mat)) if mat[i][col] != 0]
             if not live:
                 break
-            piv = min(live, key=lambda i: abs(a[i][col]))
-            a[row], a[piv] = a[piv], a[row]
-            u[row], u[piv] = u[piv], u[row]
+            piv = min(live, key=lambda i: abs(mat[i][col]))
+            mat[row], mat[piv] = mat[piv], mat[row]
+            prow = mat[row]
             done = True
-            for i in range(row + 1, ncols):
-                if a[i][col] != 0:
-                    q = a[i][col] // a[row][col]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[row])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[row])]
-                    if a[i][col] != 0:
-                        done = False
+            for i in range(row + 1, len(mat)):
+                if mat[i][col] != 0:
+                    q = mat[i][col] // prow[col]
+                    mat[i] = [x - q * y for x, y in zip(mat[i], prow)]
+                    done = done and mat[i][col] == 0
             if done:
                 row += 1
                 break
-    basis = [tuple(u[i]) for i in range(ncols) if all(v == 0 for v in a[i])]
+
+
+def kernel_basis(rows: Sequence[Vec], ncols: int) -> list[Vec]:
+    """Basis of the integer kernel lattice {x in Z^ncols : (rows) x = 0}.
+
+    Row-reduces the transpose, with the identity alongside, by `_echelon`;
+    the transform rows whose transpose part reaches zero form a lattice
+    basis (not merely a rational one).
+    """
+    nr = len(rows)
+    mat = [[row[i] for row in rows] + [int(i == j) for j in range(ncols)] for i in range(ncols)]
+    _echelon(mat, nr)
+    basis = [tuple(r[nr:]) for r in mat if not any(r[:nr])]
     return sorted(_sign_normal(b) for b in basis)
+
+
+def hermite_diagonal(vectors: Sequence[Vec]) -> list[int]:
+    """|h_11|, ..., |h_kk| for a triangular basis h_1, ..., h_k of the
+    lattice L spanned by k independent vectors of Z^k.
+
+    `_echelon` turns the vectors into such a basis, h_i zero before
+    coordinate i.  The box of y with 0 <= y_i < |h_ii| holds exactly one
+    point of each coset of L in Z^k: reducing coordinate 1 by h_1, then
+    coordinate 2 by h_2, and so on, brings any point into the box, and
+    two box points differ by no nonzero point of L, whose first nonzero
+    coefficient c_i on the h_i would give a coordinate i of magnitude at
+    least |h_ii|.  So the product is [Z^k : L] = |det|.
+    """
+    mat = [list(v) for v in vectors]
+    _echelon(mat, len(mat))
+    return [abs(row[i]) for i, row in enumerate(mat)]
 
 
 def _sign_normal(v: Vec) -> Vec:
@@ -264,6 +293,20 @@ def primitive(v: Sequence[Fraction]) -> Vec:
     return tuple(c // g for c in ints)
 
 
+def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(A, d) with M A = d I and d = |det M| > 0, for a nonsingular
+    square integer matrix M: A = d M^-1 is the adjugate of M up to sign.
+
+    One `_eliminate` of [M | I] leaves the last pivot, det M up to sign,
+    times I on the left and the same multiple of M^-1 on the right.
+    """
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    _, det = _eliminate(aug, n)
+    sign = 1 if det > 0 else -1
+    return [[sign * c for c in row[n:]] for row in aug], sign * det
+
+
 class ImageSolver:
     """Solves B x = b for x in Z^k, with B the greedy independent rows of a
     matrix W (q x k) of full column rank.
@@ -271,20 +314,16 @@ class ImageSolver:
     B is invertible, so the image W x is fixed by its coordinates B x.  A
     caller can walk candidate coordinates b, solve B x = b, and form W x
     from each integral x.  At construction the solver eliminates [B | I]
-    once, which leaves d I on the left and d B^-1, the integer adjugate
-    of B up to sign, on the right.  A solve is then an integer
-    matrix-vector product and one exact-division test by d > 0.
+    once (`adjugate`), which gives d B^-1, the integer adjugate of B up
+    to sign.  A solve is then an integer matrix-vector product and one
+    exact-division test by d > 0.
     """
 
     def __init__(self, rows: Sequence[Vec], ncols: int):
         self.basis_idx = independent_row_indices(rows)
         if len(self.basis_idx) != ncols:
             raise ValueError("matrix does not have full column rank")
-        aug = [list(rows[i]) + [int(i == j) for j in self.basis_idx] for i in self.basis_idx]
-        _, det = _eliminate(aug, ncols)
-        sign = 1 if det > 0 else -1
-        self._det = sign * det
-        self._adj = [[sign * c for c in row[ncols:]] for row in aug]
+        self._adj, self._det = adjugate([rows[i] for i in self.basis_idx])
 
     def preimage(self, b: Sequence[int]) -> Vec | None:
         """The integer x with B x = b, or None when adj(B) b is not

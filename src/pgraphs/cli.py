@@ -10,8 +10,8 @@ Subcommands::
     product      external product of previously exported slices
 
 Exit status: 0 all checks pass, 1 check failure (witness printed),
-2 usage or config error.  Output files and stdout are deterministic for
-identical inputs.
+2 usage, config or slice error.  Output files and stdout are
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -293,17 +293,22 @@ def cmd_qlo(args) -> int:
     return EXIT_OK
 
 
+class _SliceError(PGraphsError):
+    """An exported slice file cannot be read or imported; the message
+    names the file and the field."""
+
+
 def cmd_product(args) -> int:
     factors = []
     for path in args.slices:
         try:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read slice {path}: {exc}") from exc
+            raise _SliceError(f"{path}: cannot read: {exc}") from exc
         try:
             factors.append(pg.slice_from_json_dict(data))
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise _SliceError(f"{path}: {exc}") from exc
     try:
         slice_ = pg.external_product(factors)
     except SliceTooLarge as exc:
@@ -389,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _SliceError as exc:
+        print(f"slice error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CertificationFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)

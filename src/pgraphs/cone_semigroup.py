@@ -13,11 +13,17 @@ witness is computed only when it is read) and lists them by a walk over
 the chambers of the hyperplane arrangement {rho_j = 0}, which puts only
 the chambers' neighbours to the test, not all 2^q patterns.  It finds
 the unique minimal generating set of an admissible cone and the minimal
-common upper bounds of a pair by one search for minimal lattice points,
-up to a depth proved from the extreme rays; `_proved_minimal_points`
-proves that depth, refuses it above the caller's bound and runs the
-search for both.  The search walks the images on k = rank independent
-rows, a simplex in Z^k, not the compositions of every layer in N^q.
+common upper bounds of a pair as minimal lattice points, up to a depth
+proved from the extreme rays; `_proved_minimal_points` proves that depth,
+refuses it above the caller's bound and runs the search for both.  The
+rays come from kernel lines computed once per weight matrix, which
+every chamber of it shares.  The generating set, the Hilbert basis, is
+read off the rays: a rank-3 cone with more than three rays is cut into
+a fan of simplicial cones, and the candidates are the rays and the
+lattice points of each simplicial cone's half-open parallelepiped, one
+per coset of the lattice its rays span.  The upper bounds, and the
+generators of a non-simplicial cone of rank 4 or more, come from a walk
+over the images on k = rank independent rows, a simplex in Z^k.
 The module also counts the steps that absorb an element into the cone,
 which proves the cone maximal.  Search bounds only cap work;
 CertificationFailed names the bound a search needs.
@@ -28,7 +34,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice, product
 from math import gcd
 from operator import add, ge, mul, sub
 
@@ -259,19 +265,44 @@ class GeneratorSet:
     certified_layer: int = field(default=0, compare=False)
 
 
-def _ray_bound(flipped: tuple[GroupElement, ...], rank: int) -> int:
-    """Sum of the `rank` largest layer norms sum(F r) of the extreme rays
-    r of the pointed cone {x : F x >= 0}: the primitive kernel vectors of
-    rank-1 independent rows on which F takes one sign."""
-    norms = {}  # sign-normalised ray -> layer norm
-    for tight in combinations(flipped, rank - 1):
+@functools.cache
+def _kernel_lines(rows: tuple[GroupElement, ...], rank: int) -> tuple[GroupElement, ...]:
+    """The distinct kernel lines, each as its sign-normalised primitive
+    vector, of the rank - 1 element subsets of `rows` whose kernel in
+    Z^rank has rank 1.  Negating a row leaves its kernel as it is, so
+    callers pass their rows up to sign, and every chamber of a spec
+    shares one computation.
+    """
+    found = {}
+    for tight in combinations(rows, rank - 1):
         kernel = _intlinalg.kernel_basis(tight, rank)
-        if len(kernel) != 1:
-            continue
-        values = [_intlinalg.dot(row, kernel[0]) for row in flipped]
-        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
-            norms[kernel[0]] = abs(sum(values))
-    return sum(sorted(norms.values(), reverse=True)[:rank])
+        if len(kernel) == 1:
+            found[kernel[0]] = None
+    return tuple(found)
+
+
+@functools.cache
+def _extreme_rays(
+    flipped: tuple[GroupElement, ...], rank: int
+) -> tuple[tuple[GroupElement, int], ...]:
+    """The extreme rays r of the pointed cone {x : F x >= 0}, each as its
+    primitive vector oriented into the cone, with its layer sum(F r):
+    the kernel lines of rank - 1 independent rows on which F takes one
+    sign.  Kept for each F, so the depth and the Hilbert basis of one
+    cone read it once."""
+    rays = []
+    for line in _kernel_lines(tuple(max(row, _intlinalg.vneg(row)) for row in flipped), rank):
+        values = [sum(map(mul, row, line)) for row in flipped]
+        if min(values) >= 0:
+            rays.append((line, sum(values)))
+        elif max(values) <= 0:
+            rays.append((_intlinalg.vneg(line), -sum(values)))
+    return tuple(rays)
+
+
+def _ray_bound(flipped: tuple[GroupElement, ...], rank: int) -> int:
+    """Sum of the `rank` largest layers of the extreme rays."""
+    return sum(sorted((layer for _, layer in _extreme_rays(flipped, rank)), reverse=True)[:rank])
 
 
 def _search_depth(flipped: tuple[GroupElement, ...], rank: int, base: tuple[int, ...]) -> int:
@@ -353,6 +384,19 @@ def _minimal_points(
             v = tuple([sum(map(mul, row, x)) for row in flipped])
             if lowest <= (layer := sum(v)) <= highest and all(map(ge, v, base)):
                 found.append((layer, v, x))
+    return _least(found)
+
+
+def _least(
+    found: list[tuple[int, tuple[int, ...], GroupElement]]
+) -> list[tuple[tuple[int, ...], GroupElement]]:
+    """The (image, point) pairs of the triples (layer, image, point) whose
+    image dominates no image kept before it, in (layer, image) order.
+
+    Two distinct images of one layer never dominate each other, so a
+    point is kept exactly when its image dominates no kept image of a
+    lower layer; a repeated point dominates its first copy.
+    """
     found.sort()
     kept: list[tuple[tuple[int, ...], GroupElement]] = []
     for _, v, x in found:
@@ -361,28 +405,117 @@ def _minimal_points(
     return kept
 
 
+def _simplicial_fan(
+    rays: tuple[GroupElement, ...], rank: int
+) -> list[tuple[GroupElement, ...]] | None:
+    """Simplicial cones, as tuples of `rank` independent rays, that cover
+    the pointed cone spanned by the extreme `rays`; None for a
+    non-simplicial cone of rank 4 or more.
+
+    A cone with `rank` rays is simplicial.  A rank-3 cone's section is a
+    convex polygon with the rays as vertices: seen from the first ray, the
+    others lie within an angle below pi, and no two lie on one line with
+    it, so the sign of det(first, a, b) orders them, exactly in integers.
+    The triangles of the first ray with consecutive others cover the
+    polygon (a fan).
+    """
+    if len(rays) == rank:
+        return [rays]
+    if rank != 3:
+        return None
+    first, *rim = rays
+
+    def det(a, b):
+        return _intlinalg.dot(first, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                                      a[0] * b[1] - a[1] * b[0]))
+
+    rim.sort(key=functools.cmp_to_key(lambda a, b: -det(a, b)))
+    return [(first, a, b) for a, b in zip(rim, rim[1:])]
+
+
+def _parallelepiped_points(cone: tuple[GroupElement, ...]) -> list[GroupElement]:
+    """The nonzero lattice points of the half-open parallelepiped
+    {sum lam_i r_i : 0 <= lam_i < 1} of k independent rays r_i in Z^k.
+
+    With R the matrix whose columns are the rays, there is one such point
+    in each coset of R Z^k other than R Z^k itself, |det R| - 1 in all.
+    The box of `hermite_diagonal` lists one representative y of each
+    coset.  With (A, d) = `adjugate`(R), lam = A y / d is y's coordinate
+    vector on the rays, and y - R floor(lam) is the coset's point: its
+    coordinates are the fractional parts of lam.  The zero coset's box
+    point is y = 0, listed first, and a unimodular cone has no other.
+    """
+    box = _intlinalg.hermite_diagonal(cone)
+    if max(box) == 1:
+        return []
+    columns = list(zip(*cone))
+    adj, d = _intlinalg.adjugate(columns)
+    points = []
+    for y in islice(product(*map(range, box)), 1, None):
+        shift = [sum(map(mul, row, y)) // d for row in adj]
+        points.append(tuple(c - sum(map(mul, row, shift)) for c, row in zip(y, columns)))
+    return points
+
+
+def _hilbert_basis(
+    flipped: tuple[GroupElement, ...], rank: int
+) -> list[tuple[tuple[int, ...], GroupElement]] | None:
+    """The Hilbert basis of the pointed cone {u : F u >= 0}, as (F u, u)
+    pairs in (layer, image) order like `_minimal_points`, found among the
+    extreme rays and the parallelepiped points of a simplicial fan; None
+    when `_simplicial_fan` gives none.
+
+    Every nonzero lattice point u lies in a cone of the fan, u = sum
+    lam_i r_i, and u - sum floor(lam_i) r_i is a point of that cone's
+    half-open parallelepiped.  An irreducible u equals that point, or,
+    when the point is 0, one ray.  So the candidates hold the Hilbert
+    basis, and `_least` keeps exactly it: a reducible candidate lies
+    above a basis element of a lower layer, and a basis element above
+    none.  Each candidate is a sum of at most `rank` rays with
+    coefficients below 1, or a ray, so its layer is at most the ray
+    bound.  (Bruns and Koch, Univ. Iagel. Acta Math. 39, 2001.)
+    """
+    rays = _extreme_rays(flipped, rank)
+    fan = _simplicial_fan(tuple(r for r, _ in rays), rank)
+    if fan is None:
+        return None
+    found = [(layer, tuple([sum(map(mul, row, r)) for row in flipped]), r) for r, layer in rays]
+    for cone in fan:
+        for x in _parallelepiped_points(cone):
+            v = tuple([sum(map(mul, row, x)) for row in flipped])
+            found.append((sum(v), v, x))
+    return _least(found)
+
+
 def _proved_minimal_points(
     P: ConeSemigroup, base: tuple[int, ...], first: int, bound: int, need: str
 ) -> tuple[int, list[tuple[tuple[int, ...], GroupElement]]]:
     """The depth `_search_depth` proves for Q = {u : F u >= base}, F the
-    cone's flipped rows, and `_minimal_points` from offset `first` up to
-    it.  CertificationFailed names that depth, after the stem `need`,
-    when it exceeds `bound`.
+    cone's flipped rows, and the minimal points of Q from offset `first`
+    up to it.  CertificationFailed names that depth, after the stem
+    `need`, when it exceeds `bound`.  The nonzero minimal points of the
+    cone itself (base 0, first 1) come from `_hilbert_basis` where it
+    applies, and every other search from `_minimal_points`.
     """
     flipped = P.flipped_rows()
-    depth = _search_depth(flipped, P.spec.rank, base)
+    rank = P.spec.rank
+    depth = _search_depth(flipped, rank, base)
     if depth > bound:
         raise CertificationFailed(
             bound, f"{need} {depth}, above the bound {bound}; raise the bound"
         )
-    return depth, _minimal_points(flipped, P.spec.rank, base, first, depth)
+    if first and not any(base) and (basis := _hilbert_basis(flipped, rank)) is not None:
+        return depth, basis
+    return depth, _minimal_points(flipped, rank, base, first, depth)
 
 
 def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
     """Minimal generating set (Hilbert basis) of the cone: the minimal
-    nonzero lattice points, found by `_minimal_points` over layers 1 to
-    `_search_depth` with base 0, which proves that none lies higher.
-    CertificationFailed names that depth when it exceeds `norm_bound`.
+    nonzero lattice points, none above the ray bound `_search_depth`
+    proves with base 0, found by `_hilbert_basis` or, for a
+    non-simplicial cone of rank 4 or more, by `_minimal_points` over
+    layers 1 to that depth.  CertificationFailed names that depth when
+    it exceeds `norm_bound`.
     """
     if uniscalar_kernel(P.spec):
         raise KernelNotTrivial("weight matrix has nontrivial kernel")

@@ -14,6 +14,7 @@ kernel) is derived from that formula with exact integer arithmetic.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from . import _intlinalg
@@ -126,6 +127,12 @@ def uniscalar_kernel(spec: FlatGroupSpec) -> list[GroupElement]:
     """Basis of the integer kernel lattice of the weight matrix.
 
     Empty iff the weight matrix is injective on Z^rank.  Elements of this
-    lattice are exactly those x with scale(x) = scale(-x) = 1.
+    lattice are exactly those x with scale(x) = scale(-x) = 1.  The basis
+    is reduced once per spec; each call returns a fresh list.
     """
-    return _intlinalg.kernel_basis(spec.weights, spec.rank)
+    return list(_kernel_of(spec))
+
+
+@functools.cache
+def _kernel_of(spec: FlatGroupSpec) -> tuple[GroupElement, ...]:
+    return tuple(_intlinalg.kernel_basis(spec.weights, spec.rank))

@@ -377,11 +377,18 @@ def test_product_rejects_malformed_slices(capsys, tmp_path):
             "edges: generator steps form a cycle",
         ),
     ]
+    cases.append(({"levels": 3}, "levels: array required"))
     bad = tmp_path / "bad.json"
     for payload, name in cases:
         bad.write_text(json.dumps(payload))
         code, _, err = run(capsys, "product", str(bad), "--out", str(tmp_path / "p.json"))
-        assert code == 2 and name in err
+        assert code == 2 and err.startswith(f"slice error: {bad}: ") and name in err
+    for text in (None, "{"):  # a missing file, and one that is not JSON
+        bad.unlink(missing_ok=True)
+        if text is not None:
+            bad.write_text(text)
+        code, _, err = run(capsys, "product", str(bad), "--out", str(tmp_path / "p.json"))
+        assert code == 2 and err.startswith(f"slice error: {bad}: cannot read: ")
 
 
 def _config(tmp_path, name, payload):

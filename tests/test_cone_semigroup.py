@@ -3,11 +3,12 @@ import random
 import subprocess
 import sys
 from itertools import combinations, product
-from math import comb
-from operator import add, ge
+from math import comb, gcd
+from operator import add, ge, sub
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pgraphs import _intlinalg as la
 from pgraphs import cli
@@ -700,12 +701,23 @@ def test_search_depth_at_base_zero_skips_only_the_vertex_solves():
     assert {spec.rank for spec, _ in cones} == {2, 3}
 
 
+def route_counts(cone):
+    """(extreme rays, parallelepiped points) that the ray route lists as
+    candidates for a cone's Hilbert basis."""
+    rank = cone.spec.rank
+    rays = tuple(r for r, _ in cs._extreme_rays(cone.flipped_rows(), rank))
+    fan = cs._simplicial_fan(rays, rank)
+    return len(rays), sum(len(cs._parallelepiped_points(c)) for c in fan)
+
+
 def test_searches_solve_a_pinned_number_of_images(monkeypatch):
-    # The benchmark's preimage call count and hit ratio measure the
-    # search's work only while the solver is asked the same questions in
-    # the same order; pin both on the rank2_q5 ladder rung and the smoke
-    # qlo pair, whatever kernel answers them.  The walk asks one question
-    # per point of the simplex {t in N^k : sum(t) <= depth}.
+    # The benchmark's preimage call count and hit ratio measure the walk's
+    # work only while the solver is asked the same questions in the same
+    # order; pin both on the smoke qlo pair, whatever kernel answers them.
+    # The walk asks one question per point of the simplex
+    # {t in N^k : sum(t) <= depth}.  The generator search asks none: on
+    # the rank2_q5 ladder rung its candidates are the 12 extreme rays of
+    # 6 unimodular cones, which have no other parallelepiped points.
     counts = {"calls": 0, "hits": 0}
     preimage = cs._intlinalg.ImageSolver.preimage
 
@@ -720,9 +732,9 @@ def test_searches_solve_a_pinned_number_of_images(monkeypatch):
     patterns = cs.enumerate_admissible(spec)
     gens = [cs.minimal_generators(cs.ConeSemigroup(spec, p)) for p in patterns]
     assert (len(patterns), sum(len(g.sigma) for g in gens)) == (6, 12)
-    assert counts == {"calls": 202, "hits": 202}
-    assert counts["calls"] == sum(comb(g.certified_layer + 2, 2) for g in gens)
-    counts.update(calls=0, hits=0)
+    assert counts == {"calls": 0, "hits": 0}
+    routes = [route_counts(cs.ConeSemigroup(spec, p)) for p in patterns]
+    assert tuple(map(sum, zip(*routes))) == (12, 0)
     cone = P(SPEC_5_3, "+1+2")
     assert cs.minimal_common_upper_bounds(cone, (1, -1), (1, 1), 4) == [(2, 0)]
     assert counts == {"calls": 15, "hits": 9}
@@ -731,16 +743,167 @@ def test_searches_solve_a_pinned_number_of_images(monkeypatch):
 
 def test_long_ray_rank3_cone_is_certified_at_its_depth():
     # a long ray: a walk over the compositions of layers 1..54 in N^4 asks
-    # C(58, 4) - 1 = 424269 questions here, the simplex walk C(57, 3) = 29260
+    # C(58, 4) - 1 = 424269 questions here, the simplex walk C(57, 3) =
+    # 29260; the ray route lists its 4 rays and the 117 parallelepiped
+    # points of a fan of 2 simplicial cones
     spec = make_spec([(-1, 0, 2), (0, -2, 1), (2, -2, -1), (2, 1, 0)], [2] * 4)
     cone = P(spec, "+1-2-3+4")
     g = cs.minimal_generators(cone, 54)
     assert (len(g.sigma), g.certified_layer, g.max_layer) == (15, 54, 20)
+    assert route_counts(cone) == (4, 117)
     want = minimal_points_by_compositions(cone.flipped_rows(), (0,) * 4, 1, 54)
     assert g.sigma == tuple(sorted(x for _, x in want))
     assert g.max_layer == max(sum(v) for v, _ in want)
     with pytest.raises(CertificationFailed, match="54"):
         cs.minimal_generators(cone)
+
+
+def generator_fields(g):
+    """Every field of a GeneratorSet, with the two that `==` skips."""
+    return (g.sigma, g.sigma_plus, g.sigma_zero, g.sigma_minus, g.max_layer, g.certified_layer)
+
+
+def walked_generators(cone, bound):
+    """`minimal_generators` with the simplex walk in place of the ray route."""
+    with mock.patch.object(cs, "_hilbert_basis", lambda flipped, rank: None):
+        return cs.minimal_generators(cone, bound)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_ray_route_matches_the_walk_and_the_compositions(data):
+    # rank 1 and 2 cones are simplicial; four rows of rank 3 give fans of
+    # one or two simplicial cones, and four independent rows of rank 4 a
+    # simplicial cone
+    rank = data.draw(st.integers(1, 4), label="rank")
+    w = (3, 3, 1, 1)[rank - 1]
+    row = st.tuples(*[st.integers(-w, w)] * rank).filter(any)
+    rows = data.draw(st.lists(row, min_size=max(rank, 4 * (rank > 2)), max_size=4), label="rows")
+    spec = make_spec(rows, [2] * len(rows))
+    assume(not uniscalar_kernel(spec))
+    pattern = data.draw(st.sampled_from(cs.enumerate_admissible(spec)), label="pattern")
+    cone = cs.ConeSemigroup(spec, pattern)
+    flipped = cone.flipped_rows()
+    depth = cs._ray_bound(flipped, rank)
+    assume(depth <= 20)
+    got = cs.minimal_generators(cone, depth)
+    assert generator_fields(got) == generator_fields(walked_generators(cone, depth))
+    want = minimal_points_by_compositions(flipped, (0,) * len(rows), 1, depth)
+    sigma = tuple(sorted(x for _, x in want))
+    signs = [rho(spec, x) for x in sigma]
+    assert generator_fields(got) == (
+        sigma,
+        tuple(x for x, r in zip(sigma, signs) if min(r) >= 0),
+        tuple(x for x, r in zip(sigma, signs) if min(r) < 0 < max(r)),
+        tuple(x for x, r in zip(sigma, signs) if max(r) <= 0),
+        max(sum(v) for v, _ in want),
+        depth,
+    )
+
+
+def test_nonsimplicial_rank4_cone_stays_on_the_walk(monkeypatch):
+    # the cone over a square: x3 >= 0 and |x1|, |x2| <= x4, with the rays
+    # (+-1, +-1, 0, 1) and (0, 0, 1, 0)
+    spec = make_spec([(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 0)],
+                     [2] * 5)
+    cone = P(spec, "+1+2+3+4+5")
+    flipped = cone.flipped_rows()
+    rays = tuple(r for r, _ in cs._extreme_rays(flipped, 4))
+    assert len(rays) == 5 and cs._simplicial_fan(rays, 4) is None
+    asked = []
+    preimage = cs._intlinalg.ImageSolver.preimage
+    monkeypatch.setattr(cs._intlinalg.ImageSolver, "preimage",
+                        lambda self, b: asked.append(b) or preimage(self, b))
+    g = cs.minimal_generators(cone)
+    assert g.certified_layer == 16 and len(asked) == comb(16 + 4, 4)
+    want = minimal_points_by_compositions(flipped, (0,) * 5, 1, 16)
+    assert g.sigma == tuple(sorted(x for _, x in want))
+    # the nine lattice points of the square at x4 = 1, and (0, 0, 1, 0)
+    assert len(g.sigma) == 10 and set(rays) < set(g.sigma)
+
+
+def rays_by_cross_products(flipped):
+    """Extreme rays of a rank-3 cone {x : F x >= 0}: the primitive cross
+    products of two rows on which F takes one sign, oriented into it."""
+    rays = set()
+    for a, b in combinations(flipped, 2):
+        c = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        if any(c):
+            c = tuple(x // gcd(*c) for x in c)
+            values = [la.dot(row, c) for row in flipped]
+            if min(values) >= 0 or max(values) <= 0:
+                rays.add(c if min(values) >= 0 else tuple(-x for x in c))
+    return sorted(rays)
+
+
+def fan_by_facets(flipped, rays):
+    """Triangles covering a rank-3 cone, fanned from its first ray along
+    the cycle of its facets: two rays are neighbours when one row vanishes
+    on both."""
+    cycle = [rays[0]]
+    while len(cycle) < len(rays):
+        cycle.append(next(r for r in rays if r not in cycle and any(
+            la.dot(row, cycle[-1]) == 0 == la.dot(row, r) for row in flipped)))
+    return [(cycle[0], a, b) for a, b in zip(cycle[1:], cycle[2:])]
+
+
+def parallelepiped_by_group(cone):
+    """Nonzero lattice points of the half-open parallelepiped of three
+    independent rays: the group Z^3 / R Z^3, each class reduced to its
+    fractional coordinates on the rays, generated from the unit vectors."""
+    mat = [list(col) for col in zip(*cone)]
+
+    def reduced(x):
+        y, d = la.solve_scaled(mat, x)
+        return tuple(c - sum(mat[j][i] * (y[i] // d) for i in range(3)) for j, c in enumerate(x))
+
+    seen, todo = {(0, 0, 0)}, [(0, 0, 0)]
+    while todo:
+        x = todo.pop()
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            z = reduced(tuple(map(add, x, e)))
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    assert len(seen) == la.solve_scaled(mat, (0, 0, 0))[1]  # |det R| classes
+    return seen - {(0, 0, 0)}
+
+
+def test_rank3_q10_draw_is_certified_at_bound_500():
+    # every cone refuses at the default bound 16 and needs depth 148..474,
+    # where the simplex walk would ask 3.3e8 questions over the 80; each
+    # basis is checked by code apart from the route: no element lies above
+    # another, and the rays and the parallelepiped points of a fan of
+    # triangles along the facets are sums of basis elements
+    spec = random_draw(3, 10)
+    patterns = cs.enumerate_admissible(spec)
+    candidates, fans = [0, 0], 0
+    for pattern in patterns:
+        cone = cs.ConeSemigroup(spec, pattern)
+        g = cs.minimal_generators(cone, 500)
+        assert 148 <= g.certified_layer <= 474
+        flipped = cone.flipped_rows()
+        image = lambda x: tuple(la.dot(row, x) for row in flipped)  # noqa: E731
+        basis = [image(x) for x in g.sigma]
+        assert not any(a != b and all(map(ge, a, b)) for a in basis for b in basis)
+        sums = {}
+
+        def generated(v):
+            if not any(v):
+                return True
+            if v not in sums:
+                sums[v] = any(min(w) >= 0 and generated(w)
+                              for b in basis for w in [tuple(map(sub, v, b))])
+            return sums[v]
+
+        rays = rays_by_cross_products(flipped)
+        points = list(rays)
+        for triangle in fan_by_facets(flipped, rays):
+            points += parallelepiped_by_group(triangle)
+        assert all(generated(image(x)) for x in points)
+        candidates = list(map(add, candidates, route_counts(cone)))
+        fans += len(cs._simplicial_fan(tuple(rays), 3)) > 1
+    assert (len(patterns), candidates, fans) == (80, [292, 5338], 48)
 
 
 def test_minimal_common_upper_bounds_requires_membership():

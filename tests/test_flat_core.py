@@ -111,6 +111,9 @@ def test_uniscalar_kernel_examples():
     assert uniscalar_kernel(SPEC_5_3) == []
     degenerate = make_spec([(1, 0), (1, 0)], [2, 2])
     assert uniscalar_kernel(degenerate) == [(0, 1)]
+    # the basis is reduced once per spec, and every call gets its own list
+    uniscalar_kernel(degenerate).append((9, 9))
+    assert uniscalar_kernel(degenerate) == [(0, 1)]
 
 
 @given(

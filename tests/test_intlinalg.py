@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 from math import lcm, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pgraphs import _intlinalg as la
 
@@ -135,6 +135,22 @@ def test_kernel_basis():
     assert len(basis) == 2
     for b in basis:
         assert sum(b) == 0
+
+
+@given(st.data())
+def test_hermite_box_holds_one_point_of_each_coset(data):
+    k = data.draw(st.integers(1, 3), label="k")
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * k), min_size=k, max_size=k),
+                        label="vectors")
+    assume(la.rational_rank(vectors) == k)
+    columns = [list(c) for c in zip(*vectors)]  # the vectors as columns
+    adj, d = la.adjugate(columns)
+    assert d > 0 and all(la.dot(row, col) == d * (i == j)
+                         for i, row in enumerate(columns) for j, col in enumerate(zip(*adj)))
+    # y and z share a coset exactly when A (y - z) is divisible by d
+    box = la.hermite_diagonal(vectors)
+    classes = {tuple(la.dot(row, y) % d for row in adj) for y in product(*map(range, box))}
+    assert prod(box) == d == len(classes)
 
 
 def test_zero_in_convex_hull():
