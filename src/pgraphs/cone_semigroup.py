@@ -14,16 +14,15 @@ the chambers of the hyperplane arrangement {rho_j = 0}, which puts only
 the chambers' neighbours to the test, not all 2^q patterns.  It finds
 the unique minimal generating set of an admissible cone and the minimal
 common upper bounds of a pair as minimal lattice points, up to a depth
-proved from the extreme rays; `_proved_minimal_points` proves that depth,
-refuses it above the caller's bound and runs the search for both.  The
-rays come from kernel lines computed once per weight matrix, which
-every chamber of it shares.  The generating set, the Hilbert basis, is
-read off the rays: a rank-3 cone with more than three rays is cut into
-a fan of simplicial cones, and the candidates are the rays and the
-lattice points of each simplicial cone's half-open parallelepiped, one
-per coset of the lattice its rays span.  The upper bounds, and the
-generators of a non-simplicial cone of rank 4 or more, come from a walk
-over the images on k = rank independent rows, a simplex in Z^k.
+proved from the extreme rays; `_proved_depth` proves that depth and
+refuses it above the caller's bound.  The rays come from kernel lines
+computed once per weight matrix, which every chamber of it shares.  The
+generating set, the Hilbert basis, is read off the rays at every rank:
+a pulling triangulation cuts the cone into a fan of simplicial cones,
+and the candidates are the rays and the lattice points of each
+simplicial cone's half-open parallelepiped, one per coset of the
+lattice its rays span.  The upper bounds come from a walk over the
+images on k = rank independent rows, a simplex in Z^k.
 The module also counts the steps that absorb an element into the cone,
 which proves the cone maximal.  Search bounds only cap work;
 CertificationFailed names the bound a search needs.
@@ -344,19 +343,19 @@ def _search_depth(flipped: tuple[GroupElement, ...], rank: int, base: tuple[int,
 
 
 def _minimal_points(
-    flipped: tuple[GroupElement, ...], rank: int, base: tuple[int, ...], first: int, last: int
+    flipped: tuple[GroupElement, ...], rank: int, base: tuple[int, ...], last: int
 ) -> list[tuple[tuple[int, ...], GroupElement]]:
     """Minimal lattice points of Q = {u : F u >= base} with offsets
-    sum(F u) - sum(base) in first..last, as (image F u, u) pairs in layer
+    sum(F u) - sum(base) up to `last`, as (image F u, u) pairs in layer
     order, lexicographic on the image within a layer.
 
     The walk runs over the k = rank coordinates b = F_B u of the image on
     the independent rows B that `ImageSolver` picks, not over the whole
     image in N^q.  It takes every t = b - base_B in the simplex
     {t in N^k : sum(t) <= last} and keeps b when B x = b has an integer
-    solution x with v = F x >= base and an offset sum(v) - sum(base) in
-    range.  The kept points are exactly the lattice points of Q in the
-    offset range, so their minimal points are the ones sought:
+    solution x with v = F x >= base and an offset sum(v) - sum(base) of
+    at most `last`.  The kept points are exactly the lattice points of Q
+    in that range, so their minimal points are the ones sought:
 
     * A lattice point u of Q with offset at most `last` has t >= 0 and
       sum(t) <= offset <= last, because the coordinates of F u - base off
@@ -369,20 +368,20 @@ def _minimal_points(
     and the slack last + k - c_k (stars and bars), so b_i is
     (base_B)_i - 1 + c_i - c_{i-1}.  The walk asks C(last + k, k)
     questions, against C(last + q, q) for the compositions of the layers
-    0..last of the image (one fewer when first > 0), and q >= k.  The
-    kept points are sorted by (layer, image).  Two images of one layer
-    never dominate each other, so a point is minimal exactly when its
-    image dominates no kept image of a lower layer.
+    0..last of the image, and q >= k.  The kept points are sorted by
+    (layer, image).  Two images of one layer never dominate each other,
+    so a point is minimal exactly when its image dominates no kept image
+    of a lower layer.
     """
     solver = _intlinalg.ImageSolver(flipped, rank)
     low = tuple(base[i] - 1 for i in solver.basis_idx)
-    lowest, highest = sum(base) + first, sum(base) + last
+    highest = sum(base) + last
     found = []
     for bars in combinations(range(1, last + rank + 1), rank):
         x = solver.preimage(tuple(map(sub, map(add, low, bars), (0,) + bars)))
         if x is not None:
             v = tuple([sum(map(mul, row, x)) for row in flipped])
-            if lowest <= (layer := sum(v)) <= highest and all(map(ge, v, base)):
+            if (layer := sum(v)) <= highest and all(map(ge, v, base)):
                 found.append((layer, v, x))
     return _least(found)
 
@@ -406,31 +405,35 @@ def _least(
 
 
 def _simplicial_fan(
-    rays: tuple[GroupElement, ...], rank: int
-) -> list[tuple[GroupElement, ...]] | None:
-    """Simplicial cones, as tuples of `rank` independent rays, that cover
-    the pointed cone spanned by the extreme `rays`; None for a
-    non-simplicial cone of rank 4 or more.
+    rays: tuple[GroupElement, ...], flipped: tuple[GroupElement, ...], dim: int
+) -> list[tuple[GroupElement, ...]]:
+    """Simplicial cones, as tuples of `dim` independent rays, that cover
+    the `dim`-dimensional face of {x : F x >= 0} spanned by the extreme
+    `rays`: its pulling triangulation from the first ray r (De Loera,
+    Rambau and Santos, Triangulations, 2010, sec. 4.3).
 
-    A cone with `rank` rays is simplicial.  A rank-3 cone's section is a
-    convex polygon with the rays as vertices: seen from the first ray, the
-    others lie within an angle below pi, and no two lie on one line with
-    it, so the sign of det(first, a, b) orders them, exactly in integers.
-    The triangles of the first ray with consecutive others cover the
-    polygon (a fan).
+    A cone with `dim` rays is simplicial.  Otherwise a point x of the
+    cone moves along -r, and leaves the cone as it is pointed, at some
+    y = x - t r with t >= 0.  The smallest face through y misses r, or
+    y - e r would stay in it, so one of the facets through y misses r:
+    the cones of r over the fans of the facets that miss r cover the
+    cone.  A facet is the face on which one row of F vanishes, spanned
+    by the rays on which the row vanishes when they have rank dim - 1,
+    and the row is positive on r exactly when the facet misses r.  The
+    facets of a face are faces too, so F serves every level, and each
+    facet keeps the order of the rays.
     """
-    if len(rays) == rank:
+    if len(rays) == dim:
         return [rays]
-    if rank != 3:
-        return None
-    first, *rim = rays
-
-    def det(a, b):
-        return _intlinalg.dot(first, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                                      a[0] * b[1] - a[1] * b[0]))
-
-    rim.sort(key=functools.cmp_to_key(lambda a, b: -det(a, b)))
-    return [(first, a, b) for a, b in zip(rim, rim[1:])]
+    first = rays[0]
+    facets = {}
+    for row in flipped:
+        if _intlinalg.dot(row, first) > 0:
+            facet = tuple(r for r in rays if not _intlinalg.dot(row, r))
+            if facet not in facets and _intlinalg.rational_rank(facet) == dim - 1:
+                facets[facet] = None
+    return [(first,) + cone for facet in facets
+            for cone in _simplicial_fan(facet, flipped, dim - 1)]
 
 
 def _parallelepiped_points(cone: tuple[GroupElement, ...]) -> list[GroupElement]:
@@ -459,11 +462,10 @@ def _parallelepiped_points(cone: tuple[GroupElement, ...]) -> list[GroupElement]
 
 def _hilbert_basis(
     flipped: tuple[GroupElement, ...], rank: int
-) -> list[tuple[tuple[int, ...], GroupElement]] | None:
+) -> list[tuple[tuple[int, ...], GroupElement]]:
     """The Hilbert basis of the pointed cone {u : F u >= 0}, as (F u, u)
     pairs in (layer, image) order like `_minimal_points`, found among the
-    extreme rays and the parallelepiped points of a simplicial fan; None
-    when `_simplicial_fan` gives none.
+    extreme rays and the parallelepiped points of a simplicial fan.
 
     Every nonzero lattice point u lies in a cone of the fan, u = sum
     lam_i r_i, and u - sum floor(lam_i) r_i is a point of that cone's
@@ -476,54 +478,42 @@ def _hilbert_basis(
     bound.  (Bruns and Koch, Univ. Iagel. Acta Math. 39, 2001.)
     """
     rays = _extreme_rays(flipped, rank)
-    fan = _simplicial_fan(tuple(r for r, _ in rays), rank)
-    if fan is None:
-        return None
     found = [(layer, tuple([sum(map(mul, row, r)) for row in flipped]), r) for r, layer in rays]
-    for cone in fan:
+    for cone in _simplicial_fan(tuple(r for r, _ in rays), flipped, rank):
         for x in _parallelepiped_points(cone):
             v = tuple([sum(map(mul, row, x)) for row in flipped])
             found.append((sum(v), v, x))
     return _least(found)
 
 
-def _proved_minimal_points(
-    P: ConeSemigroup, base: tuple[int, ...], first: int, bound: int, need: str
-) -> tuple[int, list[tuple[tuple[int, ...], GroupElement]]]:
-    """The depth `_search_depth` proves for Q = {u : F u >= base}, F the
-    cone's flipped rows, and the minimal points of Q from offset `first`
-    up to it.  CertificationFailed names that depth, after the stem
-    `need`, when it exceeds `bound`.  The nonzero minimal points of the
-    cone itself (base 0, first 1) come from `_hilbert_basis` where it
-    applies, and every other search from `_minimal_points`.
-    """
-    flipped = P.flipped_rows()
-    rank = P.spec.rank
+def _proved_depth(
+    flipped: tuple[GroupElement, ...], rank: int, base: tuple[int, ...], bound: int, need: str
+) -> int:
+    """The depth `_search_depth` proves for Q = {u : F u >= base}.
+    CertificationFailed names it, after the stem `need`, when it exceeds
+    `bound`."""
     depth = _search_depth(flipped, rank, base)
     if depth > bound:
         raise CertificationFailed(
             bound, f"{need} {depth}, above the bound {bound}; raise the bound"
         )
-    if first and not any(base) and (basis := _hilbert_basis(flipped, rank)) is not None:
-        return depth, basis
-    return depth, _minimal_points(flipped, rank, base, first, depth)
+    return depth
 
 
 def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
     """Minimal generating set (Hilbert basis) of the cone: the minimal
-    nonzero lattice points, none above the ray bound `_search_depth`
-    proves with base 0, found by `_hilbert_basis` or, for a
-    non-simplicial cone of rank 4 or more, by `_minimal_points` over
-    layers 1 to that depth.  CertificationFailed names that depth when
-    it exceeds `norm_bound`.
+    nonzero lattice points, found by `_hilbert_basis` at every rank, none
+    above the ray bound `_search_depth` proves with base 0.
+    CertificationFailed names that depth when it exceeds `norm_bound`.
     """
     if uniscalar_kernel(P.spec):
         raise KernelNotTrivial("weight matrix has nontrivial kernel")
     if not is_admissible(P.spec, P.pattern).admissible:
         raise NotApplicable(f"pattern {P.pattern} is not admissible")
-    certify_to, minimals = _proved_minimal_points(
-        P, (0,) * P.spec.components, 1, norm_bound, "generator set needs layer norm bound"
-    )
+    flipped, rank = P.flipped_rows(), P.spec.rank
+    certify_to = _proved_depth(flipped, rank, (0,) * P.spec.components, norm_bound,
+                               "generator set needs layer norm bound")
+    minimals = _hilbert_basis(flipped, rank)
     max_layer = max(sum(v) for v, _ in minimals)
 
     sigma = sorted(x for _, x in minimals)
@@ -590,17 +580,18 @@ def minimal_common_upper_bounds(
 
     The upper bounds are the lattice points of Q = {u : F u >= base}, base
     the component-wise maximum of the flipped images of a and b, so they
-    are `_minimal_points` from offset 0 up to `_search_depth`, which
-    proves that none lies higher.  CertificationFailed names that offset
-    when it exceeds `bound`.
+    are `_minimal_points` up to the offset `_search_depth` proves, above
+    which none lies.  CertificationFailed names that offset when it
+    exceeds `bound`.
     """
     if not (P.contains(a) and P.contains(b)):
         raise NotInSemigroup("both inputs must lie in the cone")
     if uniscalar_kernel(P.spec):
         raise KernelNotTrivial("cone order is not antisymmetric")
     base = tuple(map(max, P.flipped_rho(a), P.flipped_rho(b)))
-    _, minimals = _proved_minimal_points(P, base, 0, bound, "upper bounds need offset bound")
-    return sorted(x for _, x in minimals)
+    flipped, rank = P.flipped_rows(), P.spec.rank
+    depth = _proved_depth(flipped, rank, base, bound, "upper bounds need offset bound")
+    return sorted(x for _, x in _minimal_points(flipped, rank, base, depth))
 
 
 # ---------------------------------------------------------------------------

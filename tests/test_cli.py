@@ -68,6 +68,14 @@ def test_semigroups_tree(capsys):
     assert "3^(n1)" in out
 
 
+def test_semigroups_square_rank4_golden(capsys):
+    # five rows of rank 4 around the cone over a square: 12 of the 28
+    # admissible cones are not simplicial
+    code, out, _ = run(capsys, "semigroups", str(GOLDEN_DIR / "square_rank4.json"))
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / "square_rank4.txt").read_bytes()
+
+
 def test_graph_build_deterministic(capsys, tmp_path):
     cfg = str(bundled_config_path("example_5_3"))
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

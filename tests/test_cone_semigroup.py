@@ -389,7 +389,7 @@ def test_walk_asks_for_the_simplex_points_in_bar_order(monkeypatch):
         basis = [0] + list(range(2, k + 1))
         for base in ((0,) * (k + 1), tuple(range(k + 1, 0, -1))):
             asked.clear()
-            assert cs._minimal_points(flipped, k, base, 0, 8) == []
+            assert cs._minimal_points(flipped, k, base, 8) == []
             want = [
                 tuple(base[i] + c for i, c in zip(basis, t))
                 for t in product(range(9), repeat=k)
@@ -405,10 +405,9 @@ def test_simplex_walk_matches_the_composition_walk():
         flipped = P(spec, text).flipped_rows()
         q = spec.components
         for base in ((0,) * q, tuple(rng.randint(0, 3) for _ in range(q))):
-            first = 0 if any(base) else 1
             last = min(cs._search_depth(flipped, spec.rank, base), 9)
-            got = cs._minimal_points(flipped, spec.rank, base, first, last)
-            assert got == minimal_points_by_compositions(flipped, base, first, last), (
+            got = cs._minimal_points(flipped, spec.rank, base, last)
+            assert got == minimal_points_by_compositions(flipped, base, 0, last), (
                 spec.weights, text, base)
     assert {spec.rank for spec, _ in cones} == {2, 3}
 
@@ -704,9 +703,9 @@ def test_search_depth_at_base_zero_skips_only_the_vertex_solves():
 def route_counts(cone):
     """(extreme rays, parallelepiped points) that the ray route lists as
     candidates for a cone's Hilbert basis."""
-    rank = cone.spec.rank
-    rays = tuple(r for r, _ in cs._extreme_rays(cone.flipped_rows(), rank))
-    fan = cs._simplicial_fan(rays, rank)
+    rank, flipped = cone.spec.rank, cone.flipped_rows()
+    rays = tuple(r for r, _ in cs._extreme_rays(flipped, rank))
+    fan = cs._simplicial_fan(rays, flipped, rank)
     return len(rays), sum(len(cs._parallelepiped_points(c)) for c in fan)
 
 
@@ -763,32 +762,39 @@ def generator_fields(g):
     return (g.sigma, g.sigma_plus, g.sigma_zero, g.sigma_minus, g.max_layer, g.certified_layer)
 
 
-def walked_generators(cone, bound):
-    """`minimal_generators` with the simplex walk in place of the ray route."""
-    with mock.patch.object(cs, "_hilbert_basis", lambda flipped, rank: None):
-        return cs.minimal_generators(cone, bound)
+def draw_cone(data):
+    """A drawn cone of rank 1 to 5.  Ranks 1 and 2 are simplicial.  Four
+    or five rows of rank 3 or 4, distinct up to sign, may give a
+    non-simplicial cone; five rows of rank 5 give a simplicial one."""
+    rank = data.draw(st.integers(1, 5), label="rank")
+    w = (3, 3, 1, 1, 1)[rank - 1]
+    row = st.tuples(*[st.integers(-w, w)] * rank).filter(any)
+    up_to_sign = (lambda r: max(r, la.vneg(r))) if rank > 2 else None
+    rows = data.draw(st.lists(row, min_size=max(rank, 4 * (rank > 2)),
+                              max_size=4 + (rank > 2), unique_by=up_to_sign),
+                     label="rows")
+    spec = make_spec(rows, [2] * len(rows))
+    assume(not uniscalar_kernel(spec))
+    pattern = data.draw(st.sampled_from(cs.enumerate_admissible(spec)), label="pattern")
+    return cs.ConeSemigroup(spec, pattern)
+
+
+def no_walk(*args):
+    raise AssertionError("the generator search walked")
 
 
 @settings(max_examples=200)
 @given(st.data())
-def test_ray_route_matches_the_walk_and_the_compositions(data):
-    # rank 1 and 2 cones are simplicial; four rows of rank 3 give fans of
-    # one or two simplicial cones, and four independent rows of rank 4 a
-    # simplicial cone
-    rank = data.draw(st.integers(1, 4), label="rank")
-    w = (3, 3, 1, 1)[rank - 1]
-    row = st.tuples(*[st.integers(-w, w)] * rank).filter(any)
-    rows = data.draw(st.lists(row, min_size=max(rank, 4 * (rank > 2)), max_size=4), label="rows")
-    spec = make_spec(rows, [2] * len(rows))
-    assume(not uniscalar_kernel(spec))
-    pattern = data.draw(st.sampled_from(cs.enumerate_admissible(spec)), label="pattern")
-    cone = cs.ConeSemigroup(spec, pattern)
+def test_ray_route_matches_the_compositions(data):
+    cone = draw_cone(data)
+    spec, rank = cone.spec, cone.spec.rank
     flipped = cone.flipped_rows()
     depth = cs._ray_bound(flipped, rank)
-    assume(depth <= 20)
-    got = cs.minimal_generators(cone, depth)
-    assert generator_fields(got) == generator_fields(walked_generators(cone, depth))
-    want = minimal_points_by_compositions(flipped, (0,) * len(rows), 1, depth)
+    assume(depth <= (20 if spec.components <= 4 else 14))
+    with mock.patch.object(cs, "_minimal_points", no_walk), \
+            mock.patch.object(cs._intlinalg.ImageSolver, "preimage", no_walk):
+        got = cs.minimal_generators(cone, depth)
+    want = minimal_points_by_compositions(flipped, (0,) * spec.components, 1, depth)
     sigma = tuple(sorted(x for _, x in want))
     signs = [rho(spec, x) for x in sigma]
     assert generator_fields(got) == (
@@ -801,7 +807,27 @@ def test_ray_route_matches_the_walk_and_the_compositions(data):
     )
 
 
-def test_nonsimplicial_rank4_cone_stays_on_the_walk(monkeypatch):
+@settings(max_examples=100)
+@given(st.data())
+def test_pulling_fan_covers_the_cone(data):
+    # every fan cone is spanned by `rank` independent extreme rays, and
+    # every lattice point of the cone in a box has nonnegative
+    # coordinates on the rays of some fan cone
+    cone = draw_cone(data)
+    rank, flipped = cone.spec.rank, cone.flipped_rows()
+    rays = tuple(r for r, _ in cs._extreme_rays(flipped, rank))
+    fan = cs._simplicial_fan(rays, flipped, rank)
+    assert (fan == [rays]) if len(rays) == rank else (len(fan) > 1)
+    columns = []
+    for simplex in fan:
+        assert len(simplex) == rank and set(simplex) <= set(rays)
+        assert la.rational_rank(simplex) == rank
+        columns.append([list(col) for col in zip(*simplex)])
+    for x in brute_cone_points(cone, 2 if rank <= 4 else 1):
+        assert any(min(la.solve_scaled(mat, x)[0]) >= 0 for mat in columns), (fan, x)
+
+
+def test_nonsimplicial_rank4_cone_takes_the_ray_route(monkeypatch):
     # the cone over a square: x3 >= 0 and |x1|, |x2| <= x4, with the rays
     # (+-1, +-1, 0, 1) and (0, 0, 1, 0)
     spec = make_spec([(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 0)],
@@ -809,13 +835,15 @@ def test_nonsimplicial_rank4_cone_stays_on_the_walk(monkeypatch):
     cone = P(spec, "+1+2+3+4+5")
     flipped = cone.flipped_rows()
     rays = tuple(r for r, _ in cs._extreme_rays(flipped, 4))
-    assert len(rays) == 5 and cs._simplicial_fan(rays, 4) is None
+    fan = cs._simplicial_fan(rays, flipped, 4)
+    assert len(rays) == 5 and len(fan) == 2
+    assert [len(cs._parallelepiped_points(c)) for c in fan] == [3, 3]
     asked = []
     preimage = cs._intlinalg.ImageSolver.preimage
     monkeypatch.setattr(cs._intlinalg.ImageSolver, "preimage",
                         lambda self, b: asked.append(b) or preimage(self, b))
     g = cs.minimal_generators(cone)
-    assert g.certified_layer == 16 and len(asked) == comb(16 + 4, 4)
+    assert g.certified_layer == 16 and asked == []
     want = minimal_points_by_compositions(flipped, (0,) * 5, 1, 16)
     assert g.sigma == tuple(sorted(x for _, x in want))
     # the nine lattice points of the square at x4 = 1, and (0, 0, 1, 0)
@@ -902,7 +930,7 @@ def test_rank3_q10_draw_is_certified_at_bound_500():
             points += parallelepiped_by_group(triangle)
         assert all(generated(image(x)) for x in points)
         candidates = list(map(add, candidates, route_counts(cone)))
-        fans += len(cs._simplicial_fan(tuple(rays), 3)) > 1
+        fans += len(cs._simplicial_fan(tuple(rays), flipped, 3)) > 1
     assert (len(patterns), candidates, fans) == (80, [292, 5338], 48)
 
 
