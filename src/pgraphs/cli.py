@@ -45,11 +45,9 @@ def bundled_config_path(name: str) -> Path:
 def load_config(path: str | Path):
     """Parse and validate a model config; returns (model, defaults)."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        data = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
@@ -303,7 +301,7 @@ def cmd_product(args) -> int:
     for path in args.slices:
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise _SliceError(f"{path}: cannot read: {exc}") from exc
         try:
             factors.append(pg.slice_from_json_dict(data))

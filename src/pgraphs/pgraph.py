@@ -17,13 +17,15 @@ runs on both.  Factorization is proved from a passing rooted check and
 enumerated on the ancestor table otherwise.
 Regularity is decided by one positional isomorphism between cones when
 the rooted check passes, and by the cone matcher otherwise or where that
-map fails.  Failing slices take per-vertex paths that name every failure.
+map fails.  The square condition reads the step columns of a slice that
+passes the rooted check; any other slice is not a product of trees.
+Failing slices take per-vertex paths that name every failure.
 
 Each decision has one routine.  `_generator_sums` lists the sums of at
 most D generators, for a slice's levels and for a cone's offsets;
 `_eligible_levels` picks the levels whose cone fits inside the slice,
-for both regularity routes; `_squares` lists the squares (x, gi, gj),
-for both routes of the square condition.
+for both regularity routes; `_squares` lists the squares (x, gi, gj)
+of the square condition, which is decided on step columns alone.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import chain, combinations, groupby, islice, product, repeat
+from itertools import chain, combinations, groupby, product, repeat
 from math import prod
-from operator import attrgetter, itemgetter, le
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
 from ._intlinalg import rational_rank, vadd, vsub
@@ -118,17 +120,21 @@ class PGraphSlice:
         return tuple([lost if u is None else u for u in row] + [lost] for row in rows)
 
     @cached_property
+    def vertex_levels(self) -> list[GroupElement | None]:
+        """Each vertex's level, by index, then None for the lost marker."""
+        return [*map(attrgetter("level"), self.vertices), None]
+
+    @cached_property
     def step_columns(self) -> dict[tuple[GroupElement, int], tuple[int, ...] | None]:
         """cols[(y, gi)][i] is the position in fibers[y - g] of the
         g-predecessor of fibers[y][i], for each level y and generator g
         with y - g a level.  The column is None when some vertex over y
         has no g-edge in, several, or one from off level y - g."""
-        level = [*map(attrgetter("level"), self.vertices), None]  # the lost marker's is None
         out: dict[tuple[GroupElement, int], tuple[int, ...] | None] = {}
         for x, steps in self.level_steps.items():
             for gi, y in steps:
                 us = list(map(self.parents[gi].__getitem__, self.fibers[y]))
-                if set(map(level.__getitem__, us)) <= {x}:
+                if set(map(self.vertex_levels.__getitem__, us)) <= {x}:
                     out[(y, gi)] = tuple(map(self.position.__getitem__, us))
                 else:
                     out[(y, gi)] = None
@@ -249,14 +255,17 @@ class CheckReport:
 # Construction
 
 
-def _generator_sums(gens: tuple[GroupElement, ...], rank: int, depth: int) -> set[GroupElement]:
-    """The sums of at most `depth` generators, zero among them."""
+def _generator_sums(gens: tuple[GroupElement, ...], rank: int, depth: int) -> Iterator[set]:
+    """The sums of at most `depth` generators, one layer at a time: {0},
+    then for k = 1, ..., depth the sums of k generators that are not sums
+    of fewer."""
     zero = tuple([0] * rank)
     sums, frontier = {zero}, {zero}
     for _ in range(depth):
+        yield frontier
         frontier = {vadd(x, g) for x in frontier for g in gens} - sums
         sums |= frontier
-    return sums
+    yield frontier
 
 
 def build_slice(
@@ -292,7 +301,7 @@ def build_slice(
         gens = tuple(generators.sigma)
     else:
         gens = tuple(sorted({tuple(g) for g in generators}))
-    levels = _generator_sums(gens, P.spec.rank, depth)
+    levels = set().union(*_generator_sums(gens, P.spec.rank, depth))
     changed = True
     while changed:  # downward closure
         changed = False
@@ -384,7 +393,7 @@ def _rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
         return CheckReport("rooted_strongly_simple", False, (str(exc),))
 
     gens, vertices, edges = slice_.generators, slice_.vertices, slice_.edges
-    level = list(map(attrgetter("level"), vertices)).__getitem__
+    level = slice_.vertex_levels.__getitem__
     sources, targets, labels = (map(itemgetter(k), edges) for k in range(3))
     steps = set(zip(map(level, sources), map(level, targets), labels))
     bad = {(x, y, gi) for x, y, gi in steps if not 0 <= gi < len(gens) or vsub(y, x) != gens[gi]}
@@ -523,7 +532,7 @@ def _factorization_by_enumeration(slice_: PGraphSlice) -> CheckReport:
     failures: list[str] = []
     witnesses: list = []
     table, position, lost = slice_.ancestor_table, slice_.position, len(slice_.vertices)
-    level = [*map(attrgetter("level"), slice_.vertices), None]  # the lost marker's is None
+    level = slice_.vertex_levels
     for x in slice_.levels:
         for y in slice_.reachable[x]:
             to_x = table[(x, y)]
@@ -604,9 +613,16 @@ def check_fiber_regularity(slice_: PGraphSlice) -> CheckReport:
 def _eligible_levels(slice_: PGraphSlice, depth_d: int) -> tuple[set, list[GroupElement]]:
     """D, the sums of at most depth_d generators, and the levels x whose
     full depth_d cone fits inside the slice: x + delta is a level for
-    every delta in D."""
-    deltas = _generator_sums(slice_.generators, len(slice_.levels[0]), depth_d)
-    fits = [x for x in slice_.levels if all(vadd(x, d) in slice_.level_set for d in deltas)]
+    every delta in D.  The levels are filtered one layer of D at a time,
+    and the listing stops once none is left, so a depth_d beyond the
+    slice costs no more than the slice's own depth; D is then partial,
+    but with no level left it is not read."""
+    deltas, fits = set(), list(slice_.levels)
+    for layer in _generator_sums(slice_.generators, len(slice_.levels[0]), depth_d):
+        deltas |= layer
+        fits = [x for x in fits if all(vadd(x, d) in slice_.level_set for d in layer)]
+        if not fits:
+            break
     return deltas, fits
 
 
@@ -913,23 +929,26 @@ def check_product_of_trees(slice_: PGraphSlice) -> ProductOfTreesResult:
 
     A generator set with rational relations cannot give a product of
     trees at all; that is reported separately as not_free_semigroup.
+    A product of trees is rooted and strongly simple, so a slice that
+    fails the rooted check is not_product, with witness ("not_rooted",).
+    A level cycle would count as such a failure, but its steps sum to
+    zero, a relation among the generators, so it is not_free_semigroup.
 
-    On a slice that passes the rooted check the test reads step columns.
-    Each w over x + g + h has a = pred_h(w) over x + g and b = pred_g(w)
-    over x + h, and by part (c) both have the parent anc(w, x): (a, b)
-    is a pair of siblings.  So every sibling pair has exactly one common
-    child exactly when the w's pairs are distinct and as many as the
-    sibling pairs.  Where that fails, the witness is named in successor
-    order, which on sorted edges is vertex order; a slice with unsorted
-    edges, or one that fails the rooted check, runs the test on its
-    edges.
+    Every other slice is decided on step columns.  Each w over x + g + h
+    has a = pred_h(w) over x + g and b = pred_g(w) over x + h, and by
+    part (c) both have the parent anc(w, x): (a, b) is a pair of
+    siblings.  So every sibling pair has exactly one common child
+    exactly when the w's pairs are distinct and as many as the sibling
+    pairs.  Where that fails, the witness (x, gi, gj, a, b, count) names
+    the first failing (v, a, b) in vertex-index order, whatever the
+    order of the edges.
     """
     gens = slice_.generators
     if gens and rational_rank(gens) < len(gens):
         return ProductOfTreesResult(NOT_FREE)
     if not _passes_rooted(slice_):
-        return _product_of_trees_by_edges(slice_)
-    cols, fibers = slice_.step_columns, slice_.fibers
+        return ProductOfTreesResult(NOT_PRODUCT, ("not_rooted",))
+    cols, fibers, position = slice_.step_columns, slice_.fibers, slice_.position
     for x, gi, gj, xg, xh, xgh in _squares(slice_):
         counts = Counter(zip(cols[(xgh, gj)], cols[(xgh, gi)]))
         parents = [cols[(xg, gi)], cols[(xh, gj)]]
@@ -937,40 +956,15 @@ def check_product_of_trees(slice_: PGraphSlice) -> ProductOfTreesResult:
         siblings = sum(n * sizes_h[p] for p, n in Counter(parents[0]).items())
         if len(counts) == len(fibers[xgh]) == siblings:
             continue
-        edges = slice_.edges
-        if not all(map(le, edges, islice(edges, 1, None))):
-            return _product_of_trees_by_edges(slice_)
-        kids = []  # per parent position: (child, its position) along gi, then gj
-        for up, column in zip((xg, xh), parents):
-            kids.append([[] for _ in fibers[x]])
-            for q, p in enumerate(column):
-                kids[-1][p].append((fibers[up][q], q))
+        kids = [[[] for _ in fibers[x]] for _ in parents]  # per parent position: its children
+        for kids_at, up, column in zip(kids, (xg, xh), parents):  # along gi, then gj
+            for a in slice_.fiber_at(up):  # in vertex-index order
+                kids_at[column[position[a]]].append(a)
         for v in slice_.fiber_at(x):
-            p = slice_.position[v]
-            for a, qa in sorted(kids[0][p]):
-                for b, qb in sorted(kids[1][p]):
-                    if (c := counts[(qa, qb)]) != 1:
-                        return ProductOfTreesResult(NOT_PRODUCT, (x, gi, gj, a, b, c))
-    return ProductOfTreesResult(PRODUCT_OF_TREES)
-
-
-def _product_of_trees_by_edges(slice_: PGraphSlice) -> ProductOfTreesResult:
-    """The square condition of a free generator set, read off `parents`
-    and `succ`; see check_product_of_trees."""
-    parents, lost = slice_.parents, len(slice_.vertices)
-    for x, gi, gj, _, _, xgh in _squares(slice_):
-        counts: dict[tuple[int, int], int] = {}
-        for w in slice_.fiber_at(xgh):
-            a = parents[gj][w]  # undo gj: ancestor in fiber(xg)
-            b = parents[gi][w]  # undo gi: ancestor in fiber(xh)
-            if lost in (a, b):
-                return ProductOfTreesResult(NOT_PRODUCT, ("missing_pred", w))
-            counts[(a, b)] = counts.get((a, b), 0) + 1
-        for v in slice_.fiber_at(x):
-            for a in slice_.succ[v].get(gi, ()):
-                for b in slice_.succ[v].get(gj, ()):
-                    c = counts.get((a, b), 0)
-                    if c != 1:
+            p = position[v]
+            for a in kids[0][p]:
+                for b in kids[1][p]:
+                    if (c := counts[(position[a], position[b])]) != 1:
                         return ProductOfTreesResult(NOT_PRODUCT, (x, gi, gj, a, b, c))
     return ProductOfTreesResult(PRODUCT_OF_TREES)
 

@@ -175,7 +175,7 @@ def test_ladder_checks_take_the_pass_paths(monkeypatch):
     monkeypatch.setattr(pg.PGraphSlice, "succ", property(refuse))
     monkeypatch.setattr(pg.PGraphSlice, "walk_back", refuse)
     for name in ("_rooted_failures", "_factorization_by_enumeration", "_regularity_by_matcher",
-                 "_product_of_trees_by_edges", "descendant_cone", "cones_isomorphic"):
+                 "descendant_cone", "cones_isomorphic"):
         monkeypatch.setattr(pg, name, refuse)
     rooted_calls = []
     rooted = pg.check_rooted_strongly_simple
@@ -193,6 +193,18 @@ def test_ladder_checks_take_the_pass_paths(monkeypatch):
         assert [*lines, f"exit {int(failed)}"] == block.splitlines()[1:]
         assert rooted_calls == [s]
         rooted_calls.clear()
+
+
+def test_regularity_depth_past_the_slice_stops_early(capsys):
+    # no level of the d=2 slice holds a depth-3 cone, so depth 10^5 must
+    # stop listing generator sums as soon as no level is left
+    argv = ("graph-check", str(bundled_config_path("example_5_2")), "--depth", "2",
+            "--checks", "regularity", "--regularity-depth")
+    shallow = run(capsys, *argv, "3")
+    start = time.perf_counter()
+    deep = run(capsys, *argv, "100000")
+    assert time.perf_counter() - start < 1
+    assert deep[:2] == shallow[:2] == (0, "regularity: PASS\n")
 
 
 def test_graph_check_moller(capsys):
@@ -397,6 +409,22 @@ def test_product_rejects_malformed_slices(capsys, tmp_path):
             bad.write_text(text)
         code, _, err = run(capsys, "product", str(bad), "--out", str(tmp_path / "p.json"))
         assert code == 2 and err.startswith(f"slice error: {bad}: cannot read: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "product"])
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{\x00}\x00", b"[" * 200000], ids=["utf16-bom", "nested-200000"]
+)
+def test_undecodable_or_deeply_nested_file_exits_2_naming_it(capsys, tmp_path, command, content):
+    # a file that is not UTF-8 raised UnicodeDecodeError, and one nested
+    # past the recursion limit RecursionError, each with a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out_args = ("--out", str(tmp_path / "p.json")) if command == "product" else ()
+    code, out, err = run(capsys, command, str(bad), *out_args)
+    kind = "config" if command == "validate" else "slice"
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{kind} error: ") and str(bad) in err and "Traceback" not in err
 
 
 def _config(tmp_path, name, payload):

@@ -666,14 +666,19 @@ def test_swapped_sources_are_ambiguous():
     assert {w[0] for w in report.witnesses} == {"ambiguous"}
 
 
-def test_level_cycle_not_applicable():
-    s = pg.PGraphSlice(
+def _cyclic_slice():
+    """Two levels joined by the steps (1,) and (-1,): a cycle of levels."""
+    return pg.PGraphSlice(
         generators=((1,), (-1,)),
         depth=1,
         levels=((0,), (1,)),
         vertices=(Vertex((0,), ()), Vertex((1,), ())),
         edges=((0, 1, 0), (1, 0, 1)),
     )
+
+
+def test_level_cycle_not_applicable():
+    s = _cyclic_slice()
     with pytest.raises(NotApplicable, match="cycle"):
         s.reachable
     with pytest.raises(NotApplicable, match="cycle"):
@@ -1107,25 +1112,79 @@ def test_common_descendants_examples():
 
 def test_product_of_trees_statuses():
     assert pg.check_product_of_trees(make_slice("5_1", "+1+2", 2)).is_product
-    result = pg.check_product_of_trees(make_slice("5_2", "+1+2+3", 2))
-    assert result.status == pg.NOT_PRODUCT and result.witness is not None
+    s = make_slice("5_2", "+1+2+3", 2)
+    result = pg.check_product_of_trees(s)
+    assert result.status == pg.NOT_PRODUCT and len(result.witness) == 6
+    # the witness is named in vertex-index order, whatever the edge order
+    assert pg.check_product_of_trees(dataclasses.replace(s, edges=s.edges[::-1])) == result
     assert pg.check_product_of_trees(make_slice("coprime", "+1+2", 2)).is_product
     assert pg.check_product_of_trees(make_slice("5_3", "+1+2", 2)).status == pg.NOT_FREE
 
 
+def test_product_of_trees_refuses_slices_that_fail_the_rooted_check():
+    # each slice has a vertex with two predecessors along one generator,
+    # so it is no tree, yet a second route once called both product_of_trees
+    def bundled(name, pattern, depth):
+        model, _ = load_config(bundled_config_path(name))
+        P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse(pattern))
+        return pg.build_slice(P, cs.minimal_generators(P, 16), model, depth)
+
+    tree = bundled("moller_tree", "+1", 2)
+    square = bundled("example_5_1", "+1+2", 2)
+    u, w, g = square.edges[-1]
+    sibling = next(t for t in square.fiber_at(square.vertices[u].level) if t != u)
+    for s, extra in ((tree, (2, 4, 0)), (square, (sibling, w, g))):
+        assert pg.check_product_of_trees(s).is_product
+        t = dataclasses.replace(s, edges=tuple(sorted(s.edges + (extra,))))
+        assert "2 predecessors along generator" in pg.check_rooted_strongly_simple(t).failures[0]
+        assert pg.check_product_of_trees(t) == pg.ProductOfTreesResult(
+            pg.NOT_PRODUCT, ("not_rooted",)
+        )
+    # a level cycle fails the rooted check too, but its steps sum to zero,
+    # a relation among the generators, so it is not free
+    assert not pg._passes_rooted(_cyclic_slice())
+    assert pg.check_product_of_trees(_cyclic_slice()).status == pg.NOT_FREE
+
+
+def _square_condition_by_edges(s):
+    """The square condition read straight off the edge list: for each
+    square (x, gi, gj) in level order, each v over x in vertex order and
+    its children a along gi and b along gj in vertex order, the common
+    children of a along gj and b along gi must be exactly one."""
+    children = {}
+    for u, w, g in sorted(s.edges):
+        children.setdefault((u, g), []).append(w)
+    gens = s.generators
+    for x in s.levels:
+        for gi, gj in itertools.combinations(range(len(gens)), 2):
+            xg, xh = (tuple(map(sum, zip(x, gens[k]))) for k in (gi, gj))
+            if not {xg, xh, tuple(map(sum, zip(xg, gens[gj])))} <= set(s.levels):
+                continue
+            for v in (i for i, vertex in enumerate(s.vertices) if vertex.level == x):
+                for a in children.get((v, gi), ()):
+                    for b in children.get((v, gj), ()):
+                        c = len(set(children.get((a, gj), ())) & set(children.get((b, gi), ())))
+                        if c != 1:
+                            return pg.ProductOfTreesResult(pg.NOT_PRODUCT, (x, gi, gj, a, b, c))
+    return pg.ProductOfTreesResult(pg.PRODUCT_OF_TREES)
+
+
 def test_product_of_trees_matches_edge_reading():
-    # step columns on slices that pass the rooted check, parents and succ otherwise
+    # step columns on slices that pass the rooted check, not_rooted on the
+    # others; the oracle sorts the edges, so reversed edges change nothing
     rng = random.Random(13)
     clean = [s for *_, s in bundled_slices() if len(s.vertices) <= 400]
+    not_rooted = pg.ProductOfTreesResult(pg.NOT_PRODUCT, ("not_rooted",))
     statuses = Counter()
     for s in clean + [_shuffled(rng.choice(clean), rng) for _ in range(60)]:
         unsorted = dataclasses.replace(s, edges=s.edges[::-1])
         fuzzed = _fuzzed(s, rng) if s.edges else s
         for t in (s, unsorted, fuzzed):
             result = pg.check_product_of_trees(t)
+            rooted = pg.check_rooted_strongly_simple(t).ok
             if result.status != pg.NOT_FREE:
-                assert result == pg._product_of_trees_by_edges(t)
-            statuses[result.status, pg.check_rooted_strongly_simple(t).ok] += 1
+                assert result == (_square_condition_by_edges(t) if rooted else not_rooted)
+            statuses[result.status, rooted] += 1
     assert statuses[pg.NOT_PRODUCT, True] > 20 and statuses[pg.PRODUCT_OF_TREES, True] > 20
     assert statuses[pg.NOT_PRODUCT, False] > 5
 
