@@ -13,8 +13,13 @@ forms are read off it: the step columns (per level and generator, the
 position of each vertex's predecessor in the fiber below, fibers taken
 in residue order) and the one ancestor table (per comparable level
 pair, the ancestor of each vertex, in residue order).  The rooted check
-runs on both.  Factorization is proved from a passing rooted check and
-enumerated on the ancestor table otherwise.
+runs on both.  Each column entry is one distinct edge that steps by its
+generator, so every edge does exactly when the columns all exist and
+count as many entries as there are edges; beyond `parents` and that
+count, the rooted check reads the edges only to name failures.  Its
+report never raises, and every route that needs a rooted slice reads
+it.  Factorization is proved from a passing rooted check and enumerated
+on the ancestor table otherwise.
 Regularity is decided by one positional isomorphism between cones when
 the rooted check passes, and by the cone matcher otherwise or where that
 map fails.  The square condition reads the step columns of a slice that
@@ -302,15 +307,13 @@ def build_slice(
     else:
         gens = tuple(sorted({tuple(g) for g in generators}))
     levels = set().union(*_generator_sums(gens, P.spec.rank, depth))
-    changed = True
-    while changed:  # downward closure
-        changed = False
-        for x in list(levels):
-            for g in gens:
-                y = vsub(x, g)
-                if y not in levels and P.contains(y):
-                    levels.add(y)
-                    changed = True
+    todo = list(levels)
+    while todo:  # downward closure: each level is stepped down from once
+        x = todo.pop()
+        for g in gens:
+            if (y := vsub(x, g)) not in levels and P.contains(y):
+                levels.add(y)
+                todo.append(y)
 
     level_list = sorted(levels)
     level_caps = [caps(model, x) for x in level_list]
@@ -359,14 +362,23 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     same ancestor map on the upper fiber.
 
     The report is computed once per slice and cached as `rooted_report`.
+    It never raises on slice data: a level 0 without exactly one vertex,
+    or a cycle among the levels, is its one failure.
 
-    Parts (a) and (b) are first decided wholesale.  Part (b) holds
-    exactly when every edge steps by its generator and every step
-    column exists.  Given (b), part (a) holds exactly when every level
-    holding a vertex is reachable from level 0 by generator steps: along
-    such a path each vertex has a predecessor one step down, back to the
-    root, and every edge steps up a generator.  Only when either fails do
-    per-vertex loops name the failures.
+    Parts (a) and (b) are first decided wholesale, from the step columns
+    and the edge count.  Each column entry is one distinct edge, the
+    unique g-edge into its vertex, and it steps by g from the level
+    below.  When every column exists, any other edge fails to step by
+    its generator: an extra g-edge into w, with level(w) - g a level,
+    would give w two g-edges and remove its column, and with that level
+    missing, or g no generator index, no edge can step by g into w.  So
+    part (b) holds exactly when every column exists and the edges are as
+    many as the column entries.  Given (b), part (a) holds exactly when
+    every level holding a vertex is reachable from level 0 by generator
+    steps: along such a path each vertex has a predecessor one step
+    down, back to the root, and every edge steps up a generator.  Only
+    when either fails are the edges read one by one, to name the
+    failures.
 
     Part (c) runs on `ancestor_table` rather than walking every word.
     A word from x to y is a step g from x followed by a word from x + g
@@ -384,45 +396,24 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
 
 def _rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     """The rooted check's report; see check_rooted_strongly_simple."""
-    failures: list[str] = []
-    witnesses: list = []
-
     try:
         root = slice_.root_index
+        reach = slice_.reachable[slice_.vertices[root].level]
     except NotApplicable as exc:
         return CheckReport("rooted_strongly_simple", False, (str(exc),))
 
-    gens, vertices, edges = slice_.generators, slice_.vertices, slice_.edges
-    level = slice_.vertex_levels.__getitem__
-    sources, targets, labels = (map(itemgetter(k), edges) for k in range(3))
-    steps = set(zip(map(level, sources), map(level, targets), labels))
-    bad = {(x, y, gi) for x, y, gi in steps if not 0 <= gi < len(gens) or vsub(y, x) != gens[gi]}
-    for u, w, gi in edges if bad else ():
-        if (x := vertices[u].level, y := vertices[w].level, gi) in bad:
-            step = f"steps by {vsub(y, x)}, not by generator {gi}"
-            failures.append(f"edge {vertices[u]} -> {vertices[w]} {step}")
-            witnesses.append(("step", u, w, gi))
-
-    reach = {vertices[root].level}
-    stack = list(reach)
-    while stack:
-        for _, y in slice_.level_steps[stack.pop()]:
-            if y not in reach:
-                reach.add(y)
-                stack.append(y)
+    cols, fibers = slice_.step_columns, slice_.fibers
     if (
-        bad
-        or None in slice_.step_columns.values()
+        None in cols.values()
+        or len(slice_.edges) != sum(len(fibers[y]) for y, _ in cols)
         or any(ids for x, ids in slice_.fiber_indices.items() if x not in reach)
     ):
-        failures_ab, witnesses_ab = _rooted_failures(slice_, root)
-        failures += failures_ab
-        witnesses += witnesses_ab
-    if failures:
+        failures, witnesses = _rooted_failures(slice_, root)
         return CheckReport(
             "rooted_strongly_simple", False, tuple(failures), tuple(witnesses)
         )
 
+    failures, witnesses = [], []
     table, parents = slice_.ancestor_table, slice_.parents
     marked: set[tuple[GroupElement, GroupElement]] = set()
     for x in slice_._levels_top_down:
@@ -455,22 +446,22 @@ def _rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     )
 
 
-def _passes_rooted(slice_: PGraphSlice) -> bool:
-    """Whether the slice passes the rooted check; False on a level cycle."""
-    try:
-        return slice_.rooted_report.ok
-    except NotApplicable:
-        return False
-
-
 def _rooted_failures(slice_: PGraphSlice, root: int) -> tuple[list[str], list]:
-    """Per-vertex failures and witnesses: the in-degrees of part (b),
-    then reachability from the root, part (a)."""
+    """Per-edge and per-vertex failures and witnesses: the edges that do
+    not step by their generator and the in-degrees of part (b), then
+    reachability from the root, part (a)."""
     failures: list[str] = []
     witnesses: list = []
+    gens, vertices = slice_.generators, slice_.vertices
+    for u, w, gi in slice_.edges:
+        x, y = vertices[u].level, vertices[w].level
+        if not 0 <= gi < len(gens) or vsub(y, x) != gens[gi]:
+            failures.append(f"edge {vertices[u]} -> {vertices[w]} steps by {vsub(y, x)}, "
+                            f"not by generator {gi}")
+            witnesses.append(("step", u, w, gi))
     in_degree = Counter((w, gi) for _, w, gi in slice_.edges)
-    for w, v in enumerate(slice_.vertices):
-        for gi, g in enumerate(slice_.generators):
+    for w, v in enumerate(vertices):
+        for gi, g in enumerate(gens):
             below = vsub(v.level, g)
             expected = 1 if below in slice_.level_set else 0
             got = in_degree[(w, gi)]
@@ -489,9 +480,9 @@ def _rooted_failures(slice_: PGraphSlice, root: int) -> tuple[list[str], list]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-    for w in range(len(slice_.vertices)):
+    for w in range(len(vertices)):
         if w not in seen:
-            failures.append(f"vertex {slice_.vertices[w]} unreachable from root")
+            failures.append(f"vertex {vertices[w]} unreachable from root")
             witnesses.append(("unreachable", w))
     return failures, witnesses
 
@@ -818,7 +809,7 @@ def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> 
     the matcher's pass.
     """
     gens = slice_.generators
-    if len(set(gens)) < len(gens) or not _passes_rooted(slice_):
+    if len(set(gens)) < len(gens) or not slice_.rooted_report.ok:
         return False
     table, cols, fibers = slice_.ancestor_table, slice_.step_columns, slice_.fibers
     position = slice_.position
@@ -946,7 +937,7 @@ def check_product_of_trees(slice_: PGraphSlice) -> ProductOfTreesResult:
     gens = slice_.generators
     if gens and rational_rank(gens) < len(gens):
         return ProductOfTreesResult(NOT_FREE)
-    if not _passes_rooted(slice_):
+    if not slice_.rooted_report.ok:
         return ProductOfTreesResult(NOT_PRODUCT, ("not_rooted",))
     cols, fibers, position = slice_.step_columns, slice_.fibers, slice_.position
     for x, gi, gj, xg, xh, xgh in _squares(slice_):
@@ -1108,7 +1099,9 @@ def virtually_product_subsemigroup(slice_: PGraphSlice) -> VirtuallyProductRepor
 
     Applicable to slices generated by (1,-1), (1,0), (1,1): the even-sum
     levels form an index-2 subsemigroup freely generated by (1,-1) and
-    (1,1), and the restriction should pass the square condition.
+    (1,1), and the restriction should pass the square condition.  Those
+    two are the only minimal nonzero even points of the cone x0 >= |x1|,
+    and the restriction's generators are whichever of them are levels.
     """
     expected = ((1, -1), (1, 0), (1, 1))
     if slice_.generators != expected:
@@ -1117,19 +1110,7 @@ def virtually_product_subsemigroup(slice_: PGraphSlice) -> VirtuallyProductRepor
         )
     even_levels = [x for x in slice_.levels if sum(x) % 2 == 0]
     even_set = set(even_levels)
-
-    nonzero = [x for x in even_levels if any(c != 0 for c in x)]
-    if slice_.semigroup is not None:
-        in_cone = slice_.semigroup.contains
-    else:
-        in_cone = lambda d: d[0] >= abs(d[1])  # noqa: E731
-    q_gens = tuple(
-        sorted(
-            x
-            for x in nonzero
-            if not any(w != x and in_cone(vsub(x, w)) for w in nonzero)
-        )
-    )
+    q_gens = tuple(g for g in expected[::2] if g in even_set)
 
     keep_gen = {gi: g for gi, g in enumerate(slice_.generators) if g in q_gens}
     relabel = {gi: q_gens.index(g) for gi, g in keep_gen.items()}

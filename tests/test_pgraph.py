@@ -644,6 +644,19 @@ def test_step_columns_match_predecessors():
         assert all(s.fibers[v.level][s.position[i]] == i for i, v in enumerate(s.vertices))
 
 
+def test_rooted_check_counts_edges_beside_the_step_columns():
+    # an edge from level 1 back to the root steps by (-1,), not by
+    # generator 0; no level lies below the root, so no column changes
+    s = make_slice("tree3", "+1", 2)
+    t = dataclasses.replace(s, edges=tuple(sorted(s.edges + ((1, 0, 0),))))
+    assert t.step_columns == s.step_columns
+    assert (len(t.edges), sum(map(len, t.step_columns.values()))) == (13, 12)
+    report = pg.check_rooted_strongly_simple(t)
+    assert not report.ok
+    assert report.witnesses == (("step", 1, 0, 0), ("in_degree", 0, 0, 1, 0))
+    assert report.witnesses == _rooted_reference_witnesses(t)
+
+
 def test_rooted_check_names_vertices_over_unreachable_levels():
     # in-degrees are right, but no generator step leads from 0 to 1 or 3
     s = pg.PGraphSlice(
@@ -683,7 +696,13 @@ def test_level_cycle_not_applicable():
         s.reachable
     with pytest.raises(NotApplicable, match="cycle"):
         pg.check_fiber_regularity(s)
-    # the rooted check raises on the cycle, so regularity goes to the matcher
+    # the rooted check reports the cycle as its one failure, and does not raise
+    assert pg.check_rooted_strongly_simple(s) == pg.CheckReport(
+        "rooted_strongly_simple", False, ("level graph has a cycle",)
+    )
+    with pytest.raises(NotApplicable, match=r"\('level graph has a cycle',\)"):
+        pg.external_product([s])
+    # the rooted check fails on the cycle, so regularity goes to the matcher
     assert pg.check_regularity(s, 0) == pg._regularity_by_matcher(s, 0)
     assert pg.check_regularity(s, 0).details == ("compared 2 cones at depth 0",)
 
@@ -1142,7 +1161,7 @@ def test_product_of_trees_refuses_slices_that_fail_the_rooted_check():
         )
     # a level cycle fails the rooted check too, but its steps sum to zero,
     # a relation among the generators, so it is not free
-    assert not pg._passes_rooted(_cyclic_slice())
+    assert not _cyclic_slice().rooted_report.ok
     assert pg.check_product_of_trees(_cyclic_slice()).status == pg.NOT_FREE
 
 
