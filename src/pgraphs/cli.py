@@ -12,6 +12,14 @@ Subcommands::
 Exit status: 0 all checks pass, 1 check failure (witness printed),
 2 usage, config or slice error.  Output files and stdout are
 deterministic for identical inputs.
+
+Each subcommand's interface is written once, in `_COMMANDS`.  A command
+line in the plain form (the command's exact name, its own exact long
+flags each at most once, one run of positionals, values that pass their
+types and choices; see `_parse_plain`) is read straight from that
+table.  Anything else, such as help, a usage error, an abbreviated or
+repeated option, `--` or a value that looks like an option, goes to the
+argparse parser built from the same table, so its output is argparse's.
 """
 
 from __future__ import annotations
@@ -317,73 +325,172 @@ def cmd_product(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each subcommand's interface, written once and read by both parsers:
+# name -> (help, function, positional, options).  The positional and each
+# option are (name or flag, the keyword arguments of `add_argument`);
+# every option takes one value (argparse's default "store" action).
+_COMMANDS = {
+    "validate": ("parse and check a model config", cmd_validate, ("config", {}), ()),
+    "semigroups": (
+        "admissible sign patterns with generators",
+        cmd_semigroups,
+        ("config", {}),
+        (
+            (
+                "--bound",
+                dict(type=_int_at_least(1), default=None, help="generator search bound"),
+            ),
+        ),
+    ),
+    "graph-build": (
+        "build and export a slice",
+        cmd_graph_build,
+        ("config", {}),
+        (
+            ("--pattern", dict(help="sign pattern, e.g. +1+2-3")),
+            ("--depth", dict(type=_int_at_least(0), default=None)),
+            ("--bound", dict(type=_int_at_least(1), default=None)),
+            ("--format", dict(choices=("dot", "json"), default="json")),
+            ("--out", dict(required=True)),
+        ),
+    ),
+    "graph-check": (
+        "run structural checks on a slice",
+        cmd_graph_check,
+        ("config", {}),
+        (
+            ("--pattern", {}),
+            ("--depth", dict(type=_int_at_least(0), default=None)),
+            ("--bound", dict(type=_int_at_least(1), default=None)),
+            (
+                "--checks",
+                dict(
+                    default="all",
+                    help="'all' or comma list of rooted,factorization,fibers,regularity,product",
+                ),
+            ),
+            ("--regularity-depth", dict(type=_int_at_least(0), default=None)),
+        ),
+    ),
+    "qlo": (
+        "minimal common upper bounds of a pair",
+        cmd_qlo,
+        ("config", {}),
+        (
+            ("--pattern", {}),
+            ("--a", dict(required=True, help="comma vector, e.g. 1,0")),
+            ("--b", dict(required=True)),
+            ("--bound", dict(type=_int_at_least(1), default=None)),
+        ),
+    ),
+    "product": (
+        "external product of exported slices",
+        cmd_product,
+        ("slices", dict(nargs="+", help="exported slice JSON files")),
+        (
+            ("--format", dict(choices=("dot", "json"), default="json")),
+            ("--out", dict(required=True)),
+        ),
+    ),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared: parsing
-    leaves it unchanged, so every `main` call reuses it.  Callers must
-    not add to it."""
+    """The argument parser for `_COMMANDS`, built once per process and
+    shared: parsing leaves it unchanged, so every `main` call that needs
+    it reuses it.  Callers must not add to it."""
     ap = argparse.ArgumentParser(
         prog="pgraphs",
         description="cone semigroups and truncated coset graphs of flat-group actions",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and check a model config")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("semigroups", help="admissible sign patterns with generators")
-    p.add_argument("config")
-    p.add_argument(
-        "--bound", type=_int_at_least(1), default=None, help="generator search bound"
-    )
-    p.set_defaults(func=cmd_semigroups)
-
-    p = sub.add_parser("graph-build", help="build and export a slice")
-    p.add_argument("config")
-    p.add_argument("--pattern", help="sign pattern, e.g. +1+2-3")
-    p.add_argument("--depth", type=_int_at_least(0), default=None)
-    p.add_argument("--bound", type=_int_at_least(1), default=None)
-    p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_graph_build)
-
-    p = sub.add_parser("graph-check", help="run structural checks on a slice")
-    p.add_argument("config")
-    p.add_argument("--pattern")
-    p.add_argument("--depth", type=_int_at_least(0), default=None)
-    p.add_argument("--bound", type=_int_at_least(1), default=None)
-    p.add_argument(
-        "--checks",
-        default="all",
-        help="'all' or comma list of rooted,factorization,fibers,regularity,product",
-    )
-    p.add_argument("--regularity-depth", type=_int_at_least(0), default=None)
-    p.set_defaults(func=cmd_graph_check)
-
-    p = sub.add_parser("qlo", help="minimal common upper bounds of a pair")
-    p.add_argument("config")
-    p.add_argument("--pattern")
-    p.add_argument("--a", required=True, help="comma vector, e.g. 1,0")
-    p.add_argument("--b", required=True)
-    p.add_argument("--bound", type=_int_at_least(1), default=None)
-    p.set_defaults(func=cmd_qlo)
-
-    p = sub.add_parser("product", help="external product of exported slices")
-    p.add_argument("slices", nargs="+", help="exported slice JSON files")
-    p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_product)
-
+    for name, (help_text, func, (positional, kwargs), options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional, **kwargs)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+def _plain_value(kwargs: dict, text: str):
+    """`text` converted by the argument's `type` and checked against its
+    `choices`, as argparse does; raises ValueError or ArgumentTypeError."""
+    value = kwargs["type"](text) if "type" in kwargs else text
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(value)
+    return value
+
+
+def _parse_plain(argv) -> argparse.Namespace | None:
+    """The Namespace `build_parser().parse_args(argv)` returns, read from
+    `_COMMANDS` without building the parser, when `argv` is in the plain
+    form; otherwise None.
+
+    Plain means: `argv[0]` is a command's exact name; each option is one
+    of that command's exact long flags, given at most once, as
+    `--flag=value` with a value other than `--`, or as `--flag value`
+    with a value that does not start with `-`; every other token is a
+    positional, and they form one contiguous run of one token (one or
+    more for `nargs="+"`); every value passes its `type` and `choices`;
+    and every required flag is given.  Help, abbreviations, repeated
+    options, `--` and values that look like options are not plain, so
+    argparse handles them.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, (positional, pos_kwargs), options = _COMMANDS[argv[0]]
+    by_flag = dict(options)
+    given: dict[str, str] = {}
+    run: list[str] = []
+    run_end = i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            if run and run_end != i - 1:
+                return None
+            run.append(token)
+            run_end = i
+            continue
+        flag, eq, value = token.partition("=")
+        if not eq:
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        # argparse before Python 3.13 reads `--flag=--` as an empty list
+        if flag not in by_flag or flag in given or value == "--":
+            return None
+        given[flag] = value
+    many = pos_kwargs.get("nargs") == "+"
+    if not run or (len(run) > 1 and not many):
+        return None
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in options):
+        return None
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        values = [_plain_value(pos_kwargs, text) for text in run]
+        parsed = {
+            flag[2:].replace("-", "_"): (
+                _plain_value(kwargs, given[flag]) if flag in given else kwargs.get("default")
+            )
+            for flag, kwargs in options
+        }
+    except (ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(
+        command=argv[0], **{positional: values if many else values[0]}, **parsed, func=func
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_plain(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # a command's data is acyclic tuples and ints: pause the cycle collector
     # while it runs, and leave it as it was found
     collecting = gc.isenabled()

@@ -19,7 +19,8 @@ count as many entries as there are edges; beyond `parents` and that
 count, the rooted check reads the edges only to name failures.  Its
 report never raises, and every route that needs a rooted slice reads
 it.  Factorization is proved from a passing rooted check and enumerated
-on the ancestor table otherwise.
+on the ancestor table otherwise.  On levels that form a cycle, the
+rooted, factorization and fiber checks each fail with that one failure.
 Regularity is decided by one positional isomorphism between cones when
 the rooted check passes, and by the cone matcher otherwise or where that
 map fails.  The square condition reads the step columns of a slice that
@@ -506,7 +507,8 @@ def check_factorization(slice_: PGraphSlice) -> CheckReport:
     a word from x to y, and walking back along it gives
     anc(anc(w, z), x).  By part (c) every word from x to y gives the
     same ancestor, anc(w, x).  So every count is 1.  Any other slice is
-    enumerated.
+    enumerated; a slice whose levels form a cycle fails with that one
+    failure.
     """
     if slice_.rooted_report.ok:
         return CheckReport("factorization", True)
@@ -520,15 +522,19 @@ def _factorization_by_enumeration(slice_: PGraphSlice) -> CheckReport:
     (x, z) covers only fiber(z), so an ancestor of w that is lost, or
     that left fiber(z) on a corrupted slice, counts 0.
     """
+    try:
+        reachable = slice_.reachable
+    except NotApplicable as exc:  # the levels form a cycle
+        return CheckReport("factorization", False, (str(exc),))
     failures: list[str] = []
     witnesses: list = []
     table, position, lost = slice_.ancestor_table, slice_.position, len(slice_.vertices)
     level = slice_.vertex_levels
     for x in slice_.levels:
-        for y in slice_.reachable[x]:
+        for y in reachable[x]:
             to_x = table[(x, y)]
-            for z in slice_.reachable[x]:
-                if y not in slice_.reachable[z]:
+            for z in reachable[x]:
+                if y not in reachable[z]:
                     continue
                 to_z, z_to_x = table[(z, y)], table[(x, z)]
                 for w in slice_.fiber_at(y):
@@ -568,13 +574,17 @@ def check_fiber_regularity(slice_: PGraphSlice) -> CheckReport:
     every multiset summing to a level is an expression.  An expression
     c of x - g then gives the expression c + g of x, so the
     enumeration's pass gives the rule.  On such slices the two agree
-    exactly; on others this rule is the stricter one.
+    exactly; on others this rule is the stricter one.  A slice whose
+    levels form a cycle fails with that one failure.
     """
     failures: list[str] = []
     witnesses: list = []
     zero = tuple([0] * len(slice_.levels[0]))
     size = {x: len(ids) for x, ids in slice_.fiber_indices.items()}
-    reach = slice_.reachable.get(zero, frozenset())
+    try:
+        reach = slice_.reachable.get(zero, frozenset())
+    except NotApplicable as exc:  # the levels form a cycle
+        return CheckReport("fiber_regularity", False, (str(exc),))
     if (root := size.get(zero, 0)) != 1:
         failures.append(f"level {zero}: fiber has {root}, want 1")
         witnesses.append(("fiber_count", zero, None, 1, root))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,12 +7,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pgraphs
 from pgraphs import cli
 from pgraphs.cli import bundled_config_path, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
 
 
 def run(capsys, *argv):
@@ -604,6 +607,82 @@ def test_one_parser_serves_a_usage_error_and_then_valid_commands(capsys, tmp_pat
         fresh.append(run(capsys, *argv))
     assert reused == fresh
     assert [code for code, _, _ in reused] == [2, 2, 2, 2, 0, 0, 0, 0, 0, 0]
+    # the valid commands are plain, so they run without building the parser
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls[4:-1]] == reused[4:-1]
+    assert cli.build_parser.cache_info().misses == 0
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse's help and error wording differs by Python version "
+    "(3.10 prints 'optional arguments:'); the golden is Python 3.11's",
+)
+def test_help_and_usage_errors_golden(capsys, monkeypatch):
+    # argparse's bytes for help and usage errors, each command replayed
+    # from the golden's `$ pgraphs` lines at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = (GOLDEN_DIR / "cli_usage.txt").read_text()
+    parts = []
+    for line in golden.splitlines():
+        if line.startswith("$ pgraphs"):
+            code, out, err = run(capsys, *line[len("$ pgraphs"):].split())
+            parts.append(f"{line}\n--- stdout\n{out}--- stderr\n{err}exit {code}\n")
+    assert "".join(parts) == golden
+
+
+@pytest.mark.skipif(not WORKLOADS.exists(), reason="benchmarks/ is not present")
+def test_plain_parser_reads_every_benchmark_job():
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    argvs = [
+        list(job.argv)
+        for name in ("check", "build_export", "search", "smoke")
+        for seed in range(1, 6)
+        for job in workloads.make_inputs(name, seed)[1]
+    ]
+    assert argvs
+    for argv in argvs:
+        args = cli._parse_plain(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+_FLAGS = sorted({flag for *_, options in cli._COMMANDS.values() for flag, _ in options})
+_ARGV_VALUES = ("3", "0", "-1", "", "-1,0", "1,0", "json", "xml", "--", "-h", "-", "c.json")
+
+
+@st.composite
+def _argvs(draw):
+    """A command name (or not); most of its flags, each exact, and maybe
+    one more flag, exact, abbreviated or repeated; in `=` or space form
+    and shuffled; values valid or not; and one or two bare values, each
+    put anywhere among them."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "qlo-", "-h", ""]))
+    options = cli._COMMANDS[command][3] if command in cli._COMMANDS else ()
+    flags = [flag for flag, _ in options if draw(st.integers(0, 3))]
+    noise = st.sampled_from([*_FLAGS, *(f[:4] for f in _FLAGS), "--help"])
+    tokens = []
+    for flag in draw(st.permutations(flags + draw(st.lists(noise, max_size=1)))):
+        valid = "json" if flag == "--format" else "3"
+        value = draw(st.one_of(st.just(valid), st.sampled_from(_ARGV_VALUES)))
+        tokens += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for value in draw(st.lists(st.sampled_from(_ARGV_VALUES), min_size=1, max_size=2)):
+        tokens.insert(draw(st.integers(0, len(tokens))), value)
+    return [command, *tokens]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+@example(["qlo", "c.json", "--a=--", "--b=0,1"])  # argparse < 3.13 gives a == []
+@example(["product", "a.json", "--out", "p.json", "b.json"])  # two runs of positionals
+def test_plain_parser_agrees_with_argparse(argv):
+    # whatever the plain parser accepts, argparse accepts with equal values
+    args = cli._parse_plain(argv)
+    if args is not None:
+        assert args == cli.build_parser().parse_args(argv)
 
 
 def test_cli_import_does_not_load_networkx():

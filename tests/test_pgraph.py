@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 
+from pgraphs import cli
 from pgraphs import cone_semigroup as cs
 from pgraphs import pgraph as pg
 from pgraphs.cli import bundled_config_path, load_config
@@ -694,17 +695,29 @@ def test_level_cycle_not_applicable():
     s = _cyclic_slice()
     with pytest.raises(NotApplicable, match="cycle"):
         s.reachable
-    with pytest.raises(NotApplicable, match="cycle"):
-        pg.check_fiber_regularity(s)
-    # the rooted check reports the cycle as its one failure, and does not raise
-    assert pg.check_rooted_strongly_simple(s) == pg.CheckReport(
-        "rooted_strongly_simple", False, ("level graph has a cycle",)
-    )
+    # the rooted, factorization and fiber checks report the cycle as their
+    # one failure, and do not raise
+    for check, name in ((pg.check_rooted_strongly_simple, "rooted_strongly_simple"),
+                        (pg.check_factorization, "factorization"),
+                        (pg.check_fiber_regularity, "fiber_regularity")):
+        assert check(s) == pg.CheckReport(name, False, ("level graph has a cycle",))
     with pytest.raises(NotApplicable, match=r"\('level graph has a cycle',\)"):
         pg.external_product([s])
     # the rooted check fails on the cycle, so regularity goes to the matcher
     assert pg.check_regularity(s, 0) == pg._regularity_by_matcher(s, 0)
     assert pg.check_regularity(s, 0).details == ("compared 2 cones at depth 0",)
+
+
+def test_run_checks_reports_a_level_cycle_per_check():
+    lines, failed = cli._run_checks(_cyclic_slice(), [*cli.STRUCTURAL_CHECKS, "product"], 0)
+    assert failed
+    assert lines == [
+        "rooted: FAIL", "    level graph has a cycle",
+        "factorization: FAIL", "    level graph has a cycle",
+        "fibers: FAIL", "    level graph has a cycle",
+        "regularity: PASS",
+        "product-of-trees: not_free_semigroup",
+    ]
 
 
 # ---------------------------------------------------------------------------
