@@ -144,18 +144,17 @@ def _parse_vector(text: str, rank: int):
     return coords
 
 
-def _resolve_pattern(args, defaults, spec) -> cs.SignPattern:
+def _resolve_cone(args, defaults, spec) -> cs.ConeSemigroup:
+    """The cone of --pattern, or of the config's default pattern."""
     source, text = "--pattern", args.pattern
     if not text:
         source, text = "defaults.pattern", defaults.get("pattern")
     if not text:
         raise ConfigError("no --pattern given and config declares no default")
     try:
-        pattern = cs.SignPattern.parse(text)
-        pattern.require_full(spec.components)
+        return cs.ConeSemigroup(spec, cs.SignPattern.parse(text))
     except (ValueError, NotApplicable) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return pattern
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +192,9 @@ def cmd_semigroups(args) -> int:
 
 
 def _build_from_args(args, model, defaults):
-    spec = model.flat_spec()
-    pattern = _resolve_pattern(args, defaults, spec)
+    P = _resolve_cone(args, defaults, model.flat_spec())
     depth = args.depth if args.depth is not None else defaults.get("depth", 3)
     bound = args.bound if args.bound is not None else defaults.get("bound", 16)
-    P = cs.ConeSemigroup(spec, pattern)
     gens = cs.minimal_generators(P, norm_bound=bound)
     try:
         return pg.build_slice(P, gens, model, depth)
@@ -273,17 +270,15 @@ def cmd_graph_check(args) -> int:
 
 def cmd_qlo(args) -> int:
     model, defaults = load_config(args.config)
-    spec = model.flat_spec()
-    pattern = _resolve_pattern(args, defaults, spec)
-    P = cs.ConeSemigroup(spec, pattern)
+    P = _resolve_cone(args, defaults, model.flat_spec())
     inputs = []
     for flag, text in (("--a", args.a), ("--b", args.b)):
         try:
-            v = _parse_vector(text, spec.rank)
+            v = _parse_vector(text, P.spec.rank)
         except ConfigError as exc:
             raise ConfigError(f"{flag}: {exc}") from None
         if not P.contains(v):
-            raise ConfigError(f"{flag}: ({','.join(map(str, v))}) is outside the cone {pattern}")
+            raise ConfigError(f"{flag}: ({','.join(map(str, v))}) is outside the cone {P.pattern}")
         inputs.append(v)
     a, b = inputs
     bound = args.bound if args.bound is not None else defaults.get("bound", 8)
@@ -414,6 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _dest(flag: str) -> str:
+    """The Namespace attribute of a long flag, as argparse names it."""
+    return flag[2:].replace("-", "_")
+
+
 def _plain_value(kwargs: dict, text: str):
     """`text` converted by the argument's `type` and checked against its
     `choices`, as argparse does; raises ValueError or ArgumentTypeError."""
@@ -472,7 +472,7 @@ def _parse_plain(argv) -> argparse.Namespace | None:
     try:
         values = [_plain_value(pos_kwargs, text) for text in run]
         parsed = {
-            flag[2:].replace("-", "_"): (
+            _dest(flag): (
                 _plain_value(kwargs, given[flag]) if flag in given else kwargs.get("default")
             )
             for flag, kwargs in options
@@ -491,6 +491,12 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        # argparse before Python 3.13 reads `--flag=--` as an empty list
+        for flag, _ in _COMMANDS[args.command][3]:
+            if isinstance(getattr(args, _dest(flag)), list):
+                print(f"pgraphs {args.command}: error: argument {flag}: expected one argument",
+                      file=sys.stderr)
+                return EXIT_USAGE
     # a command's data is acyclic tuples and ints: pause the cycle collector
     # while it runs, and leave it as it was found
     collecting = gc.isenabled()

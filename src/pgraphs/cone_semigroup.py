@@ -1,12 +1,15 @@
 """Scale-multiplicative cone subsemigroups of a flat group.
 
-A sign pattern assigns each component j either to J+ (elements of the
-cone must have rho_j >= 0) or to J- (rho_j <= 0).  The cone
+A full sign pattern assigns every component j either to J+ (elements of
+the cone must have rho_j >= 0) or to J- (rho_j <= 0).  With F the weight
+rows with the J- rows negated, the cone
 
-    P = { x : rho_j(x) >= 0 on J+,  rho_j(x) <= 0 on J- }
+    P = { x : F x >= 0 }
 
 is the maximal subsemigroup with those expansion directions, and the
-scale function is multiplicative on it.  This module decides exactly
+scale function is multiplicative on it.  A cone refuses, when it is
+built, a pattern that does not cover every component; membership, the
+flipped images and every search read F.  This module decides exactly
 which full patterns occur (admissibility, by Gordan's alternative,
 decided by an exact phase-1 simplex; an admissible pattern's strict
 witness is computed only when it is read) and lists them by a walk over
@@ -58,12 +61,6 @@ class SignPattern:
             if j < 1:
                 raise ValueError("component indices are 1-based")
 
-    def require_full(self, components: int) -> None:
-        if self.j_plus | self.j_minus != set(range(1, components + 1)):
-            raise NotApplicable(
-                f"pattern {self} does not cover all {components} components"
-            )
-
     @classmethod
     def of(cls, j_plus=(), j_minus=()) -> "SignPattern":
         return cls(frozenset(j_plus), frozenset(j_minus))
@@ -88,42 +85,37 @@ class SignPattern:
 
 @dataclass(frozen=True)
 class ConeSemigroup:
-    """The cone of all elements respecting a sign pattern."""
+    """The cone {x : F x >= 0} of a full sign pattern, F the weight rows
+    with the J- rows negated.  Building it refuses a pattern that does not
+    cover every component with NotApplicable; F is computed once, when it
+    is first read, and membership and the flipped images read only F.
+    """
 
     spec: FlatGroupSpec
     pattern: SignPattern
 
     def __post_init__(self):
-        ok = set(range(1, self.spec.components + 1))
-        if not (self.pattern.j_plus | self.pattern.j_minus) <= ok:
-            raise ValueError("pattern indices exceed the number of components")
+        q = self.spec.components
+        if self.pattern.j_plus | self.pattern.j_minus != set(range(1, q + 1)):
+            raise NotApplicable(f"pattern {self.pattern} does not cover all {q} components")
 
-    def contains(self, x: GroupElement) -> bool:
-        r = rho(self.spec, x)
-        return all(r[j - 1] >= 0 for j in self.pattern.j_plus) and all(
-            r[j - 1] <= 0 for j in self.pattern.j_minus
+    @functools.cached_property
+    def flipped_rows(self) -> tuple[GroupElement, ...]:
+        """F: the weight rows, each J- row negated."""
+        return tuple(
+            _intlinalg.vneg(row) if j in self.pattern.j_minus else row
+            for j, row in enumerate(self.spec.weights, start=1)
         )
 
     def flipped_rho(self, x: GroupElement) -> tuple[int, ...]:
-        """rho with J- components negated; x is in the cone iff this is >= 0.
+        """F x, rho with the J- components negated.  It lies in N^q
+        exactly for the cone's elements, and the component-wise order on
+        it is the divisibility order of the cone."""
+        self.spec.check_element(x)
+        return tuple(_intlinalg.dot(row, x) for row in self.flipped_rows)
 
-        Only defined for full patterns, where the flipped image lands in
-        N^q for cone elements and the component-wise order on it is the
-        divisibility order of the cone.
-        """
-        self.pattern.require_full(self.spec.components)
-        r = rho(self.spec, x)
-        return tuple(
-            -r[j - 1] if j in self.pattern.j_minus else r[j - 1]
-            for j in range(1, self.spec.components + 1)
-        )
-
-    def flipped_rows(self) -> tuple[GroupElement, ...]:
-        self.pattern.require_full(self.spec.components)
-        return tuple(
-            _intlinalg.vneg(row) if (j + 1) in self.pattern.j_minus else row
-            for j, row in enumerate(self.spec.weights)
-        )
+    def contains(self, x: GroupElement) -> bool:
+        return min(self.flipped_rho(x)) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +162,7 @@ def is_admissible(spec: FlatGroupSpec, pattern: SignPattern) -> AdmissibilityRes
     Each (spec, pattern) pair is decided once; a repeated call returns
     the cached result.
     """
-    pattern.require_full(spec.components)
-    rows = ConeSemigroup(spec, pattern).flipped_rows()
+    rows = ConeSemigroup(spec, pattern).flipped_rows
     return AdmissibilityResult(rows, _intlinalg.gordan_certificate(rows))
 
 
@@ -510,7 +501,7 @@ def minimal_generators(P: ConeSemigroup, norm_bound: int = 16) -> GeneratorSet:
         raise KernelNotTrivial("weight matrix has nontrivial kernel")
     if not is_admissible(P.spec, P.pattern).admissible:
         raise NotApplicable(f"pattern {P.pattern} is not admissible")
-    flipped, rank = P.flipped_rows(), P.spec.rank
+    flipped, rank = P.flipped_rows, P.spec.rank
     certify_to = _proved_depth(flipped, rank, (0,) * P.spec.components, norm_bound,
                                "generator set needs layer norm bound")
     minimals = _hilbert_basis(flipped, rank)
@@ -584,12 +575,13 @@ def minimal_common_upper_bounds(
     which none lies.  CertificationFailed names that offset when it
     exceeds `bound`.
     """
-    if not (P.contains(a) and P.contains(b)):
+    fa, fb = P.flipped_rho(a), P.flipped_rho(b)
+    if min(fa + fb) < 0:
         raise NotInSemigroup("both inputs must lie in the cone")
     if uniscalar_kernel(P.spec):
         raise KernelNotTrivial("cone order is not antisymmetric")
-    base = tuple(map(max, P.flipped_rho(a), P.flipped_rho(b)))
-    flipped, rank = P.flipped_rows(), P.spec.rank
+    base = tuple(map(max, fa, fb))
+    flipped, rank = P.flipped_rows, P.spec.rank
     depth = _proved_depth(flipped, rank, base, bound, "upper bounds need offset bound")
     return sorted(x for _, x in _minimal_points(flipped, rank, base, depth))
 
@@ -617,7 +609,7 @@ def scale_exponent_forms(
     )
 
 
-def format_linear_form(coeffs: tuple[int, ...], var: str = "n") -> str:
+def format_linear_form(coeffs: tuple[int, ...]) -> str:
     """Render e.g. (2, -1) as '2n1-n2'; the zero form renders as '0'."""
     parts = []
     for i, c in enumerate(coeffs, start=1):
@@ -625,7 +617,7 @@ def format_linear_form(coeffs: tuple[int, ...], var: str = "n") -> str:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
-        parts.append(f"{sign}{'' if mag == 1 else mag}{var}{i}")
+        parts.append(f"{sign}{'' if mag == 1 else mag}n{i}")
     return "".join(parts) or "0"
 
 

@@ -37,7 +37,7 @@ of the square condition, which is decided on step columns alone.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain, combinations, groupby, product, repeat
@@ -68,9 +68,7 @@ class PGraphSlice:
     """Immutable slice: levels, fibers, and generator-labelled edges.
 
     Vertices are globally indexed in canonical order (level, then
-    residues, both lexicographic); edges are sorted triples.  The
-    semigroup is carried when the slice was built from a model, and is
-    None for slices re-imported from exported data.
+    residues, both lexicographic); edges are sorted triples.
     """
 
     generators: tuple[GroupElement, ...]
@@ -78,7 +76,6 @@ class PGraphSlice:
     levels: tuple[GroupElement, ...]
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
-    semigroup: ConeSemigroup | None = field(default=None, compare=False)
 
     @cached_property
     def level_set(self) -> frozenset[GroupElement]:
@@ -345,7 +342,6 @@ def build_slice(
         levels=tuple(level_list),
         vertices=tuple(vertices),
         edges=tuple(edges),
-        semigroup=P,
     )
 
 

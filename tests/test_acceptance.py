@@ -134,7 +134,7 @@ def test_criterion_6():
         spec = bundled_model(name).flat_spec()
         for pattern in cs.enumerate_admissible(spec):
             s = bundled_slice(name, str(pattern), 3)
-            gens = cs.minimal_generators(s.semigroup, 16)
+            gens = cs.minimal_generators(cs.ConeSemigroup(spec, pattern), 16)
             assert pg.check_product_of_trees(s).is_product, (name, str(pattern))
             assert pg.predict_product_of_trees(spec, gens), (name, str(pattern))
 

@@ -501,6 +501,72 @@ def test_validate_large_prime_is_fast(capsys, tmp_path):
     assert code == 0 and out == f"valid: kind=padic rank=1 components=1 scales={2**61 - 1}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, source, pattern",
+    [
+        (("graph-build", "5_2", "--pattern", "+1+2", "--out", "x.json"), "--pattern", "+1+2"),
+        (("graph-build", "5_2", "--pattern", "+1+2+3+4", "--out", "x.json"), "--pattern",
+         "+1+2+3+4"),
+        (("qlo", "5_2", "--pattern", "+1+2", "--a", "1,0", "--b", "0,1"), "--pattern", "+1+2"),
+        (("qlo", "5_2", "--pattern", "+1+2+3+4", "--a", "1,0", "--b", "0,1"), "--pattern",
+         "+1+2+3+4"),
+        (("graph-build", "partial", "--out", "x.json"), "defaults.pattern", "+1+2"),
+        (("qlo", "partial", "--a", "1,0", "--b", "0,1"), "defaults.pattern", "+1+2"),
+    ],
+)
+def test_a_pattern_that_does_not_cover_the_components_exits_2(capsys, tmp_path, argv, source,
+                                                               pattern):
+    # example_5_2 has three components
+    rows = [(2, (1, 0)), (2, (1, 1)), (2, (0, 1))]
+    paths = {
+        "5_2": str(bundled_config_path("example_5_2")),
+        "partial": _config(tmp_path, "partial", _padic(2, rows, defaults={"pattern": "+1+2"})),
+        "x.json": str(tmp_path / "x.json"),
+    }
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"config error: {source}: pattern {pattern} does not cover all 3 components\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+_OPTION_PAIRS = [
+    (command, flag)
+    for command, (*_, options) in cli._COMMANDS.items()
+    for flag, _ in options
+]
+
+
+@pytest.mark.parametrize("command, flag", _OPTION_PAIRS)
+def test_flag_equals_double_dash_is_a_usage_error(capsys, monkeypatch, tmp_path, command, flag):
+    # argparse before Python 3.13 reads `--flag=--` as an empty list; from
+    # 3.13 it passes the literal `--`, which the command refuses, or, for
+    # --out, writes to a file named `--`
+    monkeypatch.chdir(tmp_path)
+    _, _, (positional, _), options = cli._COMMANDS[command]
+    if positional == "slices":
+        build = ["graph-build", str(bundled_config_path("moller_tree")), "--depth", "1"]
+        assert main([*build, "--out", "slice.json"]) == 0
+        argv = [command, "slice.json"]
+    else:
+        argv = [command, str(bundled_config_path("example_5_2"))]
+    required = {"--out": "out.json", "--a": "1,0", "--b": "0,1"}
+    for other, kwargs in options:
+        if kwargs.get("required") and other != flag:
+            argv += [other, required[other]]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv, f"{flag}=--")
+    if sys.version_info < (3, 13):
+        assert (code, out) == (2, "")
+        assert err == f"pgraphs {command}: error: argument {flag}: expected one argument\n"
+        assert sorted(tmp_path.iterdir()) == before
+    elif flag == "--out":
+        assert code == 0 and (tmp_path / "--").exists()
+    else:
+        assert (code, out) == (2, "")
+        assert "'--'" in err and "expected one argument" not in err
+
+
 def test_inadmissible_pattern_exits_1(capsys):
     cfg = str(bundled_config_path("example_5_2"))
     code, out, err = run(capsys, "graph-check", cfg, "--pattern", "+1-2+3")

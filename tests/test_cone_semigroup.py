@@ -19,6 +19,7 @@ from pgraphs.flat_core import make_spec, rho, scale, uniscalar_kernel
 SPEC_5_1 = make_spec([(1, 0), (0, 1)], [2, 2])
 SPEC_5_2 = make_spec([(1, 0), (1, 1), (0, 1)], [2, 2, 2])
 SPEC_5_3 = make_spec([(1, 1), (1, -1)], [2, 2])
+BUNDLED = ["example_5_1", "example_5_2", "example_5_3", "coprime_2_3", "moller_tree"]
 
 
 def P(spec, text):
@@ -130,6 +131,33 @@ def test_cone_closed_under_addition(x, y):
         assert cone.contains(tuple(a + b for a, b in zip(x, y)))
 
 
+def test_cone_refuses_a_pattern_that_misses_or_exceeds_the_components():
+    with pytest.raises(NotApplicable, match=r"^pattern \+1\+2 does not cover all 3 components$"):
+        P(SPEC_5_2, "+1+2")
+    with pytest.raises(NotApplicable, match=r"^pattern \+1-2\+3\+4 does not cover all 3 "):
+        P(SPEC_5_2, "+1-2+3+4")
+    with pytest.raises(NotApplicable, match="does not cover"):
+        cs.ConeSemigroup(SPEC_5_3, cs.SignPattern.of((), ()))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_cone_reads_the_pattern_as_defined(name):
+    # oracle: rho_j >= 0 on J+ and rho_j <= 0 on J-, from flat_core.rho
+    spec = cli.load_config(cli.bundled_config_path(name))[0].flat_spec()
+    for pattern in cs.enumerate_admissible(spec):
+        cone = cs.ConeSemigroup(spec, pattern)
+        assert cone.flipped_rows is cone.flipped_rows
+        for x in product(range(-4, 5), repeat=spec.rank):
+            r = rho(spec, x)
+            inside = all(r[j - 1] >= 0 for j in pattern.j_plus) and all(
+                r[j - 1] <= 0 for j in pattern.j_minus
+            )
+            assert cone.contains(x) == inside, (name, str(pattern), x)
+            assert cone.flipped_rho(x) == tuple(
+                -c if j in pattern.j_minus else c for j, c in enumerate(r, start=1)
+            )
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 
@@ -168,7 +196,7 @@ def test_admissible_witnesses_strict_on_all_rows():
     for spec in specs:
         for pattern in cs.enumerate_admissible(spec):
             witness = cs.is_admissible(spec, pattern).witness
-            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows
             assert all(sum(a * b for a, b in zip(row, witness)) > 0 for row in flipped)
 
 
@@ -181,7 +209,7 @@ def test_inadmissible_patterns_have_no_box_witness():
             if cs.is_admissible(spec, pattern).admissible:
                 continue
             inadmissible += 1
-            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows
             for x in product(range(-6, 7), repeat=spec.rank):
                 assert not all(sum(a * b for a, b in zip(row, x)) > 0 for row in flipped)
     assert inadmissible > 0
@@ -193,9 +221,6 @@ def test_is_admissible_decides_each_pattern_once():
     assert cs.is_admissible(SPEC_5_2, pattern) is first
     equal_spec = make_spec([(1, 0), (1, 1), (0, 1)], [2, 2, 2])
     assert cs.is_admissible(equal_spec, cs.SignPattern.parse("+1-2+3")) is first
-
-
-BUNDLED = ["example_5_1", "example_5_2", "example_5_3", "coprime_2_3", "moller_tree"]
 
 
 def bundled_specs():
@@ -221,7 +246,7 @@ def test_simplex_decides_as_min_norm_point_on_every_bundled_pattern():
     for spec in bundled_specs():
         for pattern in full_patterns(spec):
             res = cs.is_admissible(spec, pattern)
-            rows = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            rows = cs.ConeSemigroup(spec, pattern).flipped_rows
             p = la.min_norm_point(rows)
             assert res.admissible == any(p), (spec.weights, str(pattern))
             if res.admissible:
@@ -248,7 +273,7 @@ def test_simplex_decides_as_min_norm_point_on_degenerate_specs(data):
     spec = make_spec(rows, [2] * len(rows))
     for pattern in full_patterns(spec):
         res = cs.is_admissible(spec, pattern)
-        p = la.min_norm_point(cs.ConeSemigroup(spec, pattern).flipped_rows())
+        p = la.min_norm_point(cs.ConeSemigroup(spec, pattern).flipped_rows)
         assert res.admissible == any(p)
         if not res.admissible:
             assert_certificate(spec, pattern, res.certificate)
@@ -279,7 +304,7 @@ def test_chamber_walk_on_the_rank3_q10_draw_matches_the_proved_filter():
     for pattern in full_patterns(spec):
         res = cs.is_admissible(spec, pattern)
         if res.admissible:
-            rows = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            rows = cs.ConeSemigroup(spec, pattern).flipped_rows
             assert all(la.dot(row, res.witness) > 0 for row in rows)
         else:
             assert_certificate(spec, pattern, res.certificate)
@@ -357,7 +382,7 @@ def test_enumerate_admissible_matches_the_exhaustive_filter():
         assert walked == admissible_by_exhaustion(spec), spec
         for pattern in walked:
             witness = cs.is_admissible(spec, pattern).witness
-            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows()
+            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows
             assert all(sum(a * b for a, b in zip(row, witness)) > 0 for row in flipped)
 
 
@@ -402,7 +427,7 @@ def test_simplex_walk_matches_the_composition_walk():
     rng = random.Random(13)
     cones = random_cones(13, 40)
     for spec, text in cones:
-        flipped = P(spec, text).flipped_rows()
+        flipped = P(spec, text).flipped_rows
         q = spec.components
         for base in ((0,) * q, tuple(rng.randint(0, 3) for _ in range(q))):
             last = min(cs._search_depth(flipped, spec.rank, base), 9)
@@ -665,7 +690,7 @@ def test_both_searches_share_one_depth():
     # base 0: the only vertex of Q is 0, so the depth is the ray bound
     for spec, text in [(SPEC_5_2, "+1+2+3"), (SPEC_STEEP_RAY, "+1+2+3")] + random_cones(11, 6):
         cone = P(spec, text)
-        flipped = cone.flipped_rows()
+        flipped = cone.flipped_rows
         depth = cs._search_depth(flipped, spec.rank, (0,) * spec.components)
         assert depth == cs._ray_bound(flipped, spec.rank)
         assert cs.minimal_generators(cone, depth).certified_layer == depth
@@ -692,7 +717,7 @@ def test_search_depth_at_base_zero_skips_only_the_vertex_solves():
     rng = random.Random(17)
     cones = random_cones(17, 30)
     for spec, text in cones:
-        flipped = P(spec, text).flipped_rows()
+        flipped = P(spec, text).flipped_rows
         q = spec.components
         for base in ((0,) * q, tuple(rng.randint(0, 3) for _ in range(q))):
             want = search_depth_by_vertices(flipped, spec.rank, base)
@@ -703,7 +728,7 @@ def test_search_depth_at_base_zero_skips_only_the_vertex_solves():
 def route_counts(cone):
     """(extreme rays, parallelepiped points) that the ray route lists as
     candidates for a cone's Hilbert basis."""
-    rank, flipped = cone.spec.rank, cone.flipped_rows()
+    rank, flipped = cone.spec.rank, cone.flipped_rows
     rays = tuple(r for r, _ in cs._extreme_rays(flipped, rank))
     fan = cs._simplicial_fan(rays, flipped, rank)
     return len(rays), sum(len(cs._parallelepiped_points(c)) for c in fan)
@@ -737,7 +762,7 @@ def test_searches_solve_a_pinned_number_of_images(monkeypatch):
     cone = P(SPEC_5_3, "+1+2")
     assert cs.minimal_common_upper_bounds(cone, (1, -1), (1, 1), 4) == [(2, 0)]
     assert counts == {"calls": 15, "hits": 9}
-    assert counts["calls"] == comb(cs._search_depth(cone.flipped_rows(), 2, (2, 2)) + 2, 2)
+    assert counts["calls"] == comb(cs._search_depth(cone.flipped_rows, 2, (2, 2)) + 2, 2)
 
 
 def test_long_ray_rank3_cone_is_certified_at_its_depth():
@@ -750,7 +775,7 @@ def test_long_ray_rank3_cone_is_certified_at_its_depth():
     g = cs.minimal_generators(cone, 54)
     assert (len(g.sigma), g.certified_layer, g.max_layer) == (15, 54, 20)
     assert route_counts(cone) == (4, 117)
-    want = minimal_points_by_compositions(cone.flipped_rows(), (0,) * 4, 1, 54)
+    want = minimal_points_by_compositions(cone.flipped_rows, (0,) * 4, 1, 54)
     assert g.sigma == tuple(sorted(x for _, x in want))
     assert g.max_layer == max(sum(v) for v, _ in want)
     with pytest.raises(CertificationFailed, match="54"):
@@ -788,7 +813,7 @@ def no_walk(*args):
 def test_ray_route_matches_the_compositions(data):
     cone = draw_cone(data)
     spec, rank = cone.spec, cone.spec.rank
-    flipped = cone.flipped_rows()
+    flipped = cone.flipped_rows
     depth = cs._ray_bound(flipped, rank)
     assume(depth <= (20 if spec.components <= 4 else 14))
     with mock.patch.object(cs, "_minimal_points", no_walk), \
@@ -814,7 +839,7 @@ def test_pulling_fan_covers_the_cone(data):
     # every lattice point of the cone in a box has nonnegative
     # coordinates on the rays of some fan cone
     cone = draw_cone(data)
-    rank, flipped = cone.spec.rank, cone.flipped_rows()
+    rank, flipped = cone.spec.rank, cone.flipped_rows
     rays = tuple(r for r, _ in cs._extreme_rays(flipped, rank))
     fan = cs._simplicial_fan(rays, flipped, rank)
     assert (fan == [rays]) if len(rays) == rank else (len(fan) > 1)
@@ -833,7 +858,7 @@ def test_nonsimplicial_rank4_cone_takes_the_ray_route(monkeypatch):
     spec = make_spec([(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 0)],
                      [2] * 5)
     cone = P(spec, "+1+2+3+4+5")
-    flipped = cone.flipped_rows()
+    flipped = cone.flipped_rows
     rays = tuple(r for r, _ in cs._extreme_rays(flipped, 4))
     fan = cs._simplicial_fan(rays, flipped, 4)
     assert len(rays) == 5 and len(fan) == 2
@@ -910,7 +935,7 @@ def test_rank3_q10_draw_is_certified_at_bound_500():
         cone = cs.ConeSemigroup(spec, pattern)
         g = cs.minimal_generators(cone, 500)
         assert 148 <= g.certified_layer <= 474
-        flipped = cone.flipped_rows()
+        flipped = cone.flipped_rows
         image = lambda x: tuple(la.dot(row, x) for row in flipped)  # noqa: E731
         basis = [image(x) for x in g.sigma]
         assert not any(a != b and all(map(ge, a, b)) for a in basis for b in basis)

@@ -329,7 +329,7 @@ def test_build_slice_5_3_fiber():
 def test_slice_edge_invariants():
     for key, text, depth in [("5_2", "+1+2+3", 2), ("5_3", "+1+2", 2), ("5_1", "+1-2", 2)]:
         s = make_slice(key, text, depth)
-        spec = s.semigroup.spec
+        spec = MODELS[key].flat_spec()
         # degree additivity: every edge moves by its generator
         for u, w, g in s.edges:
             assert tuple(
@@ -1237,8 +1237,9 @@ def test_prediction_implies_square_condition():
     for key, text in [("5_1", "+1+2"), ("5_1", "+1-2"), ("coprime", "+1+2"),
                       ("coprime", "-1+2"), ("5_2", "+1+2+3"), ("5_2", "+1+2-3")]:
         s = make_slice(key, text, 2)
-        gens = cs.minimal_generators(s.semigroup, 16)
-        predicted = pg.predict_product_of_trees(s.semigroup.spec, gens)
+        spec = MODELS[key].flat_spec()
+        gens = cs.minimal_generators(cs.ConeSemigroup(spec, cs.SignPattern.parse(text)), 16)
+        predicted = pg.predict_product_of_trees(spec, gens)
         if predicted:
             assert pg.check_product_of_trees(s).is_product
 
