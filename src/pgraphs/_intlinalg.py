@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 Vec = tuple[int, ...]
@@ -29,15 +29,15 @@ def dot(row: Sequence[int], x: Sequence[int]) -> int:
 
 
 def vadd(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def vsub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def vneg(x: Vec) -> Vec:
-    return tuple(-a for a in x)
+    return tuple(map(neg, x))
 
 
 def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:

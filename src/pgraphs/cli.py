@@ -460,7 +460,7 @@ def _parse_plain(argv) -> argparse.Namespace | None:
                 return None
             value = argv[i]
             i += 1
-        # argparse before Python 3.13 reads `--flag=--` as an empty list
+        # `--flag=--` goes to main, which refuses it on every Python version
         if flag not in by_flag or flag in given or value == "--":
             return None
         given[flag] = value
@@ -484,19 +484,41 @@ def _parse_plain(argv) -> argparse.Namespace | None:
     )
 
 
+def _double_dash_flag(argv) -> str | None:
+    """The command's flag that a `--flag=--` token before any `--`
+    names, matched as argparse matches it: exactly, or else by a unique
+    prefix among the command's flags and `--help`; None if there is no
+    such token.  Argparse before Python 3.13 reads that value as an
+    empty list and later versions as the string `--`, so it is refused
+    before argparse reads the line, the same way on every version."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = [flag for flag, _ in _COMMANDS[argv[0]][3]]
+    for token in argv[1:]:
+        if token == "--":
+            break
+        name, eq, value = token.partition("=")
+        if name.startswith("--") and eq and value == "--":
+            matches = [name] if name in flags else [
+                flag for flag in (*flags, "--help") if flag.startswith(name)
+            ]
+            if len(matches) == 1 and matches[0] in flags:
+                return matches[0]
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_plain(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv)
     if args is None:
+        if flag := _double_dash_flag(argv):
+            print(f"pgraphs {argv[0]}: error: argument {flag}: expected one argument",
+                  file=sys.stderr)
+            return EXIT_USAGE
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        # argparse before Python 3.13 reads `--flag=--` as an empty list
-        for flag, _ in _COMMANDS[args.command][3]:
-            if isinstance(getattr(args, _dest(flag)), list):
-                print(f"pgraphs {args.command}: error: argument {flag}: expected one argument",
-                      file=sys.stderr)
-                return EXIT_USAGE
     # a command's data is acyclic tuples and ints: pause the cycle collector
     # while it runs, and leave it as it was found
     collecting = gc.isenabled()

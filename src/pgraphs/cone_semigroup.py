@@ -8,12 +8,13 @@ rows with the J- rows negated, the cone
 
 is the maximal subsemigroup with those expansion directions, and the
 scale function is multiplicative on it.  A cone refuses, when it is
-built, a pattern that does not cover every component; membership, the
-flipped images and every search read F.  This module decides exactly
-which full patterns occur (admissibility, by Gordan's alternative,
-decided by an exact phase-1 simplex; an admissible pattern's strict
-witness is computed only when it is read) and lists them by a walk over
-the chambers of the hyperplane arrangement {rho_j = 0}, which puts only
+built, a pattern that names a component it lacks or misses one;
+membership, the flipped images and every search read F.  This module
+decides exactly which full patterns occur (admissibility, by Gordan's
+alternative, decided by an exact phase-1 simplex; an admissible
+pattern's strict witness is computed only when it is read) and lists
+them by a walk over the chambers of the hyperplane arrangement
+{rho_j = 0}, which puts only
 the chambers' neighbours to the test, not all 2^q patterns.  It finds
 the unique minimal generating set of an admissible cone and the minimal
 common upper bounds of a pair as minimal lattice points, up to a depth
@@ -86,17 +87,22 @@ class SignPattern:
 @dataclass(frozen=True)
 class ConeSemigroup:
     """The cone {x : F x >= 0} of a full sign pattern, F the weight rows
-    with the J- rows negated.  Building it refuses a pattern that does not
-    cover every component with NotApplicable; F is computed once, when it
-    is first read, and membership and the flipped images read only F.
+    with the J- rows negated.  Building it refuses with NotApplicable a
+    pattern that names a component above q, or does not cover every
+    component; F is computed once, when it is first read, and membership
+    and the flipped images read only F.
     """
 
     spec: FlatGroupSpec
     pattern: SignPattern
 
     def __post_init__(self):
-        q = self.spec.components
-        if self.pattern.j_plus | self.pattern.j_minus != set(range(1, q + 1)):
+        q, named = self.spec.components, self.pattern.j_plus | self.pattern.j_minus
+        if above := sorted(j for j in named if j > q):
+            raise NotApplicable(
+                f"pattern {self.pattern} names component {above[0]}, but the spec has {q}"
+            )
+        if named != set(range(1, q + 1)):
             raise NotApplicable(f"pattern {self.pattern} does not cover all {q} components")
 
     @functools.cached_property

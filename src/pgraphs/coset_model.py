@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product, repeat
+from operator import gt
 from typing import NamedTuple
 
 from .cone_semigroup import ConeSemigroup
@@ -148,13 +149,10 @@ def fiber(
     return list(map(pair_vertex, zip(repeat(tuple(x)), product(*map(range, cap)))))
 
 
-def _comparable_caps(model: CosetModel, x: GroupElement, y: GroupElement):
-    """The caps at x and at y; LevelNotComparable unless each cap at x is
-    at most the one at y."""
-    cap_x, cap_y = caps(model, x), caps(model, y)
-    if any(cx > cy for cx, cy in zip(cap_x, cap_y)):
+def _require_comparable(x: GroupElement, y: GroupElement, cap_x, cap_y) -> None:
+    """LevelNotComparable unless each cap at x is at most the one at y."""
+    if any(map(gt, cap_x, cap_y)):
         raise LevelNotComparable(f"levels {x} and {y} are not comparable")
-    return cap_x, cap_y
 
 
 def truncate(model: CosetModel, x: GroupElement, y: GroupElement, v: Vertex) -> Vertex:
@@ -165,7 +163,8 @@ def truncate(model: CosetModel, x: GroupElement, y: GroupElement, v: Vertex) -> 
     """
     if tuple(v.level) != tuple(y):
         raise LevelNotComparable(f"vertex level {v.level} is not {y}")
-    cap_x, cap_y = _comparable_caps(model, x, y)
+    cap_x, cap_y = caps(model, x), caps(model, y)
+    _require_comparable(x, y, cap_x, cap_y)
     if isinstance(model, PadicModel):  # reduce modulo the smaller cap
         res = tuple(r % cx for r, cx in zip(v.residues, cap_x))
     else:  # keep the leading digits: the word prefix
@@ -184,7 +183,16 @@ def truncation_positions(model: CosetModel, x: GroupElement, y: GroupElement) ->
     j.  Expanding one column t_j(0), ..., t_j(cap_y[j] - 1) per component,
     first component outermost, lists the positions in fiber(y)'s order.
     """
-    cap_x, cap_y = _comparable_caps(model, x, y)
+    return positions_from_caps(model, x, y, caps(model, x), caps(model, y))
+
+
+def positions_from_caps(
+    model: CosetModel, x: GroupElement, y: GroupElement, cap_x, cap_y
+) -> list[int]:
+    """truncation_positions(model, x, y) from caps(model, x) and
+    caps(model, y), for a caller that holds them: `build_slice` works
+    out each level's caps once, not once per level pair it joins."""
+    _require_comparable(x, y, cap_x, cap_y)
     if isinstance(model, PadicModel):  # r % cx: the residues below cx, cy // cx times over
         columns = [list(range(cx)) * (cy // cx) for cx, cy in zip(cap_x, cap_y)]
     else:  # r // (cy // cx): each residue below cx, cy // cx times in a row

@@ -5,7 +5,9 @@ vertices over level x are the fiber of a coset model and whose edges are
 generator-labelled truncation pairs.  All structural checks (rooted,
 strongly simple, factorization, fiber counts, regularity to a depth,
 product-of-trees) work purely on the stored edge data, so they detect
-corrupted slices rather than silently reconstructing them.
+corrupted slices rather than silently reconstructing them.  A build
+works out each level's residue caps once, for its size guard, and hands
+them to every level-pair truncation map it lists edges from.
 
 The checks read the edges backward through one array, `parents`: per
 generator, each vertex's unique predecessor, or a lost marker.  Two
@@ -13,7 +15,11 @@ forms are read off it: the step columns (per level and generator, the
 position of each vertex's predecessor in the fiber below, fibers taken
 in residue order) and the one ancestor table (per comparable level
 pair, the ancestor of each vertex, in residue order).  The rooted check
-runs on both.  Each column entry is one distinct edge that steps by its
+runs on both.  Per-level and per-pair work is done once per slice: the
+levels are ordered top-down once (Kahn's algorithm), and one list per
+comparable pair x != y, `pair_steps`, holds the steps from x whose
+target still reaches y, for the ancestor table and the rooted check to
+read.  Each column entry is one distinct edge that steps by its
 generator, so every edge does exactly when the columns all exist and
 count as many entries as there are edges; beyond `parents` and that
 count, the rooted check reads the edges only to name failures.  Its
@@ -39,7 +45,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from graphlib import CycleError, TopologicalSorter
 from itertools import chain, combinations, groupby, product, repeat
 from math import prod
 from operator import attrgetter, itemgetter
@@ -48,7 +53,7 @@ from typing import Iterator
 from ._intlinalg import rational_rank, vadd, vsub
 from .cone_semigroup import ConeSemigroup, GeneratorSet
 from .coset_model import (
-    CosetModel, Vertex, caps, fiber, mixed_radix, pair_vertex, truncation_positions,
+    CosetModel, Vertex, caps, fiber, mixed_radix, pair_vertex, positions_from_caps,
 )
 from .errors import LevelNotComparable, NotApplicable, SliceTooLarge
 from .flat_core import GroupElement, rho
@@ -172,12 +177,26 @@ class PGraphSlice:
 
     @cached_property
     def _levels_top_down(self) -> tuple[GroupElement, ...]:
-        """Levels ordered so that x + g comes before x for every step g."""
-        after = {x: [y for _, y in steps] for x, steps in self.level_steps.items()}
-        try:
-            return tuple(TopologicalSorter(after).static_order())
-        except CycleError as exc:
-            raise NotApplicable("level graph has a cycle") from exc
+        """Levels ordered so that x + g comes before x for every step g.
+
+        Kahn's algorithm (Comm. ACM 5(11), 1962) over `level_steps` lists
+        a level once every step into it comes from a listed level, so x
+        comes before x + g; the order is that list reversed.  A level
+        never listed lies on a cycle, or above one."""
+        steps = self.level_steps
+        into = dict.fromkeys(steps, 0)  # steps into each level from levels not yet listed
+        for ups in steps.values():
+            for _, y in ups:
+                into[y] += 1
+        order = [x for x, n in into.items() if not n]
+        for x in order:  # the list grows while it is read
+            for _, y in steps[x]:
+                into[y] -= 1
+                if not into[y]:
+                    order.append(y)
+        if len(order) < len(into):
+            raise NotApplicable("level graph has a cycle")
+        return tuple(reversed(order))
 
     @cached_property
     def reachable(self) -> dict[GroupElement, frozenset[GroupElement]]:
@@ -209,28 +228,40 @@ class PGraphSlice:
         return None if w == len(self.vertices) else w
 
     @cached_property
+    def pair_steps(
+        self,
+    ) -> dict[tuple[GroupElement, GroupElement], list[tuple[int, GroupElement]]]:
+        """For each pair of levels x != y with y reachable from x: the
+        steps (gi, x + g) of level_steps[x] whose target still reaches y,
+        in level_steps order.  Pairs come with x in top-down order, so a
+        pair comes after every pair (x + g, y) its steps lead to.  The
+        ancestor table and the rooted check both read these lists."""
+        reachable, out = self.reachable, {}
+        for x in self._levels_top_down:
+            for step in self.level_steps[x]:
+                for y in reachable[step[1]]:
+                    out.setdefault((x, y), []).append(step)
+        return out
+
+    @cached_property
     def ancestor_table(self) -> dict[tuple[GroupElement, GroupElement], list[int]]:
         """amap[(x, y)][i] is the ancestor at level x of fibers[y][i]: the
         vertex `walk_back` reaches along the first word of gen_words(x, y),
         or the lost marker len(vertices) where a step back is not unique.
 
         That word starts with the smallest generator g whose target x + g
-        still reaches y, and continues with the first word from x + g, so
-        amap[(x, y)] is amap[(x + g, y)] followed by one step back along g.
-        Levels are visited top-down, so that map exists.  Entries are
+        still reaches y, the first of pair_steps[(x, y)], and continues
+        with the first word from x + g, so amap[(x, y)] is amap[(x + g,
+        y)] followed by one step back along g.  Pairs are visited in
+        pair_steps order, top-down, so that map exists.  Entries are
         vertex ids, not positions: on a corrupted slice a walk can leave
         its level, and the failure paths must see where it went.
         """
-        table: dict[tuple[GroupElement, GroupElement], list[int]] = {}
-        for x in self._levels_top_down:
-            for y in self.reachable[x]:
-                if y == x:
-                    table[(x, x)] = list(self.fibers[x])
-                    continue
-                gi, nxt = next(
-                    (gi, nxt) for gi, nxt in self.level_steps[x] if y in self.reachable[nxt]
-                )
-                table[(x, y)] = list(map(self.parents[gi].__getitem__, table[(nxt, y)]))
+        parents = self.parents
+        table = {(x, x): list(ids) for x, ids in self.fibers.items()}
+        for pair, steps in self.pair_steps.items():
+            gi, nxt = steps[0]
+            table[pair] = list(map(parents[gi].__getitem__, table[(nxt, pair[1])]))
         return table
 
     def ancestor(self, w: int, x: GroupElement) -> int | None:
@@ -287,6 +318,9 @@ def build_slice(
     of more than MAX_SLICE_VERTICES before any fiber is listed.  The
     edges for step g into y are one level-pair map: the i-th vertex over
     y goes to position truncation_positions(y - g, y)[i] over y - g.
+    The caps worked out for the size guard are handed to
+    positions_from_caps, which builds that map, so each level's caps are
+    computed once, not once per level pair.
 
     Edges come out sorted by sorting on their source alone.  Target
     levels y are visited in sorted order, which is the order of their
@@ -325,13 +359,14 @@ def build_slice(
         start[x] = len(vertices)
         vertices.extend(fiber(model, P, x, cap))
 
+    cap_at = dict(zip(level_list, level_caps))
     edges: list[Edge] = []
-    for y in level_list:
+    for y, cap_y in zip(level_list, level_caps):
         for gi, g in enumerate(gens):
             x = vsub(y, g)
-            if x not in levels:
+            if (cap_x := cap_at.get(x)) is None:
                 continue
-            positions = truncation_positions(model, x, y)
+            positions = positions_from_caps(model, x, y, cap_x, cap_y)
             targets = range(start[y], start[y] + len(positions))
             edges.extend(zip(map(start[x].__add__, positions), targets, repeat(gi)))
     edges.sort(key=itemgetter(0))
@@ -381,12 +416,12 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     A word from x to y is a step g from x followed by a word from x + g
     to y.  So when all words from each such x + g agree, the words from
     x agree exactly when stepping amap[(x + g, y)] back along g gives
-    amap[(x, y)] for every g.  A pair that fails this test is marked,
-    and so is every pair (x', y) with a step from x' into a marked pair.
-    Only marked pairs walk their other words to name the disagreeing
-    ones, against the first word's ancestors in the table, so the
-    failures, and their order, are those of walking the words of every
-    pair.
+    amap[(x, y)] for every g, the steps of pair_steps[(x, y)].  A pair
+    that fails this test is marked, and so is every pair (x', y) with a
+    step from x' into a marked pair.  Only marked pairs walk their other
+    words to name the disagreeing ones, against the first word's
+    ancestors in the table, so the failures, and their order, are those
+    of walking the words of every pair.
     """
     return slice_.rooted_report
 
@@ -413,15 +448,13 @@ def _rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     failures, witnesses = [], []
     table, parents = slice_.ancestor_table, slice_.parents
     marked: set[tuple[GroupElement, GroupElement]] = set()
-    for x in slice_._levels_top_down:
-        for y in slice_.reachable[x]:
-            ups = [(gi, nxt) for gi, nxt in slice_.level_steps[x] if y in slice_.reachable[nxt]]
-            # the first step built table[(x, y)]; the others must agree with it
-            if any((nxt, y) in marked for _, nxt in ups) or any(
-                list(map(parents[gi].__getitem__, table[(nxt, y)])) != table[(x, y)]
-                for gi, nxt in ups[1:]
-            ):
-                marked.add((x, y))
+    for (x, y), ups in slice_.pair_steps.items():
+        # the first step built table[(x, y)]; the others must agree with it
+        if any((nxt, y) in marked for _, nxt in ups) or any(
+            list(map(parents[gi].__getitem__, table[(nxt, y)])) != table[(x, y)]
+            for gi, nxt in ups[1:]
+        ):
+            marked.add((x, y))
 
     for x in slice_.levels:
         for y in slice_.reachable[x]:

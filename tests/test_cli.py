@@ -512,6 +512,8 @@ def test_validate_large_prime_is_fast(capsys, tmp_path):
          "+1+2+3+4"),
         (("graph-build", "partial", "--out", "x.json"), "defaults.pattern", "+1+2"),
         (("qlo", "partial", "--a", "1,0", "--b", "0,1"), "defaults.pattern", "+1+2"),
+        (("graph-build", "5_2", "--pattern", "+1+2+5", "--out", "x.json"), "--pattern",
+         "+1+2+5"),
     ],
 )
 def test_a_pattern_that_does_not_cover_the_components_exits_2(capsys, tmp_path, argv, source,
@@ -525,7 +527,12 @@ def test_a_pattern_that_does_not_cover_the_components_exits_2(capsys, tmp_path, 
     }
     code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert (code, out) == (2, "")
-    assert err == f"config error: {source}: pattern {pattern} does not cover all 3 components\n"
+    problem = {  # a pattern that names a component above 3 is refused for that index
+        "+1+2": "does not cover all 3 components",
+        "+1+2+3+4": "names component 4, but the spec has 3",
+        "+1+2+5": "names component 5, but the spec has 3",
+    }[pattern]
+    assert err == f"config error: {source}: pattern {pattern} {problem}\n"
     assert not (tmp_path / "x.json").exists()
 
 
@@ -538,9 +545,9 @@ _OPTION_PAIRS = [
 
 @pytest.mark.parametrize("command, flag", _OPTION_PAIRS)
 def test_flag_equals_double_dash_is_a_usage_error(capsys, monkeypatch, tmp_path, command, flag):
-    # argparse before Python 3.13 reads `--flag=--` as an empty list; from
-    # 3.13 it passes the literal `--`, which the command refuses, or, for
-    # --out, writes to a file named `--`
+    # argparse before Python 3.13 reads `--flag=--` as an empty list and
+    # later versions as the literal `--` (for --out, a file named `--`);
+    # the line is refused the same way on every version
     monkeypatch.chdir(tmp_path)
     _, _, (positional, _), options = cli._COMMANDS[command]
     if positional == "slices":
@@ -556,15 +563,19 @@ def test_flag_equals_double_dash_is_a_usage_error(capsys, monkeypatch, tmp_path,
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     code, out, err = run(capsys, *argv, f"{flag}=--")
-    if sys.version_info < (3, 13):
-        assert (code, out) == (2, "")
-        assert err == f"pgraphs {command}: error: argument {flag}: expected one argument\n"
-        assert sorted(tmp_path.iterdir()) == before
-    elif flag == "--out":
-        assert code == 0 and (tmp_path / "--").exists()
-    else:
-        assert (code, out) == (2, "")
-        assert "'--'" in err and "expected one argument" not in err
+    assert (code, out) == (2, "")
+    assert err == f"pgraphs {command}: error: argument {flag}: expected one argument\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_abbreviated_flag_equals_double_dash_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # argparse reads --ou as --out, the one flag it abbreviates
+    monkeypatch.chdir(tmp_path)
+    cfg = str(bundled_config_path("moller_tree"))
+    code, out, err = run(capsys, "graph-build", cfg, "--depth", "1", "--ou=--")
+    assert (code, out) == (2, "")
+    assert err == "pgraphs graph-build: error: argument --out: expected one argument\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_inadmissible_pattern_exits_1(capsys):

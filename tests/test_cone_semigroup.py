@@ -134,8 +134,13 @@ def test_cone_closed_under_addition(x, y):
 def test_cone_refuses_a_pattern_that_misses_or_exceeds_the_components():
     with pytest.raises(NotApplicable, match=r"^pattern \+1\+2 does not cover all 3 components$"):
         P(SPEC_5_2, "+1+2")
-    with pytest.raises(NotApplicable, match=r"^pattern \+1-2\+3\+4 does not cover all 3 "):
+    with pytest.raises(NotApplicable, match=r"^pattern \+1-2\+3\+4 names component 4, but "
+                                            r"the spec has 3$"):
         P(SPEC_5_2, "+1-2+3+4")
+    # an index out of range is named even when the pattern also misses one
+    with pytest.raises(NotApplicable, match=r"^pattern \+1\+2\+5\+6 names component 5, but "
+                                            r"the spec has 3$"):
+        P(SPEC_5_2, "+1+2+5+6")
     with pytest.raises(NotApplicable, match="does not cover"):
         cs.ConeSemigroup(SPEC_5_3, cs.SignPattern.of((), ()))
 

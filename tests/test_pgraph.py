@@ -8,16 +8,22 @@ import sys
 import time
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from pgraphs import cli
 from pgraphs import cone_semigroup as cs
 from pgraphs import pgraph as pg
 from pgraphs.cli import bundled_config_path, load_config
-from pgraphs.coset_model import PadicModel, TreeModel, Vertex, caps, truncate
-from pgraphs.errors import CertificationFailed, LevelNotComparable, NotApplicable, SliceTooLarge
+from pgraphs.coset_model import PadicModel, TreeModel, Vertex, caps, truncate, truncation_positions
+from pgraphs.errors import (
+    CertificationFailed, LevelNotComparable, NotApplicable, NotInSemigroup, SliceTooLarge,
+)
 from pgraphs.flat_core import scale, uniscalar_kernel
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 MODELS = {
     "5_1": PadicModel(((2, (1, 0)), (2, (0, 1)))),
@@ -194,10 +200,73 @@ def _assert_writers_match_records(s):
     assert pg.slice_to_dot(s) == _record_dot(s)
 
 
+def _edges_from_positions(s, model):
+    """Reference: the edges rebuilt from the public truncation_positions,
+    one map per (level, generator) pair whose source level is a level."""
+    edges = []
+    for y in s.levels:
+        for gi, g in enumerate(s.generators):
+            x = tuple(a - b for a, b in zip(y, g))
+            if x in s.level_set:
+                positions = truncation_positions(model, x, y)
+                edges += [(s.fibers[x][p], w, gi) for p, w in zip(positions, s.fibers[y])]
+    return sorted(edges)
+
+
 def test_build_slice_edges_match_per_vertex_truncation():
+    # build_slice hands each level's caps to the level-pair maps; both
+    # public references rebuild its edges
     for name, pattern, depth, model, s in bundled_slices():
         assert list(s.edges) == _truncated_edges(s, model), (name, str(pattern), depth)
+        assert list(s.edges) == _edges_from_positions(s, model), (name, str(pattern), depth)
     assert sum(len(s.edges) for *_, s in bundled_slices()) > 3000
+
+
+@st.composite
+def _small_models(draw):
+    """A p-adic model of rank 1 to 3, primes 2, 3 and 5 mixed, or a
+    product of trees of valency 2 to 4, with one admissible pattern."""
+    if draw(st.booleans()):
+        model = TreeModel(tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))))
+    else:
+        rank = draw(st.integers(1, 3))
+        exponents = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+        rows = draw(st.lists(st.tuples(st.sampled_from((2, 3, 5)), exponents),
+                             min_size=rank, max_size=rank + 1))
+        model = PadicModel(tuple(rows))
+        assume(not uniscalar_kernel(model.flat_spec()))
+    spec = model.flat_spec()
+    return model, cs.ConeSemigroup(spec, draw(st.sampled_from(cs.enumerate_admissible(spec))))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_small_models(), st.integers(0, 3))
+def test_build_slice_edges_match_truncation_positions_on_drawn_models(drawn, depth):
+    model, P = drawn
+    try:
+        gens = cs.minimal_generators(P, 12)
+    except CertificationFailed:
+        assume(False)
+    sums = {(0,) * P.spec.rank}
+    for _ in range(depth):
+        sums |= {tuple(map(sum, zip(x, g))) for x in sums for g in gens.sigma}
+    assume(sum(math.prod(caps(model, x)) for x in sums) <= 1500)
+    s = pg.build_slice(P, gens, model, depth)
+    assert list(s.edges) == _edges_from_positions(s, model)
+
+
+def test_build_slice_refuses_generators_outside_the_cone():
+    model = MODELS["5_1"]
+    P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse("+1+2"))
+    for gens, depth, level in (([(1, 0), (-1, 1)], 1, "level (-1, 1)"),
+                               ([(1, -1)], 2, "level (1, -1)"),
+                               ([(0, 1), (-1, 5)], 2, "level (-2, 10)")):
+        with pytest.raises(NotInSemigroup, match=f"^{re.escape(level)} is outside the cone$"):
+            pg.build_slice(P, gens, model, depth)
+    tree = TreeModel((2, 3))
+    P = cs.ConeSemigroup(tree.flat_spec(), cs.SignPattern.parse("+1+2"))
+    with pytest.raises(NotInSemigroup, match=r"^level \(1, -1\) is outside the cone$"):
+        pg.build_slice(P, [(0, 1), (1, -1)], tree, 1)
 
 
 def random_padic_slices(seed, count, max_vertices=1500):
@@ -481,7 +550,8 @@ def test_ancestor_table_is_first_word_walk():
     rng = random.Random(14)
     clean = [make_slice(*args) for args in CLEAN_SLICES]
     fuzzed = [_fuzzed(rng.choice(clean), rng) for _ in range(30)]
-    for s in clean + _corrupted_slices() + fuzzed + [_resource_off_level(clean[1])]:
+    bundled = [s for *_, s in bundled_slices()]
+    for s in clean + fuzzed + [_resource_off_level(clean[1])] + bundled + _fuzz_corpus():
         pred, lost = _predecessors(s), len(s.vertices)
         table = s.ancestor_table
         assert set(table) == {(x, y) for x in s.levels for y in s.reachable[x]}
@@ -491,6 +561,75 @@ def test_ancestor_table_is_first_word_walk():
             assert amap == [lost if a is None else a for a in walked]
             assert [s.walk_back(w, word) for w in s.fibers[y]] == walked
             assert [s.ancestor(w, x) for w in s.fibers[y]] == walked
+
+
+def _assert_top_down(s):
+    """Every step's target comes before its source in _levels_top_down,
+    which lists each level once."""
+    order = s._levels_top_down
+    assert sorted(order) == sorted(set(s.levels))
+    rank = {x: i for i, x in enumerate(order)}
+    for x, steps in s.level_steps.items():
+        assert all(rank[y] < rank[x] for _, y in steps)
+
+
+def _imported_shuffled(s, rng):
+    """The slice through a JSON import, its levels, vertices and edges each
+    listed in a shuffled order."""
+    data = pg.slice_to_json_dict(_shuffled(s, rng))
+    for key in ("levels", "edges"):
+        rng.shuffle(data[key])
+    return pg.slice_from_json_dict(data)
+
+
+def test_levels_top_down_puts_each_step_target_first():
+    rng = random.Random(16)
+    built = [s for *_, s in bundled_slices()]
+    built += [make_slice(*args) for args in CLEAN_SLICES]
+    for s in built + [_imported_shuffled(s, rng) for s in built]:
+        _assert_top_down(s)
+    with pytest.raises(NotApplicable, match="^level graph has a cycle$"):
+        _cyclic_slice()._levels_top_down
+    data = pg.slice_to_json_dict(make_slice("5_1", "+1+2", 2))
+    data["edges"].append({"from": 1, "to": 0, "gen": 2})  # steps by -(1, 0): a cycle
+    with pytest.raises(ValueError, match="^edges: generator steps form a cycle among the levels$"):
+        pg.slice_from_json_dict(data)
+
+
+def _fuzz_corpus():
+    """The hand-corrupted slices and 150 fuzzed copies of small bundled
+    slices, each with edges unlike its original's."""
+    rng = random.Random(17)
+    small = [s for *_, s in bundled_slices() if len(s.vertices) <= 400
+             and any(len(ids) > 1 for ids in s.fiber_indices.values())]
+    out = _corrupted_slices()
+    for _ in range(150):
+        s = clean = rng.choice(small)
+        while s.edges == clean.edges:
+            s = _fuzzed(clean, rng)
+        out.append(s)
+    return out
+
+
+def test_pair_steps_lead_top_down_to_y():
+    for s in [s for *_, s in bundled_slices()] + _fuzz_corpus():
+        pairs = s.pair_steps
+        assert set(pairs) == {(x, y) for x in s.levels for y in s.reachable[x] if y != x}
+        seen = set()
+        for (x, y), steps in pairs.items():
+            assert steps == [(gi, z) for gi, z in s.level_steps[x] if y in s.reachable[z]]
+            assert all(z == y or (z, y) in seen for _, z in steps)
+            seen.add((x, y))
+
+
+def test_rooted_reports_on_the_fuzz_corpus_are_pinned():
+    # every top-down level order gives the same failures and witnesses, in one order
+    lines = []
+    for i, s in enumerate(_fuzz_corpus()):
+        report = pg.check_rooted_strongly_simple(s)
+        lines.append(f"slice {i}: {'PASS' if report.ok else 'FAIL'}")
+        lines += [f"  {f} | {w}" for f, w in zip(report.failures, report.witnesses)]
+    assert "\n".join(lines) + "\n" == (GOLDEN_DIR / "rooted_fuzz_corpus.txt").read_text()
 
 
 def _resource_off_level(s):
