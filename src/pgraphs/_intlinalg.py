@@ -3,21 +3,22 @@
 Matrices are sequences of rows of Python ints (arbitrary precision);
 nothing is ever rounded.  Every solve, rank and independent-row query
 runs through one fraction-free elimination, `_eliminate`, and the
-phase-1 simplex of `gordan_certificate` runs on a fraction-free
-tableau.  Both take their steps with `_pivot`, whose entries stay
-integers and whose every division is exact.  A rational solution comes
-back as integer numerators over one positive denominator, and a caller
-divides by it once, if at all: `min_norm_point` and `primitive` are the
-only places that build Fractions.  The integer kernel lattice and the
-coset box of a lattice (`kernel_basis`, `hermite_diagonal`) need
-unimodular steps, not a rational solve, and share their own reduction,
-`_echelon`.
+phase-1 simplex `_phase1` runs on a fraction-free tableau.  Both take
+their steps with `_pivot`, whose entries stay integers and whose every
+division is exact.  A rational solution comes back as integer
+numerators over one positive denominator, and a caller divides by it
+once, if at all; no rational number is built here.  The one phase-1
+walk answers both sides of Gordan's alternative: `gordan_certificate`
+reads the convex combination that puts 0 in the hull off its final
+tableau, and `gordan_witness` the strictly positive direction off the
+dual of its final basis.  The integer kernel lattice and the coset box
+of a lattice (`kernel_basis`, `hermite_diagonal`) need unimodular
+steps, not a rational solve, and share their own reduction, `_echelon`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul, neg, sub
 from typing import Sequence
 
@@ -61,7 +62,7 @@ def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
 
 
 def _eliminate(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss), in place.
+    """Gauss-Jordan elimination without fractions (Bareiss), in place.
 
     Pivots on the first `ncols` columns of the integer rows `mat`: in each
     column the first row at or below the pivots found so far with a
@@ -193,30 +194,31 @@ def _sign_normal(v: Vec) -> Vec:
     return vneg(v) if lead < 0 else v
 
 
-def gordan_certificate(points: Sequence[Vec]) -> tuple[Vec, int] | None:
-    """Integers (lam, d) with lam >= 0, sum(lam) = d > 0 and
-    sum lam_i points_i = 0 when 0 lies in the convex hull of `points`,
-    and None when it does not.
+def _phase1(points: Sequence[Vec]) -> tuple[list[int], list[list[int]], int]:
+    """Phase 1 of the simplex method on lam >= 0, sum(lam) = 1,
+    P^T lam = 0, run to its optimum: the final basis, tableau and last
+    pivot d.  0 lies in the convex hull of `points` exactly when the
+    optimum, the tableau's last entry, is 0.
 
-    Phase 1 of the simplex method on lam >= 0, sum(lam) = 1, P^T lam = 0:
-    dim + 1 rows, one column per point, and one artificial variable per
-    row, which starts as the basis.  The phase-1 cost is the sum of the
-    artificials; it is 0 at a basis exactly when that basis is a feasible
-    lam, and the system is infeasible exactly when the cost stays
-    positive at the optimum.  The tableau is fraction-free: each entry is
-    d times its rational value, with d the last pivot, which is the
-    basis determinant and stays positive because every simplex pivot
-    is.  The cost row is carried below the constraint rows and pivoted
-    with them.  An artificial that leaves the basis is never needed
-    again, so the artificials have no columns; `basis` names the variable
-    of each row, lam_j as j and the artificial of row r as q + r.
+    There are dim + 1 rows, one column per point, and one artificial
+    variable per row, which starts as the basis.  The phase-1 cost is
+    the sum of the artificials; it is 0 at a basis exactly when that
+    basis is a feasible lam, and the system is infeasible exactly when
+    the cost stays positive at the optimum.  The tableau is
+    fraction-free: each entry is d times its rational value, with d the
+    last pivot, which is the basis determinant and stays positive
+    because every simplex pivot is.  The cost row is carried below the
+    constraint rows and pivoted with them.  An artificial that leaves
+    the basis is never needed again, so the artificials have no columns;
+    `basis` names the variable of each row, lam_j as j and the
+    artificial of row r as q + r.
 
     Bland's rule picks both the entering and the leaving variable (the
     smallest index among the candidates), so the walk terminates even
     though the start basis is degenerate (Bland, Math. Oper. Res. 2,
     1977).  A cycle would have to keep every artificial it starts with,
     so it would run on one fixed tableau, where Bland's rule cannot
-    cycle.  lam is read off the final basis.
+    cycle.
     """
     q, dim = len(points), len(points[0])
     mat = [[1] * q + [1]] + [[p[j] for p in points] + [0] for j in range(dim)]
@@ -228,7 +230,7 @@ def gordan_certificate(points: Sequence[Vec]) -> tuple[Vec, int] | None:
         cost = mat[-1]
         enter = next((j for j in range(q) if cost[j] < 0), None)
         if enter is None:
-            return None  # the cost stays positive: 0 is not in the hull
+            break  # the cost stays positive: 0 is not in the hull
         leave = None
         for r in range(dim + 1):
             a = mat[r][enter]
@@ -241,6 +243,18 @@ def gordan_certificate(points: Sequence[Vec]) -> tuple[Vec, int] | None:
                     leave = r
         basis[leave] = enter
         d = _pivot(mat, leave, enter, d)
+    return basis, mat, d
+
+
+def gordan_certificate(points: Sequence[Vec]) -> tuple[Vec, int] | None:
+    """Integers (lam, d) with lam >= 0, sum(lam) = d > 0 and
+    sum lam_i points_i = 0 when 0 lies in the convex hull of `points`,
+    and None when it does not.  lam is read off the final basis of
+    `_phase1`, whose last pivot is d."""
+    q = len(points)
+    basis, mat, d = _phase1(points)
+    if mat[-1][q]:
+        return None
     lam = [0] * q
     for r, j in enumerate(basis):
         if j < q:
@@ -248,49 +262,30 @@ def gordan_certificate(points: Sequence[Vec]) -> tuple[Vec, int] | None:
     return tuple(lam), d
 
 
-def min_norm_point(points: Sequence[Vec]) -> tuple[Fraction, ...]:
-    """The point of the convex hull of `points` nearest to 0, exactly.
+def gordan_witness(points: Sequence[Vec]) -> Vec | None:
+    """The other side of Gordan's alternative: a primitive integer w with
+    w.p > 0 for every point p when 0 lies outside the convex hull of
+    `points`, and None when it lies inside.
 
-    Enumerates affinely independent subsets S of size at most dim+1
-    (Caratheodory).  The point of aff(S) nearest to 0 is p = sum lam_i s_i
-    with (lam, mu) solving the affine Gram system [S^T S 1; 1^T 0] = (0, 1).
-    A solution with lam >= 0 and q.p >= |p|^2 for every point q meets the
-    KKT conditions of the hull, so p is its minimum-norm point.  0 lies in
-    the hull exactly when p is 0.
-
-    The tests run on integers: `solve_scaled` gives lam = y / d with d > 0,
-    so lam >= 0 is y >= 0, and with the scaled point P = d p = sum y_i s_i
-    the KKT test is (q.P) d >= P.P.  The one division is P / d, for the
-    point returned.
+    The witness is the dual of `_phase1`'s optimal basis B (Schrijver,
+    Theory of Linear and Integer Programming, 1986, 7.8).  Its columns
+    are (1, p_j) for a basic lam_j and the unit vector e_r for the
+    basic artificial of row r, with cost 0 and 1.  The dual y = (t, x)
+    solves B^T y = c_B, and at the optimum t equals the positive cost
+    and every reduced cost -(t + x.p_j) is >= 0.  So x.p_j <= -t < 0 for
+    every point, and -x, divided by the gcd of its entries, is the
+    witness.  `solve_scaled` gives y times a positive denominator, which
+    is all the direction needs.
     """
-    from fractions import Fraction  # not at module level: loads decimal, ~3 ms per CLI start
-
-    pts = list(points)
-    dim = len(pts[0])
-    gram = [[dot(s, t) for t in pts] for s in pts]
-    for size in range(1, min(len(pts), dim + 1) + 1):
-        for subset in combinations(range(len(pts)), size):
-            system = [[gram[i][j] for j in subset] + [1] for i in subset]
-            system.append([1] * size + [0])
-            sol = solve_scaled(system, [0] * size + [1])
-            if sol is None:
-                continue
-            y, d = sol
-            if any(c < 0 for c in y[:size]):
-                continue
-            scaled = [sum(c * pts[i][k] for c, i in zip(y, subset)) for k in range(dim)]
-            norm2 = dot(scaled, scaled)
-            if all(dot(q, scaled) * d >= norm2 for q in pts):
-                return tuple(Fraction(c, d) for c in scaled)
-    raise AssertionError("no Caratheodory subset met the KKT conditions")
-
-
-def primitive(v: Sequence[Fraction]) -> Vec:
-    """The primitive integer vector on the ray through a nonzero rational v."""
-    den = lcm(*(c.denominator for c in v))
-    ints = [int(c * den) for c in v]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints)
+    q = len(points)
+    basis, mat, _ = _phase1(points)
+    if not mat[-1][q]:
+        return None
+    n = len(basis)
+    rows = [(1, *points[j]) if j < q else tuple(int(i == j - q) for i in range(n)) for j in basis]
+    y, _ = solve_scaled(rows, [int(j >= q) for j in basis])
+    g = gcd(*y[1:])
+    return tuple(-c // g for c in y[1:])
 
 
 def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

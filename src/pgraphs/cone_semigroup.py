@@ -11,8 +11,8 @@ scale function is multiplicative on it.  A cone refuses, when it is
 built, a pattern that names a component it lacks or misses one;
 membership, the flipped images and every search read F.  This module
 decides exactly which full patterns occur (admissibility, by Gordan's
-alternative, decided by an exact phase-1 simplex; an admissible
-pattern's strict witness is computed only when it is read) and lists
+alternative, decided by an exact phase-1 simplex, whose dual gives an
+admissible pattern's strict witness when it is read) and lists
 them by a walk over the chambers of the hyperplane arrangement
 {rho_j = 0}, which puts only
 the chambers' neighbours to the test, not all 2^q patterns.  It finds
@@ -123,6 +123,18 @@ class ConeSemigroup:
     def contains(self, x: GroupElement) -> bool:
         return min(self.flipped_rho(x)) >= 0
 
+    def check_descending(self, gens: tuple[GroupElement, ...]) -> None:
+        """Refuse a nonzero generator outside the cone or in its lineality
+        space, the uniscalar kernel F g = 0.  Stepping down by such a g can
+        stay in the cone forever.  Each other nonzero g has F g >= 0 and
+        sum(F g) > 0, so stepping down by it lowers the layer sum(F x),
+        which is at least 0 on the cone, and every walk down ends."""
+        for g in gens:
+            fg = self.flipped_rho(g)
+            if any(g) and (min(fg) < 0 or not any(fg)):
+                where = "outside the cone" if min(fg) < 0 else "in the uniscalar kernel"
+                raise NotApplicable(f"generator {g} lies {where}")
+
 
 # ---------------------------------------------------------------------------
 # Admissibility
@@ -135,9 +147,10 @@ class AdmissibilityResult:
     `certificate` is Gordan's proof of refusal, integers (lam, d) with
     lam >= 0, sum(lam) = d > 0 and sum lam_j rows_j = 0, or None when the
     pattern is admissible.  `witness` is then a primitive element with
-    strictly correct sign on every component: the minimum-norm point of
-    the rows' convex hull, scaled to a primitive integer vector, computed
-    when it is first read and kept.  It is None for a refused pattern.
+    strictly correct sign on every component, read off the dual of the
+    same phase-1 simplex that decided the pattern (`gordan_witness`),
+    computed when it is first read and kept.  It is None for a refused
+    pattern.
     """
 
     rows: tuple[GroupElement, ...]
@@ -149,11 +162,7 @@ class AdmissibilityResult:
 
     @functools.cached_property
     def witness(self) -> GroupElement | None:
-        """The minimum-norm point p is nonzero when 0 is outside the hull,
-        and row.p >= |p|^2 > 0 for every row (`min_norm_point`)."""
-        if self.certificate is not None:
-            return None
-        return _intlinalg.primitive(_intlinalg.min_norm_point(self.rows))
+        return _intlinalg.gordan_witness(self.rows)
 
 
 @functools.cache
@@ -164,7 +173,8 @@ def is_admissible(spec: FlatGroupSpec, pattern: SignPattern) -> AdmissibilityRes
     no x has row.x > 0 on every row, or some x does.  The phase-1 simplex
     of `gordan_certificate` decides which on an integer tableau and, in
     the first case, returns the combination as the refusal's
-    certificate.  The result's witness is computed only when it is read.
+    certificate.  The result's witness, from the dual of the same walk,
+    is computed only when it is read.
     Each (spec, pattern) pair is decided once; a repeated call returns
     the cached result.
     """
@@ -545,7 +555,9 @@ def absorption_steps(
     The default indicator, the Gordan witness of `is_admissible`, proves
     the cone maximal among multiplicative cones.  It is strictly positive
     on every flipped row, so it absorbs every y.  And y, -y both in the
-    cone give flipped rho(y) >= 0 and <= 0, so rho(y) = 0.
+    cone give flipped rho(y) >= 0 and <= 0, so rho(y) = 0.  That witness
+    is read off the dual of the phase-1 simplex, not chosen short, and n
+    counts steps of that one indicator, so n moves with it.
     """
     if indicator is None:
         adm = is_admissible(P.spec, P.pattern)

@@ -55,7 +55,7 @@ from .cone_semigroup import ConeSemigroup, GeneratorSet
 from .coset_model import (
     CosetModel, Vertex, caps, fiber, mixed_radix, pair_vertex, positions_from_caps,
 )
-from .errors import LevelNotComparable, NotApplicable, SliceTooLarge
+from .errors import LevelNotComparable, NotApplicable, NotInSemigroup, SliceTooLarge
 from .flat_core import GroupElement, rho
 
 Edge = tuple[int, int, int]  # (from vertex index, to vertex index, generator index)
@@ -312,10 +312,14 @@ def build_slice(
 
     Levels are all sums of at most D generators, closed downward (x in
     the slice and x - sigma in the cone implies x - sigma in the slice);
-    fibers and edges follow the model's enumeration and truncation.  The
-    fiber over x has prod(caps(model, x)) vertices, so the slice's size
-    is known exactly from its levels, and SliceTooLarge refuses a slice
-    of more than MAX_SLICE_VERTICES before any fiber is listed.  The
+    fibers and edges follow the model's enumeration and truncation.  A
+    plain generator list is checked first, so that the closure ends: the
+    least sum outside the cone is refused, as `fiber` would refuse it,
+    and then any generator that `ConeSemigroup.check_descending`
+    refuses.  A GeneratorSet is not checked.  The fiber over x has
+    prod(caps(model, x)) vertices, so the slice's size is known exactly
+    from its levels, and SliceTooLarge refuses a slice of more than
+    MAX_SLICE_VERTICES before any fiber is listed.  The
     edges for step g into y are one level-pair map: the i-th vertex over
     y goes to position truncation_positions(y - g, y)[i] over y - g.
     The caps worked out for the size guard are handed to
@@ -334,11 +338,13 @@ def build_slice(
         raise NotApplicable("model does not derive the cone's flat-group spec")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if isinstance(generators, GeneratorSet):
-        gens = tuple(generators.sigma)
-    else:
-        gens = tuple(sorted({tuple(g) for g in generators}))
+    plain = not isinstance(generators, GeneratorSet)
+    gens = tuple(sorted({tuple(g) for g in generators})) if plain else tuple(generators.sigma)
     levels = set().union(*_generator_sums(gens, P.spec.rank, depth))
+    if plain:  # a GeneratorSet is the cone's Hilbert basis, so it needs no check
+        if outside := [x for x in levels if not P.contains(x)]:
+            raise NotInSemigroup(f"level {min(outside)} is outside the cone")
+        P.check_descending(gens)
     todo = list(levels)
     while todo:  # downward closure: each level is stepped down from once
         x = todo.pop()

@@ -15,6 +15,7 @@ from pgraphs import cli
 from pgraphs import cone_semigroup as cs
 from pgraphs.errors import CertificationFailed, KernelNotTrivial, NotApplicable, NotInSemigroup
 from pgraphs.flat_core import make_spec, rho, scale, uniscalar_kernel
+from test_intlinalg import fraction_min_norm_point
 
 SPEC_5_1 = make_spec([(1, 0), (0, 1)], [2, 2])
 SPEC_5_2 = make_spec([(1, 0), (1, 1), (0, 1)], [2, 2, 2])
@@ -167,6 +168,12 @@ def test_cone_reads_the_pattern_as_defined(name):
 # admissibility
 
 
+def assert_witness(rows, witness):
+    """An admitted pattern's witness is primitive and strictly positive on
+    every flipped row."""
+    assert gcd(*witness) == 1 and all(la.dot(row, witness) > 0 for row in rows), (rows, witness)
+
+
 def test_admissibility_exact_infeasible():
     res = cs.is_admissible(SPEC_5_2, cs.SignPattern.of({1, 3}, {2}))
     assert not res.admissible and res.witness is None
@@ -200,9 +207,8 @@ def test_admissible_witnesses_strict_on_all_rows():
     specs += [spec for spec, _ in random_cones(17, 20)]
     for spec in specs:
         for pattern in cs.enumerate_admissible(spec):
-            witness = cs.is_admissible(spec, pattern).witness
-            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows
-            assert all(sum(a * b for a, b in zip(row, witness)) > 0 for row in flipped)
+            rows = cs.ConeSemigroup(spec, pattern).flipped_rows
+            assert_witness(rows, cs.is_admissible(spec, pattern).witness)
 
 
 def test_inadmissible_patterns_have_no_box_witness():
@@ -252,10 +258,11 @@ def test_simplex_decides_as_min_norm_point_on_every_bundled_pattern():
         for pattern in full_patterns(spec):
             res = cs.is_admissible(spec, pattern)
             rows = cs.ConeSemigroup(spec, pattern).flipped_rows
-            p = la.min_norm_point(rows)
+            p = fraction_min_norm_point(rows)
             assert res.admissible == any(p), (spec.weights, str(pattern))
             if res.admissible:
-                assert res.certificate is None and res.witness == la.primitive(p)
+                assert res.certificate is None
+                assert_witness(rows, res.witness)
             else:
                 assert res.witness is None
                 assert_certificate(spec, pattern, res.certificate)
@@ -263,6 +270,8 @@ def test_simplex_decides_as_min_norm_point_on_every_bundled_pattern():
     # example_5_2 refuses 2 of 8 patterns, the rungs 10 of 16 and 26 of 32,
     # and the other specs admit every pattern
     assert refused == 2 + 10 + 26
+    # the dual of the phase-1 basis, not the min-norm direction (1, 0)
+    assert cs.is_admissible(SPEC_5_3, cs.SignPattern.parse("+1+2")).witness == (2, -1)
 
 
 @given(st.data())
@@ -278,9 +287,12 @@ def test_simplex_decides_as_min_norm_point_on_degenerate_specs(data):
     spec = make_spec(rows, [2] * len(rows))
     for pattern in full_patterns(spec):
         res = cs.is_admissible(spec, pattern)
-        p = la.min_norm_point(cs.ConeSemigroup(spec, pattern).flipped_rows)
-        assert res.admissible == any(p)
-        if not res.admissible:
+        rows = cs.ConeSemigroup(spec, pattern).flipped_rows
+        assert res.admissible == any(fraction_min_norm_point(rows))
+        if res.admissible:
+            assert_witness(rows, res.witness)
+        else:
+            assert res.witness is None
             assert_certificate(spec, pattern, res.certificate)
 
 
@@ -309,21 +321,20 @@ def test_chamber_walk_on_the_rank3_q10_draw_matches_the_proved_filter():
     for pattern in full_patterns(spec):
         res = cs.is_admissible(spec, pattern)
         if res.admissible:
-            rows = cs.ConeSemigroup(spec, pattern).flipped_rows
-            assert all(la.dot(row, res.witness) > 0 for row in rows)
+            assert_witness(cs.ConeSemigroup(spec, pattern).flipped_rows, res.witness)
         else:
             assert_certificate(spec, pattern, res.certificate)
 
 
 def test_the_cli_and_the_searches_never_compute_a_witness(monkeypatch, capsys):
     calls = []
-    min_norm_point = la.min_norm_point
+    gordan_witness = la.gordan_witness
 
     def counted(points):
         calls.append(points)
-        return min_norm_point(points)
+        return gordan_witness(points)
 
-    monkeypatch.setattr(cs._intlinalg, "min_norm_point", counted)
+    monkeypatch.setattr(cs._intlinalg, "gordan_witness", counted)
     cs.is_admissible.cache_clear()
     cs.enumerate_admissible(random_draw(3, 10))
     for spec in bundled_specs():
@@ -386,9 +397,8 @@ def test_enumerate_admissible_matches_the_exhaustive_filter():
         walked = cs.enumerate_admissible(spec)
         assert walked == admissible_by_exhaustion(spec), spec
         for pattern in walked:
-            witness = cs.is_admissible(spec, pattern).witness
-            flipped = cs.ConeSemigroup(spec, pattern).flipped_rows
-            assert all(sum(a * b for a, b in zip(row, witness)) > 0 for row in flipped)
+            rows = cs.ConeSemigroup(spec, pattern).flipped_rows
+            assert_witness(rows, cs.is_admissible(spec, pattern).witness)
 
 
 def test_chamber_walk_tests_seven_patterns_on_the_rank2_q5_rung():

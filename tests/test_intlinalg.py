@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -10,9 +10,10 @@ from pgraphs import _intlinalg as la
 
 
 # ---------------------------------------------------------------------------
-# Reference oracles: the Fraction Gauss-Jordan solver and the Fraction
-# Caratheodory search that the integer kernel replaced.  The kernel must
-# reproduce them exactly, not just equivalently.
+# Reference oracles: the Fraction Gauss-Jordan solver, which the integer
+# kernel must reproduce exactly, not just equivalently, and the Fraction
+# Caratheodory search for the min-norm point of a convex hull, which is 0
+# exactly when the phase-1 simplex refuses.
 
 
 def fraction_rank(rows):
@@ -155,30 +156,13 @@ def test_hermite_box_holds_one_point_of_each_coset(data):
 
 def test_zero_in_convex_hull():
     def zero_in_hull(points):
-        return not any(la.min_norm_point(points))
+        return assert_gordan_decision(points) is not None
 
     assert zero_in_hull([(1, 1), (-1, 0), (0, -1)])
     assert not zero_in_hull([(1, 0), (0, 1)])
     assert zero_in_hull([(2, 0), (-1, 0)])
     assert zero_in_hull([(0, 0)])
     assert not zero_in_hull([(1, 0), (2, 1), (1, 3)])
-
-
-def test_min_norm_point():
-    half = Fraction(1, 2)
-    assert la.min_norm_point([(1, 0), (0, 1)]) == (half, half)
-    assert la.min_norm_point([(1, 0), (2, 1), (1, 3)]) == (1, 0)
-    assert la.min_norm_point([(3, 4)]) == (3, 4)
-    assert la.min_norm_point([(2, 0), (0, 2), (2, 0)]) == (1, 1)  # repeated point
-    p = (Fraction(201, 40405), Fraction(2, 40405))
-    assert la.min_norm_point([(1, -100), (-1, 101)]) == p
-
-
-def test_primitive():
-    assert la.primitive((Fraction(1, 2), Fraction(1, 2))) == (1, 1)
-    assert la.primitive((Fraction(201, 40405), Fraction(2, 40405))) == (201, 2)
-    assert la.primitive((Fraction(-4, 3), 2)) == (-2, 3)
-    assert la.primitive((0, 6, -9)) == (0, 2, -3)
 
 
 def test_image_solver():
@@ -227,28 +211,6 @@ def test_solve_scaled_is_integral_over_a_positive_denominator():
         assert [la.dot(r, y) for r in rows] == [d * b for b in rhs]
 
 
-def test_min_norm_point_matches_the_fraction_oracle():
-    rng = random.Random(10)
-    kinds = {"repeated": 0, "collinear": 0, "zero": 0}
-    for n in range(480):
-        dim = n % 4 + 1
-        pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
-        if rng.random() < 0.25:
-            pts.append(rng.choice(pts))
-            kinds["repeated"] += 1
-        if rng.random() < 0.25:
-            p = rng.choice(pts)
-            pts.append(tuple(rng.choice((-2, 2, 3)) * c for c in p))
-            kinds["collinear"] += 1
-        if rng.random() < 0.15:
-            pts.insert(rng.randrange(len(pts) + 1), (0,) * dim)
-            kinds["zero"] += 1
-        got = la.min_norm_point(pts)
-        assert got == fraction_min_norm_point(pts), pts
-        assert all(type(c) is Fraction for c in got)
-    assert min(kinds.values()) >= 50, kinds
-
-
 def test_image_solver_matches_the_fraction_oracle():
     rng = random.Random(11)
     seen = {"hit": 0, "divisibility miss": 0}
@@ -275,21 +237,29 @@ def test_image_solver_matches_the_fraction_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Gordan certificates by the phase-1 simplex, against min_norm_point
+# Both sides of Gordan's alternative by the phase-1 simplex, against the
+# Fraction min-norm point
 
 
 def assert_gordan_decision(points):
     """The simplex refuses exactly when the min-norm point is 0, and each
-    refusal's certificate is checked on its own: lam >= 0, sum(lam) = d
-    > 0 and sum lam_i points_i = 0."""
+    side's proof is checked on its own: a refusal's certificate has
+    lam >= 0, sum(lam) = d > 0 and sum lam_i points_i = 0, and an
+    admission's witness is a primitive integer vector strictly positive
+    on every point."""
     cert = la.gordan_certificate(points)
-    assert (cert is not None) == (not any(la.min_norm_point(points))), points
+    witness = la.gordan_witness(points)
+    assert (cert is not None) == (not any(fraction_min_norm_point(points))), points
+    assert (witness is None) == (cert is not None), points
     if cert is not None:
         lam, d = cert
         assert len(lam) == len(points) and all(type(c) is int and c >= 0 for c in lam)
         assert sum(lam) == d > 0
         assert all(sum(c * p[j] for c, p in zip(lam, points)) == 0
                    for j in range(len(points[0]))), (points, cert)
+    else:
+        assert len(witness) == len(points[0]) and all(type(c) is int for c in witness)
+        assert gcd(*witness) == 1 and all(la.dot(p, witness) > 0 for p in points), points
     return cert
 
 
@@ -300,6 +270,18 @@ def test_gordan_certificate_examples():
     assert la.gordan_certificate([(1, 2), (-2, -4), (1, 2)]) == ((2, 1, 0), 3)
     assert la.gordan_certificate([(1, 0), (0, 1)]) is None
     assert la.gordan_certificate([(1, -100), (-1, 101)]) is None
+
+
+def test_gordan_witness_examples():
+    # the dual of the final basis: not the min-norm direction, e.g. (4, -1)
+    # where the min-norm point is (1, 0)
+    assert la.gordan_witness([(1, 0), (0, 1)]) == (1, 1)
+    assert la.gordan_witness([(1, 0), (2, 1), (1, 3)]) == (4, -1)
+    assert la.gordan_witness([(2, 0), (0, 2), (2, 0)]) == (1, 1)  # repeated point
+    assert la.gordan_witness([(1, -100), (-1, 101)]) == (201, 2)
+    assert la.gordan_witness([(-2,), (-1,)]) == (-1,)
+    assert la.gordan_witness([(1, 1), (-1, 0), (0, -1)]) is None
+    assert la.gordan_witness([(0, 0)]) is None
 
 
 def test_gordan_certificate_on_every_row_triple_of_a_small_grid():

@@ -258,15 +258,27 @@ def test_build_slice_edges_match_truncation_positions_on_drawn_models(drawn, dep
 def test_build_slice_refuses_generators_outside_the_cone():
     model = MODELS["5_1"]
     P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse("+1+2"))
+    # (-1, 0) lies outside the cone and its negation inside: the downward
+    # closure would step down from every level forever
     for gens, depth, level in (([(1, 0), (-1, 1)], 1, "level (-1, 1)"),
                                ([(1, -1)], 2, "level (1, -1)"),
-                               ([(0, 1), (-1, 5)], 2, "level (-2, 10)")):
+                               ([(0, 1), (-1, 5)], 2, "level (-2, 10)"),
+                               ([(-1, 0)], 1, "level (-1, 0)")):
         with pytest.raises(NotInSemigroup, match=f"^{re.escape(level)} is outside the cone$"):
             pg.build_slice(P, gens, model, depth)
+    with pytest.raises(NotApplicable, match=r"^generator \(-1, 0\) lies outside the cone$"):
+        pg.build_slice(P, [(-1, 0)], model, 0)
     tree = TreeModel((2, 3))
     P = cs.ConeSemigroup(tree.flat_spec(), cs.SignPattern.parse("+1+2"))
     with pytest.raises(NotInSemigroup, match=r"^level \(1, -1\) is outside the cone$"):
         pg.build_slice(P, [(0, 1), (1, -1)], tree, 1)
+    # F (1, 1, -1) = 0: every level x - g is in the cone again
+    kernel = PadicModel(((2, (1, 0, 1)), (2, (0, 1, 1))))
+    P = cs.ConeSemigroup(kernel.flat_spec(), cs.SignPattern.parse("+1+2"))
+    for gens, depth in (([(1, 1, -1)], 0), ([(1, 0, 0), (1, 1, -1)], 2)):
+        with pytest.raises(NotApplicable,
+                           match=r"^generator \(1, 1, -1\) lies in the uniscalar kernel$"):
+            pg.build_slice(P, gens, kernel, depth)
 
 
 def random_padic_slices(seed, count, max_vertices=1500):
