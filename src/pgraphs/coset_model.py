@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .cone_semigroup import ConeSemigroup
 from .errors import LevelNotComparable, NonPrimeModulus, NotInSemigroup
-from .flat_core import FlatGroupSpec, GroupElement, make_spec, rho
+from .flat_core import MAX_COMPONENTS, MAX_RANK, FlatGroupSpec, GroupElement, make_spec, rho
 
 
 # Miller-Rabin with the first 13 primes as bases passes no composite below
@@ -84,13 +84,18 @@ class PadicModel:
     rows: tuple[tuple[int, GroupElement], ...]
 
     def __post_init__(self):
-        for j, (p, _) in enumerate(self.rows):
+        for j, (p, exps) in enumerate(self.rows):
             try:
                 prime = _is_prime(p)
             except ValueError as exc:
                 raise ValueError(f"rows[{j}].prime: {exc}") from None
             if not prime:
-                raise NonPrimeModulus(f"row {j + 1}: modulus {p} is not prime")
+                raise NonPrimeModulus(f"rows[{j}].prime: modulus {p} is not prime")
+            if not any(exps):
+                raise ValueError(f"rows[{j}].exponents: weight row is zero")
+        # FlatGroupSpec checks the rank before the row count, so this does too
+        if (n := len(self.rows)) > MAX_COMPONENTS and len(self.rows[0][1]) <= MAX_RANK:
+            raise ValueError(f"rows: components must be in 1..{MAX_COMPONENTS}, got {n}")
         self.flat_spec()  # FlatGroupSpec checks the shape and the ranges
 
     def flat_spec(self) -> FlatGroupSpec:
@@ -113,7 +118,9 @@ class TreeModel:
     valencies: tuple[int, ...]
 
     def __post_init__(self):
-        self.flat_spec()  # FlatGroupSpec checks the shape and d_j >= 2
+        if not 1 <= (n := len(self.valencies)) <= MAX_COMPONENTS:
+            raise ValueError(f"valencies: components must be in 1..{MAX_COMPONENTS}, got {n}")
+        self.flat_spec()  # FlatGroupSpec checks d_j >= 2
 
     def flat_spec(self) -> FlatGroupSpec:
         return self._spec

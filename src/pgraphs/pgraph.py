@@ -18,20 +18,23 @@ pair, the ancestor of each vertex, in residue order).  The rooted check
 runs on both.  Per-level and per-pair work is done once per slice: the
 levels are ordered top-down once (Kahn's algorithm), and one list per
 comparable pair x != y, `pair_steps`, holds the steps from x whose
-target still reaches y, for the ancestor table and the rooted check to
-read.  Each column entry is one distinct edge that steps by its
-generator, so every edge does exactly when the columns all exist and
-count as many entries as there are edges; beyond `parents` and that
-count, the rooted check reads the edges only to name failures.  Its
+target still reaches y, for the ancestor table, the rooted check and
+the generator words to read.  Each column entry is one distinct edge
+that steps by its generator, so every edge does exactly when the
+columns all exist and count as many entries as there are edges; beyond
+`parents` and that count, the rooted check reads the edges only to
+name failures.  Its
 report never raises, and every route that needs a rooted slice reads
 it.  Factorization is proved from a passing rooted check and enumerated
 on the ancestor table otherwise.  On levels that form a cycle, the
 rooted, factorization and fiber checks each fail with that one failure.
 Regularity is decided by one positional isomorphism between cones when
-the rooted check passes, and by the cone matcher otherwise or where that
-map fails.  The square condition reads the step columns of a slice that
-passes the rooted check; any other slice is not a product of trees.
-Failing slices take per-vertex paths that name every failure.
+the rooted check passes: per step, one map from a vertex's rank in its
+cone to its predecessor's rank must serve every cone.  The cone matcher
+decides otherwise, or where that map fails.  The square condition reads
+the step columns of a slice that passes the rooted check; any other
+slice is not a product of trees.  Failing slices take per-vertex paths
+that name every failure.
 
 Each decision has one routine.  `_generator_sums` lists the sums of at
 most D generators, for a slice's levels and for a cone's offsets;
@@ -87,18 +90,11 @@ class PGraphSlice:
         return frozenset(self.levels)
 
     @cached_property
-    def vertex_index(self) -> dict[Vertex, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def fiber_indices(self) -> dict[GroupElement, tuple[int, ...]]:
         out: dict[GroupElement, list[int]] = {x: [] for x in self.levels}
         for i, v in enumerate(self.vertices):
             out[v.level].append(i)
         return {x: tuple(ids) for x, ids in out.items()}
-
-    def fiber_at(self, x: GroupElement) -> tuple[int, ...]:
-        return self.fiber_indices[x]
 
     @cached_property
     def fibers(self) -> dict[GroupElement, tuple[int, ...]]:
@@ -210,16 +206,12 @@ class PGraphSlice:
         return {x: frozenset(s) for x, s in out.items()}
 
     def gen_words(self, x: GroupElement, y: GroupElement) -> list[tuple[int, ...]]:
-        """All generator words leading from level x to level y in the slice."""
-        if y not in self.reachable.get(x, frozenset()):
-            return []
+        """All generator words leading from level x to level y in the slice:
+        a step of pair_steps[(x, y)] followed by each word onward."""
+        steps = self.pair_steps.get((x, y), ())  # raises NotApplicable on a level cycle
         if x == y:
-            return [()]
-        words = []
-        for gi, nxt in self.level_steps[x]:
-            if y in self.reachable[nxt]:
-                words.extend((gi,) + w for w in self.gen_words(nxt, y))
-        return words
+            return [()] if x in self.level_set else []
+        return [(gi,) + w for gi, nxt in steps for w in self.gen_words(nxt, y)]
 
     def walk_back(self, w: int, word: tuple[int, ...]) -> int | None:
         """Ancestor of w obtained by undoing the word's steps in reverse."""
@@ -235,7 +227,7 @@ class PGraphSlice:
         steps (gi, x + g) of level_steps[x] whose target still reaches y,
         in level_steps order.  Pairs come with x in top-down order, so a
         pair comes after every pair (x + g, y) its steps lead to.  The
-        ancestor table and the rooted check both read these lists."""
+        ancestor table, the rooted check and gen_words read these lists."""
         reachable, out = self.reachable, {}
         for x in self._levels_top_down:
             for step in self.level_steps[x]:
@@ -469,7 +461,7 @@ def _rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
             words = slice_.gen_words(x, y)
             ref = dict(zip(slice_.fibers[y], table[(x, y)]))  # (b) holds: none is lost
             for word in words[1:]:
-                for w in slice_.fiber_at(y):
+                for w in slice_.fiber_indices[y]:
                     got = slice_.walk_back(w, word)
                     if got != ref[w]:
                         failures.append(
@@ -572,7 +564,7 @@ def _factorization_by_enumeration(slice_: PGraphSlice) -> CheckReport:
                 if y not in reachable[z]:
                     continue
                 to_z, z_to_x = table[(z, y)], table[(x, z)]
-                for w in slice_.fiber_at(y):
+                for w in slice_.fiber_indices[y]:
                     i = position[w]
                     if (v := to_x[i]) == lost:
                         failures.append(
@@ -815,7 +807,7 @@ def check_regularity(slice_: PGraphSlice, depth_d: int) -> CheckReport:
     if depth_d < 0:
         raise ValueError("depth_d must be >= 0")
     deltas, levels = _eligible_levels(slice_, depth_d)
-    count = sum(len(slice_.fiber_at(x)) for x in levels)
+    count = sum(len(slice_.fiber_indices[x]) for x in levels)
     if count and _cones_agree_by_position(slice_, deltas, levels):
         details = (f"compared {count} cones at depth {depth_d}",)
         return CheckReport("regularity", True, details=details)
@@ -824,7 +816,7 @@ def check_regularity(slice_: PGraphSlice, depth_d: int) -> CheckReport:
 
 def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> bool:
     """Whether the slice passes the rooted check, has distinct generators,
-    and gives every cone rooted over `levels` the same signature.
+    and has one rank map per step for every cone rooted over `levels`.
 
     The cone of v over x is every w with level(w) - x in D and
     anc(w, x) = v; its edges are the g-edges into each such w, for each
@@ -841,45 +833,44 @@ def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> 
     cone.  Distinct generators join distinct pairs of nodes, so
     `descendant_cone`, which keeps one edge per pair, keeps them all.
 
-    The signature lists the cone's node count at each offset delta in D,
-    and, for each delta and g with delta - g in D, the rank of each
-    node's g-predecessor among the cone's nodes at delta - g, nodes at an
-    offset taken in residue order.  Two cones with one signature are
-    isomorphic: send the i-th node at each offset of one to the i-th
-    node at that offset of the other.  That map keeps offsets, is a
-    bijection by the counts, and sends each edge pred_g(w) -> w to the
-    edge into the image of w along g by the ranks.  Both cones have
-    equally many edges, so it maps edges onto edges.  With all
-    signatures equal, every cone is in one isomorphism class, which is
-    the matcher's pass.
+    The rank of w over x + d is the number of vertices before it over
+    x + d, in residue order, with its ancestor at x: the cone of v has
+    its nodes at offset d ranked 0, 1, ..., in residue order.  The test
+    asks (i) that every cone, over every level in `levels`, has the
+    same number n_d of nodes at each offset d in D, and (ii) that for
+    each step (d, g) with d - g in D, the pairs (rank(w),
+    rank(pred_g(w))) over all w at offset d form one set of n_d pairs
+    at every level.  By (i) each cone gives a pair for every rank below
+    n_d, so by (ii) the rank of pred_g(w) is one function f of the rank
+    of w, the same in every cone.  Two cones are then isomorphic: send
+    the node of rank r at each offset of one to the node of rank r at
+    that offset of the other.  That map keeps offsets, is a bijection
+    by (i), and sends each edge pred_g(w) -> w to the g-edge into the
+    image of w, by f.  Both cones have equally many edges, so it maps
+    edges onto edges.  So every cone is in one isomorphism class, which
+    is the matcher's pass.  A level with an empty fiber roots no cone.
     """
     gens = slice_.generators
     if len(set(gens)) < len(gens) or not slice_.rooted_report.ok:
         return False
     table, cols, fibers = slice_.ancestor_table, slice_.step_columns, slice_.fibers
     position = slice_.position
-    offsets = sorted(deltas)
-    steps = [(d, gi, e) for d in offsets
-             for gi, g in enumerate(gens) if (e := vsub(d, g)) in deltas]
-    first = None
+    steps = [(d, gi, e) for d in deltas for gi, g in enumerate(gens) if (e := vsub(d, g)) in deltas]
+    count, pairs = {}, {}  # per offset: n_d; per step: its (rank, predecessor rank) pairs
     for x in levels:
-        nodes, rank = {}, {}  # per offset: each cone's nodes; each node's rank in its cone
-        for d in offsets:
-            nodes[d] = groups = [[] for _ in fibers[x]]
-            rank[d] = ranks = []
-            for i, a in enumerate(map(position.__getitem__, table[(x, vadd(x, d))])):
-                ranks.append(len(groups[a]))
-                groups[a].append(i)
-        pred_rank = {(d, gi): list(map(rank[e].__getitem__, cols[(vadd(x, d), gi)]))
-                     for d, gi, e in steps}
-        for p in range(len(fibers[x])):
-            signature = (
-                [len(nodes[d][p]) for d in offsets],
-                [list(map(pred_rank[(d, gi)].__getitem__, nodes[d][p])) for d, gi, _ in steps],
-            )
-            if first is None:
-                first = signature
-            elif signature != first:
+        if not fibers[x]:
+            continue
+        rank = {}  # per offset: each vertex's rank, in residue order
+        for d in deltas:
+            seen, rank[d] = [0] * len(fibers[x]), []
+            for a in map(position.__getitem__, table[(x, vadd(x, d))]):
+                rank[d].append(seen[a])
+                seen[a] += 1
+            if set(seen) != {count.setdefault(d, seen[0])}:
+                return False
+        for d, gi, e in steps:
+            got = set(zip(rank[d], map(rank[e].__getitem__, cols[(vadd(x, d), gi)])))
+            if len(got) != count[d] or pairs.setdefault((d, gi), got) != got:
                 return False
     return True
 
@@ -928,12 +919,16 @@ def _regularity_by_matcher(slice_: PGraphSlice, depth_d: int) -> CheckReport:
 def common_descendants(
     slice_: PGraphSlice, alpha: Vertex, beta: Vertex, z: GroupElement
 ) -> int:
-    """Number of fiber(z) vertices truncating to alpha and beta."""
+    """Number of fiber(z) vertices truncating to alpha and beta.
+
+    alpha and beta are each found by a scan of their own level's fiber,
+    as the count scans fiber(z); the slice keeps no per-vertex index."""
     z = tuple(z)
     if z not in slice_.level_set:
         raise LevelNotComparable(f"level {z} is not in the slice")
-    ai = slice_.vertex_index.get(alpha)
-    bi = slice_.vertex_index.get(beta)
+    vertices, fibers = slice_.vertices, slice_.fiber_indices
+    ai, bi = (next((i for i in fibers.get(v.level, ()) if vertices[i] == v), None)
+              for v in (alpha, beta))
     if ai is None or bi is None:
         raise LevelNotComparable("vertex not in slice")
     for lvl in (alpha.level, beta.level):
@@ -994,9 +989,9 @@ def check_product_of_trees(slice_: PGraphSlice) -> ProductOfTreesResult:
             continue
         kids = [[[] for _ in fibers[x]] for _ in parents]  # per parent position: its children
         for kids_at, up, column in zip(kids, (xg, xh), parents):  # along gi, then gj
-            for a in slice_.fiber_at(up):  # in vertex-index order
+            for a in slice_.fiber_indices[up]:  # in vertex-index order
                 kids_at[column[position[a]]].append(a)
-        for v in slice_.fiber_at(x):
+        for v in slice_.fiber_indices[x]:
             p = position[v]
             for a in kids[0][p]:
                 for b in kids[1][p]:
@@ -1077,10 +1072,9 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
     size = prod(len(s.vertices) for s in slices)
     if size > MAX_SLICE_VERTICES:
         raise SliceTooLarge(size, MAX_SLICE_VERTICES, "product")
-    for s in slices:
-        report = s.rooted_report
-        if not report.ok:
-            raise NotApplicable(f"factor fails rooted/strongly-simple: {report.failures[:1]}")
+    for i, s in enumerate(slices, 1):
+        if not (report := s.rooted_report).ok:
+            raise NotApplicable(f"factor {i} fails the rooted check: {report.failures[0]}")
 
     ranks = [len(s.levels[0]) for s in slices]
     labelled = sorted(
@@ -1194,7 +1188,7 @@ def slice_to_json_dict(slice_: PGraphSlice) -> dict:
     """The canonical JSON shape; arrays follow the slice's own order."""
     return {
         "levels": [
-            {"x": list(x), "size": len(slice_.fiber_at(x))} for x in slice_.levels
+            {"x": list(x), "size": len(slice_.fiber_indices[x])} for x in slice_.levels
         ],
         "vertices": [
             {"level": list(v.level), "residues": list(v.residues)}
@@ -1282,12 +1276,6 @@ def _json_array(chunks) -> Iterator[str]:
             yield sep + template % ints
             sep = ",\n"
     yield "[]" if sep == "[\n" else "\n  ]"
-
-
-def slice_to_json(slice_: PGraphSlice) -> str:
-    """The export text: exactly json.dumps(slice_to_json_dict(slice_),
-    indent=2) + "\n", with no per-record dict built."""
-    return "".join(slice_to_json_chunks(slice_))
 
 
 def _json_ints(entry, key: str, where: str) -> tuple[int, ...]:
@@ -1416,7 +1404,6 @@ __all__ = [
     "descendant_cone",
     "cone_certificate",
     "cones_isomorphic",
-    "slice_to_json",
     "slice_to_json_chunks",
     "slice_to_json_dict",
     "slice_from_json_dict",

@@ -97,11 +97,11 @@ def test_criterion_3():
 @criterion(4, "fiber counts")
 def test_criterion_4():
     s = bundled_slice("example_5_2", "+1+2+3", 2)
-    assert len(s.fiber_at((1, 1))) == 16
+    assert len(s.fiber_indices[(1, 1)]) == 16
     s = bundled_slice("example_5_3", "+1+2", 2)
-    assert len(s.fiber_at((2, 0))) == 16
+    assert len(s.fiber_indices[(2, 0)]) == 16
     s = bundled_slice("moller_tree", "+1", 4)
-    assert len(s.fiber_at((4,))) == 81
+    assert len(s.fiber_indices[(4,)]) == 81
 
 
 @criterion(5, "common-descendant structure")
@@ -111,8 +111,8 @@ def test_criterion_5():
         P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse("+1+2+3"))
         s = pg.build_slice(P, cs.minimal_generators(P, 16), model, 2)
         counts = Counter()
-        for ai in s.fiber_at((1, 0)):
-            for bi in s.fiber_at((0, 1)):
+        for ai in s.fiber_indices[(1, 0)]:
+            for bi in s.fiber_indices[(0, 1)]:
                 counts[
                     pg.common_descendants(s, s.vertices[ai], s.vertices[bi], (1, 1))
                 ] += 1
@@ -153,7 +153,7 @@ def test_criterion_7():
 @criterion(8, "rooted-tree baseline and tree products")
 def test_criterion_8():
     s = bundled_slice("moller_tree", "+1", 4)
-    assert [len(s.fiber_at((i,))) for i in range(5)] == [1, 3, 9, 27, 81]
+    assert [len(s.fiber_indices[(i,)]) for i in range(5)] == [1, 3, 9, 27, 81]
     preds = Counter(w for _, w, _ in s.edges)
     for i, v in enumerate(s.vertices):
         assert preds[i] == (0 if v.level == (0,) else 1)
@@ -166,7 +166,7 @@ def test_criterion_8():
 
     prod = pg.external_product([tree_slice(2, 2), tree_slice(3, 2)])
     for x in prod.levels:
-        assert len(prod.fiber_at(x)) == 2 ** x[0] * 3 ** x[1]
+        assert len(prod.fiber_indices[x]) == 2 ** x[0] * 3 ** x[1]
     assert pg.check_rooted_strongly_simple(prod).ok
 
 

@@ -414,6 +414,21 @@ def test_product_rejects_malformed_slices(capsys, tmp_path):
         assert code == 2 and err.startswith(f"slice error: {bad}: cannot read: ")
 
 
+def test_product_names_the_factor_that_fails_the_rooted_check(capsys, tmp_path):
+    good, cut, out = tmp_path / "good.json", tmp_path / "cut.json", tmp_path / "p.json"
+    cfg = str(bundled_config_path("moller_tree"))
+    assert run(capsys, "graph-build", cfg, "--depth", "1", "--out", str(good))[0] == 0
+    data = json.loads(good.read_text())
+    cut.write_text(json.dumps(dict(data, edges=data["edges"][1:])))  # one edge dropped
+    assert run(capsys, "product", str(good), str(cut), "--out", str(out)) == (
+        1,
+        "",
+        "error: factor 2 fails the rooted check: vertex Vertex(level=(1,), residues=(0,))"
+        " has 0 predecessors along generator 0, want 1\n",
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "product"])
 @pytest.mark.parametrize(
     "content", [b"\xff\xfe{\x00}\x00", b"[" * 200000], ids=["utf16-bom", "nested-200000"]
@@ -462,7 +477,14 @@ MALFORMED = [
     ("exponent-bool", ("validate", "cfg"), {"cfg": _padic(1, [(2, (True,)), (2, (1,))])},
      "rows[0].exponents"),
     ("prime-bool", ("validate", "cfg"), {"cfg": _padic(1, [(True, (1,))])}, "rows[0].prime"),
-    ("17-rows", ("validate", "cfg"), {"cfg": _padic(2, _unit_rows(17, 2))}, "components"),
+    ("17-rows", ("validate", "cfg"), {"cfg": _padic(2, _unit_rows(17, 2))},
+     ": rows: components must be in 1..16, got 17"),
+    ("prime-4", ("validate", "cfg"), {"cfg": _padic(1, [(2, (1,)), (4, (1,))])},
+     ": rows[1].prime: modulus 4 is not prime"),
+    ("exponents-zero", ("validate", "cfg"), {"cfg": _padic(2, [(2, (1, 0)), (2, (0, 0))])},
+     ": rows[1].exponents: weight row is zero"),
+    ("17-valencies", ("validate", "cfg"), {"cfg": {"kind": "tree", "valencies": [2] * 17}},
+     ": valencies: components must be in 1..16, got 17"),
     ("rank-17", ("validate", "cfg"), {"cfg": _padic(17, _unit_rows(17, 17))}, "rank"),
     ("valency-1", ("validate", "cfg"), {"cfg": {"kind": "tree", "valencies": [1]}},
      "valencies[0]"),
@@ -647,7 +669,7 @@ def test_run_checks_flags_corrupted_slice():
     s = pg.build_slice(P, cs.minimal_generators(P, 16), model, 2)
     edges = list(s.edges)
     u, w, g = edges[-1]
-    other = next(t for t in s.fiber_at(s.vertices[w].level) if t != w)
+    other = next(t for t in s.fiber_indices[s.vertices[w].level] if t != w)
     edges[-1] = (u, other, g)
     corrupted = dataclasses.replace(s, edges=tuple(sorted(edges)))
     lines, failed = _run_checks(corrupted, ["rooted"], 1)
@@ -795,7 +817,7 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collectin
             return s
         edges = list(s.edges)  # retarget the last edge: the rooted check fails
         u, w, g = edges[-1]
-        edges[-1] = (u, next(t for t in s.fiber_at(s.vertices[w].level) if t != w), g)
+        edges[-1] = (u, next(t for t in s.fiber_indices[s.vertices[w].level] if t != w), g)
         return dataclasses.replace(s, edges=tuple(sorted(edges)))
 
     monkeypatch.setattr(cli, "_build_from_args", build_then)

@@ -76,7 +76,7 @@ def _truncated_edges(s, model):
             y = tuple(a + b for a, b in zip(x, g))
             if y not in s.level_set:
                 continue
-            for w in s.fiber_at(y):
+            for w in s.fiber_indices[y]:
                 v = truncate(model, x, y, s.vertices[w])
                 edges.append((index[v], w, gi))
     return sorted(edges)
@@ -85,10 +85,10 @@ def _truncated_edges(s, model):
 def _sorted_product(slices):
     """Reference: the external product built by sorting one Vertex per
     combination of factor vertices by (level, residues)."""
-    for s in slices:
+    for i, s in enumerate(slices, 1):
         report = pg.check_rooted_strongly_simple(s)
         if not report.ok:
-            raise NotApplicable(f"factor fails rooted/strongly-simple: {report.failures[:1]}")
+            raise NotApplicable(f"factor {i} fails the rooted check: {report.failures[0]}")
 
     ranks = [len(s.levels[0]) for s in slices]
     offsets = [sum(ranks[:i]) for i in range(len(slices))]
@@ -162,7 +162,7 @@ def _record_json(s):
         return f'  "{key}": {body}'
 
     levels = [
-        _record_json_template((("x", len(x)), ("size", None))) % (*x, len(s.fiber_at(x)))
+        _record_json_template((("x", len(x)), ("size", None))) % (*x, len(s.fiber_indices[x]))
         for x in s.levels
     ]
     vertices = [
@@ -193,10 +193,13 @@ def _record_dot(s):
     return "\n".join(lines) + "\n"
 
 
+def _json_text(s):
+    """The export text, as `graph-build` writes it."""
+    return "".join(pg.slice_to_json_chunks(s))
+
+
 def _assert_writers_match_records(s):
-    text = pg.slice_to_json(s)
-    assert text == _record_json(s)
-    assert "".join(pg.slice_to_json_chunks(s)) == text
+    assert _json_text(s) == _record_json(s)
     assert pg.slice_to_dot(s) == _record_dot(s)
 
 
@@ -381,7 +384,7 @@ def test_product_size_guard(monkeypatch):
 def test_build_slice_levels_and_fibers():
     s = make_slice("5_1", "+1+2", 2)
     assert s.levels == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
-    sizes = {x: len(s.fiber_at(x)) for x in s.levels}
+    sizes = {x: len(s.fiber_indices[x]) for x in s.levels}
     assert sizes == {(0, 0): 1, (1, 0): 2, (0, 1): 2, (2, 0): 4, (1, 1): 4, (0, 2): 4}
 
 
@@ -403,7 +406,7 @@ def test_build_slice_depth_zero():
 
 def test_build_slice_5_3_fiber():
     s = make_slice("5_3", "+1+2", 2)
-    assert len(s.fiber_at((2, 0))) == 16
+    assert len(s.fiber_indices[(2, 0)]) == 16
     assert len(s.levels) == 9  # word-length <= 2 over three generators
 
 
@@ -424,7 +427,7 @@ def test_slice_edge_invariants():
                 expected = scale(spec, gen) if up in s.level_set else 0
                 assert len(s.succ[i].get(g, ())) == expected
         # fibers partition the vertex set by level
-        assert sum(len(s.fiber_at(x)) for x in s.levels) == len(s.vertices)
+        assert sum(len(s.fiber_indices[x]) for x in s.levels) == len(s.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +445,7 @@ def _retarget_edge_target(s):
     edges = list(s.edges)
     for i, (u, w, g) in enumerate(edges):
         if s.vertices[w].level == (1, 1):
-            others = [t for t in s.fiber_at((1, 1)) if t != w]
+            others = [t for t in s.fiber_indices[(1, 1)] if t != w]
             edges[i] = (u, others[0], g)
             return dataclasses.replace(s, edges=tuple(sorted(edges)))
     raise AssertionError("no edge into (1,1)")
@@ -453,7 +456,7 @@ def _retarget_edge_source(s):
     edges = list(s.edges)
     for i, (u, w, g) in enumerate(edges):
         if s.vertices[w].level == (1, 1) and s.vertices[u].level == (1, 0):
-            others = [t for t in s.fiber_at((1, 0)) if t != u]
+            others = [t for t in s.fiber_indices[(1, 0)] if t != u]
             edges[i] = (others[0], w, g)
             return dataclasses.replace(s, edges=tuple(sorted(edges)))
     raise AssertionError("no edge (1,0) -> (1,1)")
@@ -521,7 +524,7 @@ def _word_walking_checks(s):
         for y in s.reachable[x]:
             words = s.gen_words(x, y)
             for word in words[1:]:
-                for w in s.fiber_at(y):
+                for w in s.fiber_indices[y]:
                     if s.walk_back(w, word) != s.walk_back(w, words[0]):
                         ambiguous.append(("ambiguous", w, x, words[0], word))
     factorization = []
@@ -530,13 +533,13 @@ def _word_walking_checks(s):
             for z in s.reachable[x]:
                 if y not in s.reachable[z]:
                     continue
-                for w in s.fiber_at(y):
+                for w in s.fiber_indices[y]:
                     v = anc(w, x)
                     if v is None:
                         factorization.append(("no_ancestor", w, x))
                         continue
                     count = sum(
-                        1 for u in s.fiber_at(z) if anc(w, z) == u and anc(u, x) == v
+                        1 for u in s.fiber_indices[z] if anc(w, z) == u and anc(u, x) == v
                     )
                     if count != 1:
                         factorization.append(("split", w, x, z, y, count))
@@ -674,10 +677,10 @@ def test_walk_that_leaves_its_level():
                 left += a is not None and s.vertices[a].level != x
     assert left > 0
     for z in s.levels:
-        below = [(a, x) for x in s.levels if z in s.reachable[x] for a in s.fiber_at(x)]
+        below = [(a, x) for x in s.levels if z in s.reachable[x] for a in s.fiber_indices[x]]
         for (a, x), (b, y) in itertools.combinations(below, 2):
             count = sum(s.walk_back(w, first_word(x, z)) == a
-                        and s.walk_back(w, first_word(y, z)) == b for w in s.fiber_at(z))
+                        and s.walk_back(w, first_word(y, z)) == b for w in s.fiber_indices[z])
             assert pg.common_descendants(s, s.vertices[a], s.vertices[b], z) == count
 
 
@@ -734,7 +737,7 @@ def _fuzzed(s, rng):
                 edges[i], edges[j] = (edges[j][0], w, g), (u, edges[j][1], g)
             continue
         end = w if kind == "retarget" else u
-        others = [t for t in s.fiber_at(s.vertices[end].level) if t != end]
+        others = [t for t in s.fiber_indices[s.vertices[end].level] if t != end]
         if others:
             t = rng.choice(others)
             edges[i] = (u, t, g) if kind == "retarget" else (t, w, g)
@@ -773,7 +776,7 @@ def test_step_columns_match_predecessors():
     clean = [s for *_, s in bundled_slices() if s.edges and len(s.vertices) <= 400]
     s = make_slice("5_2", "+1+2+3", 2)
     u, w, g = s.edges[-1]
-    sibling = next(t for t in s.fiber_at(s.vertices[u].level) if t != u)
+    sibling = next(t for t in s.fiber_indices[s.vertices[u].level] if t != u)
     odd = [  # one edge hung from the root, off its level; two edges off the generators;
         # the last edge twice; a second g-edge into its target, from its source's level
         dataclasses.replace(s, edges=tuple(sorted(s.edges[:-1] + ((0, w, g),)))),
@@ -852,8 +855,11 @@ def test_level_cycle_not_applicable():
                         (pg.check_factorization, "factorization"),
                         (pg.check_fiber_regularity, "fiber_regularity")):
         assert check(s) == pg.CheckReport(name, False, ("level graph has a cycle",))
-    with pytest.raises(NotApplicable, match=r"\('level graph has a cycle',\)"):
+    with pytest.raises(NotApplicable, match="^factor 1 fails the rooted check: level graph has a "):
         pg.external_product([s])
+    for x, y in itertools.product(s.levels, repeat=2):  # even x == y: no word is listed
+        with pytest.raises(NotApplicable, match="cycle"):
+            s.gen_words(x, y)
     # the rooted check fails on the cycle, so regularity goes to the matcher
     assert pg.check_regularity(s, 0) == pg._regularity_by_matcher(s, 0)
     assert pg.check_regularity(s, 0).details == ("compared 2 cones at depth 0",)
@@ -904,11 +910,11 @@ def test_factorization_split_counts_by_hand():
     s = make_slice("5_3", "+1+2", 2)
     # degree 2e1 splits as e1+e1, (e1-e2)+(e1+e2), (e1+e2)+(e1-e2): each
     # target at (2,0) must see exactly one intermediate per split level
-    for w in s.fiber_at((2, 0)):
+    for w in s.fiber_indices[(2, 0)]:
         for z in [(1, 0), (1, -1), (1, 1)]:
             count = sum(
                 1
-                for u in s.fiber_at(z)
+                for u in s.fiber_indices[z]
                 if s.ancestor(w, z) == u and s.ancestor(u, (0, 0)) == s.root_index
             )
             assert count == 1
@@ -917,11 +923,11 @@ def test_factorization_split_counts_by_hand():
 def test_morphism_witness():
     # the morphism into w from level (1, 0) is the edge from its ancestor there
     s = make_slice("5_2", "+1+2+3", 2)
-    w = s.fiber_at((1, 1))[3]
+    w = s.fiber_indices[(1, 1)][3]
     v = s.ancestor(w, (1, 0))
     degree = tuple(a - b for a, b in zip(s.vertices[w].level, s.vertices[v].level))
     assert degree == (0, 1) and (v, w, s.generators.index(degree)) in s.edges
-    others = [u for u in s.fiber_at((1, 0)) if u != v]
+    others = [u for u in s.fiber_indices[(1, 0)] if u != v]
     assert others and not any((u, w, gi) in s.edges for u in others for gi in range(2))
 
 
@@ -933,11 +939,11 @@ def test_fiber_regularity_examples():
     s = make_slice("5_3", "+1+2", 2)
     report = pg.check_fiber_regularity(s)
     assert report.ok
-    assert len(s.fiber_at((2, 0))) == 16
+    assert len(s.fiber_indices[(2, 0)]) == 16
 
     s = make_slice("5_1", "+1+2", 3)
     assert pg.check_fiber_regularity(s).ok
-    assert len(s.fiber_at((2, 1))) == 8
+    assert len(s.fiber_indices[(2, 1)]) == 8
 
     assert pg.check_fiber_regularity(make_slice("5_2", "+1+2+3", 0)).ok
 
@@ -965,7 +971,7 @@ def _enumerated_fiber_regularity(slice_):
     """Reference: every expression's product of generator fiber sizes is
     the fiber size of its level."""
     gen_sizes = {
-        gi: len(slice_.fiber_at(g))
+        gi: len(slice_.fiber_indices[g])
         for gi, g in enumerate(slice_.generators)
         if g in slice_.level_set
     }
@@ -975,7 +981,7 @@ def _enumerated_fiber_regularity(slice_):
             for gi, m in enumerate(counts):
                 if m:
                     expected *= gen_sizes.get(gi, 0) ** m
-            if expected != len(slice_.fiber_at(x)):
+            if expected != len(slice_.fiber_indices[x]):
                 return False
     return True
 
@@ -994,7 +1000,7 @@ def test_fiber_regularity_matches_enumeration():
     outcomes = Counter()
     for name, pattern, depth, _, s in bundled_slices():
         # the last vertex of each fiber, in turn, goes missing
-        variants = [s] + [_drop_vertex(s, s.fiber_at(x)[-1]) for x in s.levels]
+        variants = [s] + [_drop_vertex(s, s.fiber_indices[x][-1]) for x in s.levels]
         for v in variants:
             ok = pg.check_fiber_regularity(v).ok
             assert ok == _enumerated_fiber_regularity(v), (name, pattern, depth)
@@ -1004,7 +1010,7 @@ def test_fiber_regularity_matches_enumeration():
 
 def test_fiber_regularity_failure_names_the_step():
     s = make_slice("5_1", "+1+2", 2)  # generators (0, 1), (1, 0)
-    report = pg.check_fiber_regularity(_drop_vertex(s, s.fiber_at((1, 1))[-1]))
+    report = pg.check_fiber_regularity(_drop_vertex(s, s.fiber_indices[(1, 1)][-1]))
     assert report.failures == (
         "level (1, 1): fiber has 3, but level (1, 0) times generator 0 predicts 4",
         "level (1, 1): fiber has 3, but level (0, 1) times generator 1 predicts 4",
@@ -1116,6 +1122,191 @@ def test_regularity_with_a_repeated_generator_goes_to_the_matcher():
     assert report.witnesses == (("cone", 0, 1),)
 
 
+def _cones_agree_by_signature(slice_, deltas, levels):
+    """Reference for pg._cones_agree_by_position: every cone rooted over
+    `levels` gets a signature, its node count at each offset in D and,
+    per step (d, g) with d - g in D, the rank of each node's
+    g-predecessor among the cone's nodes at d - g; the cones agree when
+    all signatures are equal."""
+    gens = slice_.generators
+    if len(set(gens)) < len(gens) or not slice_.rooted_report.ok:
+        return False
+    table, cols, fibers = slice_.ancestor_table, slice_.step_columns, slice_.fibers
+    position = slice_.position
+    offsets = sorted(deltas)
+    steps = [(d, gi, e) for d in offsets
+             for gi, g in enumerate(gens) if (e := pg.vsub(d, g)) in deltas]
+    first = None
+    for x in levels:
+        nodes, rank = {}, {}  # per offset: each cone's nodes; each node's rank in its cone
+        for d in offsets:
+            nodes[d] = groups = [[] for _ in fibers[x]]
+            rank[d] = ranks = []
+            for i, a in enumerate(map(position.__getitem__, table[(x, pg.vadd(x, d))])):
+                ranks.append(len(groups[a]))
+                groups[a].append(i)
+        pred_rank = {(d, gi): list(map(rank[e].__getitem__, cols[(pg.vadd(x, d), gi)]))
+                     for d, gi, e in steps}
+        for p in range(len(fibers[x])):
+            signature = (
+                [len(nodes[d][p]) for d in offsets],
+                [list(map(pred_rank[(d, gi)].__getitem__, nodes[d][p])) for d, gi, _ in steps],
+            )
+            if first is None:
+                first = signature
+            elif signature != first:
+                return False
+    return True
+
+
+def _relabelled(s, x, rng):
+    """The slice with the residues of the vertices over x shuffled among
+    them: the same graph, with the fiber over x in another residue order."""
+    ids = s.fiber_indices[x]
+    residues = [s.vertices[i].residues for i in ids]
+    rng.shuffle(residues)
+    vertices = list(s.vertices)
+    for i, r in zip(ids, residues):
+        vertices[i] = Vertex(x, r)
+    return dataclasses.replace(s, vertices=tuple(vertices))
+
+
+def test_regularity_of_a_relabelled_rooted_slice_falls_back_to_the_matcher():
+    # the residue order within each cone is no longer one order for all
+    # cones, so no one rank map serves them; the cones are still isomorphic
+    s = _relabelled(make_slice("5_2", "+1+2+3", 3), (0, 1), random.Random(3))
+    assert pg.check_rooted_strongly_simple(s).ok
+    deltas, levels = pg._eligible_levels(s, 2)
+    assert not pg._cones_agree_by_position(s, deltas, levels)
+    report = pg.check_regularity(s, 2)
+    assert report == pg._regularity_by_matcher(s, 2)
+    assert report.ok and report.details == ("compared 9 cones at depth 2",)
+
+
+def test_regularity_rank_maps_agree_with_per_cone_signatures():
+    rng = random.Random(29)
+    bundled = [s for *_, s in bundled_slices()]
+    slices = bundled + [_shuffled(s, rng) for s in bundled] + _fuzz_corpus()
+    slices += [s for _, s in random_padic_slices(4, 20)]
+    slices += [make_slice("5_2_rows", "+1+2+3", 4), make_slice("5_3_swap", "+1+2", 3)]
+    slices += [_relabelled(s, x, rng) for s in bundled for x in s.levels
+               if len(s.fiber_indices[x]) > 1]
+    outcomes = Counter()
+    for s in slices:
+        if not pg.check_rooted_strongly_simple(s).ok:
+            continue
+        for depth_d in range(s.depth + 1):
+            deltas, levels = pg._eligible_levels(s, depth_d)
+            agree = pg._cones_agree_by_position(s, deltas, levels)
+            assert agree == _cones_agree_by_signature(s, deltas, levels)
+            outcomes[agree] += 1
+    assert min(outcomes.values()) > 100  # both answers are reached often
+
+
+def _gen_words_reference(s, x, y):
+    """Reference: the words from x to y, stepping along level_steps in
+    order and keeping the steps whose target still reaches y."""
+    if y not in s.reachable.get(x, frozenset()):
+        return []
+    if x == y:
+        return [()]
+    return [(gi,) + w for gi, nxt in s.level_steps[x] if y in s.reachable[nxt]
+            for w in _gen_words_reference(s, nxt, y)]
+
+
+def test_gen_words_match_the_level_step_reference():
+    for s in [s for *_, s in bundled_slices() if len(s.levels) <= 15] + _corrupted_slices():
+        for x, y in itertools.product(s.levels + ((99,) * len(s.levels[0]),), repeat=2):
+            assert s.gen_words(x, y) == _gen_words_reference(s, x, y)
+
+
+# ---------------------------------------------------------------------------
+# Möller's converse: slices off the axis of a tree
+
+
+def _off_axis_slice(d, r, top):
+    """The rooted d-ary tree seen from a vertex v at distance r off the
+    axis, on levels 0..top, with the one generator (1,).
+
+    Level 0 is v = 0^r; level n >= 1 holds the words of length n + r
+    whose first letter is not 0 (all d^n words when r = 0).  A word is
+    one base-d residue, first letter most significant.  v points to all
+    of level 1; for n >= 1, w -> w' when w' agrees with w on the first n
+    letters and differs at letter n + 1 (when r = 0: w' extends w).
+    """
+    words = [[(0,) * r]] + [
+        [w for w in itertools.product(range(d), repeat=n + r) if r == 0 or w[0]]
+        for n in range(1, top + 1)
+    ]
+    index = {nw: i for i, nw in enumerate((n, w) for n, ws in enumerate(words) for w in ws)}
+    edges = [(0, index[1, w], 0) for w in words[1]] if top else []
+    edges += [(index[n, w], index[n + 1, w2], 0) for n in range(1, top) for w in words[n]
+              for w2 in words[n + 1] if w2[:n] == w[:n] and (r == 0 or w2[n] != w[n])]
+    vertices = tuple(Vertex((n,), (sum(c * d**k for k, c in enumerate(w[::-1])),))
+                     for n, w in index)
+    levels = tuple((n,) for n in range(top + 1))
+    return pg.PGraphSlice(((1,),), top, levels, vertices, tuple(sorted(edges)))
+
+
+OFF_AXIS_CASES = [(2, 0, 4), (3, 0, 3), (2, 1, 4), (2, 2, 4), (3, 1, 3), (3, 2, 2), (4, 1, 2)]
+
+
+@pytest.mark.parametrize("d, r, top", OFF_AXIS_CASES)
+def test_off_axis_level_sizes_and_in_degrees(d, r, top):
+    s = _off_axis_slice(d, r, top)
+    in_degree = Counter(w for _, w, _ in s.edges)
+    for (n,) in s.levels[1:]:
+        ids = s.fiber_indices[(n,)]
+        assert len(ids) == ((d - 1) * d ** (n + r - 1) if r else d**n)
+        assert {in_degree[w] for w in ids} == {(d - 1) * d ** (r - 1) if r and n >= 2 else 1}
+
+
+@pytest.mark.parametrize("d, top", [(2, 4), (3, 3)])
+def test_off_axis_slice_on_the_axis_is_the_tree_model_slice(d, top):
+    assert _json_text(_off_axis_slice(d, 0, top)) == _json_text(make_slice_tree((d,), top))
+
+
+def test_off_axis_slice_at_distance_one_off_the_binary_tree_passes_every_check():
+    s = _off_axis_slice(2, 1, 4)
+    lines, failed = cli._run_checks(s, [*cli.STRUCTURAL_CHECKS, "product"], 3)
+    assert not failed
+    assert lines == ["rooted: PASS", "factorization: PASS", "fibers: PASS", "regularity: PASS",
+                     "product-of-trees: product_of_trees"]
+
+
+OFF_AXIS_FAILURES = [  # (d, r, top), the first witness of the rooted, factorization and fiber checks
+    ((2, 2, 4), [("in_degree", 5, 0, 2, 1), ("no_ancestor", 5, (0,)),
+                 ("fiber_count", (2,), 0, 16, 8)]),
+    ((3, 1, 3), [("in_degree", 7, 0, 2, 1), ("no_ancestor", 7, (0,)),
+                 ("fiber_count", (2,), 0, 36, 18)]),
+    ((3, 2, 2), [("in_degree", 19, 0, 6, 1), ("no_ancestor", 19, (0,)),
+                 ("fiber_count", (2,), 0, 324, 54)]),
+    ((4, 1, 2), [("in_degree", 13, 0, 3, 1), ("no_ancestor", 13, (0,)),
+                 ("fiber_count", (2,), 0, 144, 48)]),
+]
+
+
+@pytest.mark.parametrize("case, witnesses", OFF_AXIS_FAILURES,
+                         ids=["d%d-r%d-top%d" % case for case, _ in OFF_AXIS_FAILURES])
+def test_off_axis_slices_fail_as_trees_and_pass_as_regular(case, witnesses):
+    # in-degree above 1: by Moller's theorem the stabiliser of v is not
+    # tidy, and the slice fails as a tree while its cones stay isomorphic
+    s = _off_axis_slice(*case)
+    depth_d = s.depth - 1
+    lines, failed = cli._run_checks(s, [*cli.STRUCTURAL_CHECKS, "product"], depth_d)
+    assert failed
+    assert [line for line in lines if not line.startswith("    ")] == [
+        "rooted: FAIL", "factorization: FAIL", "fibers: FAIL", "regularity: PASS",
+        "product-of-trees: not_product",
+    ]
+    reports = [pg.check_rooted_strongly_simple(s), pg.check_factorization(s),
+               pg.check_fiber_regularity(s)]
+    assert [report.witnesses[0] for report in reports] == witnesses
+    regularity = pg.check_regularity(s, depth_d)
+    assert regularity == pg._regularity_by_matcher(s, depth_d) and regularity.ok
+    assert pg.check_product_of_trees(s) == pg.ProductOfTreesResult(pg.NOT_PRODUCT, ("not_rooted",))
+
+
 def _move_leaf(s):
     """Rehang the last edge, into a top-level leaf, from a sibling of its source."""
     edges = list(s.edges)
@@ -1212,7 +1403,7 @@ def _corrupt(s, rng, kind):
         edges.append(edges[i])
     else:
         end = w if kind == "retarget" else u
-        others = [t for t in s.fiber_at(s.vertices[end].level) if t != end]
+        others = [t for t in s.fiber_indices[s.vertices[end].level] if t != end]
         if not others:
             return s
         t = rng.choice(others)
@@ -1287,6 +1478,10 @@ def test_common_descendants_examples():
     )
     with pytest.raises(LevelNotComparable):
         pg.common_descendants(s, a, b, (1, 0))
+    for missing in (Vertex((1, 0), (9, 9, 9)), Vertex((5, 5), (0, 0, 0))):
+        for pair in ((missing, b), (a, missing)):
+            with pytest.raises(LevelNotComparable, match="^vertex not in slice$"):
+                pg.common_descendants(s, *pair, (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1315,7 +1510,7 @@ def test_product_of_trees_refuses_slices_that_fail_the_rooted_check():
     tree = bundled("moller_tree", "+1", 2)
     square = bundled("example_5_1", "+1+2", 2)
     u, w, g = square.edges[-1]
-    sibling = next(t for t in square.fiber_at(square.vertices[u].level) if t != u)
+    sibling = next(t for t in square.fiber_indices[square.vertices[u].level] if t != u)
     for s, extra in ((tree, (2, 4, 0)), (square, (sibling, w, g))):
         assert pg.check_product_of_trees(s).is_product
         t = dataclasses.replace(s, edges=tuple(sorted(s.edges + (extra,))))
@@ -1404,7 +1599,7 @@ def test_external_product_of_trees():
     s3 = make_slice_tree((3,), 2)
     prod = pg.external_product([s2, s3])
     for x in prod.levels:
-        assert len(prod.fiber_at(x)) == 2 ** x[0] * 3 ** x[1]
+        assert len(prod.fiber_indices[x]) == 2 ** x[0] * 3 ** x[1]
     assert pg.check_rooted_strongly_simple(prod).ok
     assert pg.check_product_of_trees(prod).is_product
     assert pg.check_regularity(prod, 1).ok
@@ -1416,8 +1611,8 @@ def test_external_product_with_point():
     prod = pg.external_product([s3, point])
     assert len(prod.vertices) == len(s3.vertices)
     assert len(prod.edges) == len(s3.edges)
-    sizes = sorted(len(prod.fiber_at(x)) for x in prod.levels)
-    assert sizes == sorted(len(s3.fiber_at(x)) for x in s3.levels)
+    sizes = sorted(len(prod.fiber_indices[x]) for x in prod.levels)
+    assert sizes == sorted(len(s3.fiber_indices[x]) for x in s3.levels)
     assert pg.check_rooted_strongly_simple(prod).ok
 
 
@@ -1429,7 +1624,7 @@ def test_external_product_matches_two_component_tree_model():
     common = sorted(set(prod.levels) & set(direct.levels))
     assert set(direct.levels) <= set(prod.levels)
     for x in common:
-        assert len(prod.fiber_at(x)) == len(direct.fiber_at(x))
+        assert len(prod.fiber_indices[x]) == len(direct.fiber_indices[x])
     cert_prod = pg.cone_certificate(prod, prod.root_index, 2)
     cert_direct = pg.cone_certificate(direct, direct.root_index, 2)
     assert cert_prod == cert_direct
@@ -1457,7 +1652,7 @@ def _assert_matches_sorted_product(factors):
     prod = pg.external_product(factors)
     want = _sorted_product(factors)
     assert prod == want
-    assert pg.slice_to_json(prod) == pg.slice_to_json(want)
+    assert _json_text(prod) == _json_text(want)
     return prod
 
 
@@ -1649,9 +1844,9 @@ def test_slice_to_json_equals_json_dumps_on_built_slices():
     slices = [s for *_, s in bundled_slices()]
     assert any(not s.edges for s in slices)  # depth 0: "edges": []
     for s in slices:
-        assert pg.slice_to_json(s) == _dumped(s)
+        assert _json_text(s) == _dumped(s)
     prod = pg.external_product([make_slice("5_1", "+1+2", 2), make_slice("tree3", "+1", 2)])
-    assert pg.slice_to_json(prod) == _dumped(prod)
+    assert _json_text(prod) == _dumped(prod)
 
 
 def test_writers_match_record_oracles_on_built_slices():
@@ -1678,7 +1873,7 @@ def test_slice_to_json_splits_a_long_level_run_with_mixed_residue_lengths():
     edges = tuple((0, w, 0) for w in range(1, n + 1))
     s = pg.PGraphSlice(((1, -1),), 1, ((0, 0), (1, -1)), vertices, edges)
     assert len({len(r) for r in residues}) == 4
-    assert pg.slice_to_json(s) == _dumped(s)
+    assert _json_text(s) == _dumped(s)
     _assert_writers_match_records(s)
 
 
@@ -1688,7 +1883,7 @@ def test_slice_to_json_sums_a_level_over_non_adjacent_runs():
     vertices = tuple(Vertex((x,), r) for x, r in order)
     s = pg.PGraphSlice(((1,),), 2, levels, vertices, ((1, 0, 0), (1, 2, 0), (0, 4, 0)))
     assert pg.slice_to_json_dict(s)["levels"][1] == {"x": [1], "size": 4}
-    assert pg.slice_to_json(s) == _dumped(s)
+    assert _json_text(s) == _dumped(s)
     _assert_writers_match_records(s)
 
 
@@ -1710,8 +1905,8 @@ def test_slice_to_json_sums_a_level_over_non_adjacent_runs():
 )
 def test_slice_to_json_equals_json_dumps_on_imported_slices(data):
     s = pg.slice_from_json_dict(data)
-    assert pg.slice_to_json(s) == _dumped(s)
-    assert json.loads(pg.slice_to_json(s)) == data
+    assert _json_text(s) == _dumped(s)
+    assert json.loads(_json_text(s)) == data
     _assert_writers_match_records(s)
 
 
