@@ -27,7 +27,9 @@ from typing import NamedTuple
 
 from .cone_semigroup import ConeSemigroup
 from .errors import LevelNotComparable, NonPrimeModulus, NotInSemigroup
-from .flat_core import MAX_COMPONENTS, MAX_RANK, FlatGroupSpec, GroupElement, make_spec, rho
+from .flat_core import (
+    MAX_COMPONENTS, MAX_RANK, FlatGroupSpec, GroupElement, component_scales, make_spec,
+)
 
 
 # Miller-Rabin with the first 13 primes as bases passes no composite below
@@ -137,9 +139,7 @@ CosetModel = PadicModel | TreeModel
 
 def caps(model: CosetModel, x: GroupElement) -> tuple[int, ...]:
     """Residue cap per component at level x: s_j ** max(rho_j(x), 0)."""
-    spec = model.flat_spec()
-    r = rho(spec, x)
-    return tuple(s ** max(v, 0) for s, v in zip(spec.relative_scales, r))
+    return component_scales(model.flat_spec(), x)
 
 
 def fiber(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 from . import _intlinalg
@@ -86,15 +87,14 @@ def rho(spec: FlatGroupSpec, x: GroupElement) -> tuple[int, ...]:
     return tuple(_intlinalg.dot(row, x) for row in spec.weights)
 
 
+def component_scales(spec: FlatGroupSpec, x: GroupElement) -> tuple[int, ...]:
+    """s_j ** max(rho_j(x), 0) for each component j."""
+    return tuple(s ** max(r, 0) for s, r in zip(spec.relative_scales, rho(spec, x)))
+
+
 def scale(spec: FlatGroupSpec, x: GroupElement) -> int:
     """prod_j s_j ** max(rho_j(x), 0); equals 1 iff no component expands."""
-    spec.check_element(x)
-    result = 1
-    for row, s in zip(spec.weights, spec.relative_scales):
-        r = _intlinalg.dot(row, x)
-        if r > 0:
-            result *= s**r
-    return result
+    return math.prod(component_scales(spec, x))
 
 
 def module_delta(spec: FlatGroupSpec, x: GroupElement) -> Fraction:

@@ -36,11 +36,13 @@ the step columns of a slice that passes the rooted check; any other
 slice is not a product of trees.  Failing slices take per-vertex paths
 that name every failure.
 
-Each decision has one routine.  `_generator_sums` lists the sums of at
-most D generators, for a slice's levels and for a cone's offsets;
-`_eligible_levels` picks the levels whose cone fits inside the slice,
-for both regularity routes; `_squares` lists the squares (x, gi, gj)
-of the square condition, which is decided on step columns alone.
+Each decision has one routine.  `_assemble` lays out the vertices and
+edges of every built slice and product; `_generator_sums` lists the
+sums of at most D generators, for a slice's levels and for a cone's
+offsets; `_eligible_levels` picks the levels whose cone fits inside the
+slice, once per regularity check, for both routes; `_squares` lists the
+squares (x, gi, gj) of the square condition, which is decided on step
+columns alone.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, combinations, groupby, product, repeat
+from itertools import chain, combinations, count, groupby, product, repeat
 from math import prod
 from operator import attrgetter, itemgetter
 from typing import Iterator
@@ -294,6 +296,37 @@ def _generator_sums(gens: tuple[GroupElement, ...], rank: int, depth: int) -> It
     yield frontier
 
 
+def _assemble(generators, depth: int, fibers, steps) -> PGraphSlice:
+    """Lay out a slice: the one place its vertex and edge order is made.
+
+    `fibers` yields (level, vertices in residue order), in level order,
+    and the vertices are indexed in that order, so each level's fiber is
+    one block of indices.  `steps` yields (x, y, gi, positions), the
+    i-th vertex over y having its gi-predecessor at positions[i] over
+    x, with y in level order; each step becomes one block of edges.
+    Both are read once, in turn, and each fiber is dropped once copied.
+
+    Edges come out sorted.  With distinct generators a sort on the
+    source alone does it.  Target levels y come in the order of their
+    index blocks, and each step lists its targets in ascending order.
+    The generators are distinct, so a source u meets at most one g per
+    target level, and it meets its edges in ascending target w.  The
+    stable sort on u keeps that order, and (u, w) fixes g = level(w) -
+    level(u), so the result is the sorted triples.  A repeated
+    generator, as in the product of a factor imported with two labels
+    on one step vector, breaks that, and then the edges take a full sort.
+    """
+    vertices, edges, start = [], [], {}  # start: each level's first vertex index
+    for x, fiber_x in fibers:
+        start[x] = len(vertices)
+        vertices.extend(fiber_x)
+        del fiber_x  # a built fiber is a list; let it go before the edges grow
+    for x, y, gi, positions in steps:
+        edges.extend(zip(map(start[x].__add__, positions), count(start[y]), repeat(gi)))
+    edges.sort(key=itemgetter(0) if len(set(generators)) == len(generators) else None)
+    return PGraphSlice(tuple(generators), depth, tuple(start), tuple(vertices), tuple(edges))
+
+
 def build_slice(
     P: ConeSemigroup,
     generators: GeneratorSet | tuple[GroupElement, ...] | list[GroupElement],
@@ -311,20 +344,14 @@ def build_slice(
     refuses.  A GeneratorSet is not checked.  The fiber over x has
     prod(caps(model, x)) vertices, so the slice's size is known exactly
     from its levels, and SliceTooLarge refuses a slice of more than
-    MAX_SLICE_VERTICES before any fiber is listed.  The
-    edges for step g into y are one level-pair map: the i-th vertex over
-    y goes to position truncation_positions(y - g, y)[i] over y - g.
-    The caps worked out for the size guard are handed to
+    MAX_SLICE_VERTICES before any fiber is listed.
+
+    `_assemble` lays out the sorted levels' fibers and one step per
+    level y and generator g with y - g a level: the i-th vertex over y
+    goes to position truncation_positions(y - g, y)[i] over y - g.  The
+    caps worked out for the size guard are handed to
     positions_from_caps, which builds that map, so each level's caps are
     computed once, not once per level pair.
-
-    Edges come out sorted by sorting on their source alone.  Target
-    levels y are visited in sorted order, which is the order of their
-    index blocks, and each (y, g) block lists its targets in ascending
-    order.  The generators are distinct, so a source u meets at most one
-    g per target level, and it meets its edges in ascending target w.
-    The stable sort on u keeps that order, and (u, w) fixes g = level(w)
-    - level(u), so the result is the sorted triples.
     """
     if model.flat_spec() != P.spec:
         raise NotApplicable("model does not derive the cone's flat-group spec")
@@ -345,37 +372,18 @@ def build_slice(
                 levels.add(y)
                 todo.append(y)
 
-    level_list = sorted(levels)
-    level_caps = [caps(model, x) for x in level_list]
-    size = sum(map(prod, level_caps))
+    cap_at = {x: caps(model, x) for x in sorted(levels)}
+    size = sum(map(prod, cap_at.values()))
     if size > MAX_SLICE_VERTICES:
         raise SliceTooLarge(size, MAX_SLICE_VERTICES)
-    # sorted levels, each fiber in lexicographic residue order: canonical
-    vertices: list[Vertex] = []
-    start: dict[GroupElement, int] = {}
-    for x, cap in zip(level_list, level_caps):
-        start[x] = len(vertices)
-        vertices.extend(fiber(model, P, x, cap))
-
-    cap_at = dict(zip(level_list, level_caps))
-    edges: list[Edge] = []
-    for y, cap_y in zip(level_list, level_caps):
-        for gi, g in enumerate(gens):
-            x = vsub(y, g)
-            if (cap_x := cap_at.get(x)) is None:
-                continue
-            positions = positions_from_caps(model, x, y, cap_x, cap_y)
-            targets = range(start[y], start[y] + len(positions))
-            edges.extend(zip(map(start[x].__add__, positions), targets, repeat(gi)))
-    edges.sort(key=itemgetter(0))
-
-    return PGraphSlice(
-        generators=gens,
-        depth=depth,
-        levels=tuple(level_list),
-        vertices=tuple(vertices),
-        edges=tuple(edges),
+    fibers = ((x, fiber(model, P, x, cap)) for x, cap in cap_at.items())
+    steps = (
+        (x, y, gi, positions_from_caps(model, x, y, cap_at[x], cap_y))
+        for y, cap_y in cap_at.items()
+        for gi, g in enumerate(gens)
+        if (x := vsub(y, g)) in cap_at
     )
+    return _assemble(gens, depth, fibers, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -807,11 +815,11 @@ def check_regularity(slice_: PGraphSlice, depth_d: int) -> CheckReport:
     if depth_d < 0:
         raise ValueError("depth_d must be >= 0")
     deltas, levels = _eligible_levels(slice_, depth_d)
-    count = sum(len(slice_.fiber_indices[x]) for x in levels)
-    if count and _cones_agree_by_position(slice_, deltas, levels):
-        details = (f"compared {count} cones at depth {depth_d}",)
+    cones = sum(len(slice_.fiber_indices[x]) for x in levels)
+    if cones and _cones_agree_by_position(slice_, deltas, levels):
+        details = (f"compared {cones} cones at depth {depth_d}",)
         return CheckReport("regularity", True, details=details)
-    return _regularity_by_matcher(slice_, depth_d)
+    return _regularity_by_matcher(slice_, depth_d, levels)
 
 
 def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> bool:
@@ -875,8 +883,9 @@ def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> 
     return True
 
 
-def _regularity_by_matcher(slice_: PGraphSlice, depth_d: int) -> CheckReport:
-    """check_regularity by sorting every cone into isomorphism classes.
+def _regularity_by_matcher(slice_: PGraphSlice, depth_d: int, levels: list) -> CheckReport:
+    """check_regularity by sorting every cone into isomorphism classes,
+    one cone per vertex over `levels`, the eligible levels at depth_d.
 
     Each cone is compared by `cones_isomorphic`, which is complete and
     sound, with the first cone of each class.  The vertices outside the
@@ -885,7 +894,7 @@ def _regularity_by_matcher(slice_: PGraphSlice, depth_d: int) -> CheckReport:
     found first counts as the largest; it holds the first eligible
     vertex whenever that vertex's class is among the largest.
     """
-    fits = set(_eligible_levels(slice_, depth_d)[1])
+    fits = set(levels)
     eligible = [i for i, v in enumerate(slice_.vertices) if v.level in fits]
     if not eligible:
         return CheckReport("regularity", True, details=("no eligible vertices",))
@@ -1046,26 +1055,19 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
     is expanded.
 
     Levels and residues concatenate; an edge moves one factor along one
-    of its generators and fixes the rest.  Vertices run over the level
-    combinations, lexicographic in each factor's sorted levels, then over
-    the factors' fibers sorted by residues, so each combination is one
-    block in mixed radix.  That is the (level, residues) order unless a
-    factor level repeats a vertex or holds a residue tuple that is a
-    proper prefix of another, which no slice from build_slice,
-    external_product or an export does.
+    of its generators and fixes the rest.  `_assemble` lays out the
+    level combinations, lexicographic in each factor's sorted levels,
+    each over the product of the factors' fibers sorted by residues, so
+    each combination is one block in mixed radix.  That is the (level,
+    residues) order unless a factor level repeats a vertex or holds a
+    residue tuple that is a proper prefix of another, which no slice
+    from build_slice, external_product or an export does.
 
     A factor passes the rooted check, so each vertex over y has one
     g-predecessor, over y - g, if y - g is a level, and none otherwise.
     Its g-edges into fiber(y) form its step column into y, and the
-    product's g-edges into a block expand that column in mixed radix.
-
-    Blocks are visited in index order and each (block, factor, g) run
-    lists its targets in ascending order.  With distinct generators a
-    source u reaches a block along at most one of them, so u meets its
-    edges in ascending target w, and (u, w) fixes the generator: the
-    stable sort on the source alone gives the sorted triples.  A factor
-    imported with two labels on one step vector breaks that, and its
-    product's edges take a full sort.
+    product's step along g into a block expands that column in mixed
+    radix.
     """
     if not slices:
         raise ValueError("need at least one slice")
@@ -1083,38 +1085,28 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
         for gi, g in enumerate(s.generators)
     )
     gen_map = {(i, gi): new for new, (_, i, gi) in enumerate(labelled)}
-    residues, steps = [], []  # per factor and level: residues; (gi, level below, column)
+    residues, columns = [], []  # per factor and level: residues; (gi, level below, column)
     for s in slices:
-        fibers = {x: ids for x, ids in sorted(s.fibers.items()) if ids}
-        residues.append({x: [s.vertices[v].residues for v in ids] for x, ids in fibers.items()})
-        steps.append({y: [(gi, x, s.step_columns[(y, gi)])
-                          for gi, g in enumerate(s.generators) if (x := vsub(y, g)) in fibers]
-                      for y in fibers})
-
-    block, levels, vertices, edges = {}, [], [], []  # block: a level combination's indices
-    for combo in product(*residues):
-        levels.append(level := sum(combo, ()))
-        concat = map(sum, product(*map(dict.get, residues, combo)), repeat(()))
-        first = len(vertices)
-        vertices.extend(map(pair_vertex, zip(repeat(level), concat)))
-        block[combo] = range(first, len(vertices))
-    for combo, target in block.items():
-        for i, y in enumerate(combo):
-            for gi, x, column in steps[i][y]:
-                source = combo[:i] + (x,) + combo[i + 1 :]
-                n = list(map(len, map(dict.get, residues, source)))
-                radix = [*map(range, n[:i]), column, *map(range, n[i + 1 :])]
-                sources = map(block[source].start.__add__, mixed_radix(radix, n))
-                edges.extend(zip(sources, target, repeat(gen_map[(i, gi)])))
-    generators = tuple(vec for vec, _, _ in labelled)
-    edges.sort(key=itemgetter(0) if len(set(generators)) == len(generators) else None)
-    return PGraphSlice(
-        generators=generators,
-        depth=sum(s.depth for s in slices),
-        levels=tuple(levels),
-        vertices=tuple(vertices),
-        edges=tuple(edges),
+        ids_at = {x: ids for x, ids in sorted(s.fibers.items()) if ids}
+        residues.append({x: [s.vertices[v].residues for v in ids] for x, ids in ids_at.items()})
+        columns.append({y: [(gi, x, s.step_columns[(y, gi)])
+                            for gi, g in enumerate(s.generators) if (x := vsub(y, g)) in ids_at]
+                        for y in ids_at})
+    fibers = (
+        (level, map(pair_vertex, zip(repeat(level), map(sum, product(*parts), repeat(())))))
+        for combo in product(*residues)
+        for level, parts in [(sum(combo, ()), map(dict.get, residues, combo))]
     )
+    steps = (
+        (sum(source, ()), sum(combo, ()), gen_map[(i, gi)],
+         mixed_radix([*map(range, n[:i]), column, *map(range, n[i + 1 :])], n))
+        for combo in product(*residues)
+        for i, y in enumerate(combo)
+        for gi, x, column in columns[i][y]
+        for source in [combo[:i] + (x,) + combo[i + 1 :]]
+        for n in [[*map(len, map(dict.get, residues, source))]]
+    )
+    return _assemble([vec for vec, _, _ in labelled], sum(s.depth for s in slices), fibers, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,11 @@ def make_slice(model_key, pattern_text, depth):
     return pg.build_slice(P, gens, model, depth)
 
 
+def _matcher(s, depth_d):
+    """The matcher's report over the levels that check_regularity hands it."""
+    return pg._regularity_by_matcher(s, depth_d, pg._eligible_levels(s, depth_d)[1])
+
+
 @lru_cache(maxsize=None)
 def bundled_slices():
     """(config name, pattern, depth, model, slice) for every bundled model,
@@ -388,16 +393,44 @@ def test_build_slice_levels_and_fibers():
     assert sizes == {(0, 0): 1, (1, 0): 2, (0, 1): 2, (2, 0): 4, (1, 1): 4, (0, 2): 4}
 
 
+def test_build_slice_closes_its_levels_downward():
+    # the Hilbert basis is (1,0), (2,-1), (2,1), with (2,-1) + (2,1) = 4 (1,0):
+    # (4,0) - (1,0) = (3,0) is in the cone but is no sum of at most 2 generators
+    model = PadicModel(((2, (1, -2)), (2, (1, 2))))
+    P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse("+1+2"))
+    gens = cs.minimal_generators(P, 16)
+    assert gens.sigma == ((1, 0), (2, -1), (2, 1))
+    s = pg.build_slice(P, gens, model, 2)
+    sums = {(0, 0)} | set(gens.sigma) | {pg.vadd(g, h) for g in gens.sigma for h in gens.sigma}
+    closure = set(sums)
+    while below := {pg.vsub(x, g) for x in closure for g in gens.sigma
+                    if P.contains(pg.vsub(x, g))} - closure:
+        closure |= below
+    assert (3, 0) in closure - sums
+    assert set(s.levels) == closure
+    assert (len(s.levels), len(s.vertices), len(s.edges)) == (11, 1013, 1652)
+    for check in (pg.check_rooted_strongly_simple, pg.check_factorization,
+                  pg.check_fiber_regularity):
+        assert check(s).ok
+    assert pg.check_regularity(s, 1) == pg.CheckReport(
+        "regularity", True, details=("compared 37 cones at depth 1",))
+    assert pg.check_product_of_trees(s).status == pg.NOT_FREE
+
+
 def test_build_slice_depth_zero():
     s = make_slice("5_2", "+1+2+3", 0)
     assert len(s.vertices) == 1 and not s.edges
     # with no generators, the sums of at most d generators are {0} at every d
     P = cs.ConeSemigroup(MODELS["tree3"].flat_spec(), cs.SignPattern.of((1,), ()))
     bare = pg.PGraphSlice((), 0, ((0,),), (Vertex((0,), ()),), ())
-    for t in (bare, pg.build_slice(P, [], MODELS["tree3"], 2)):
+    # levels 1 and 2 hold no vertex, so they root no cone: the positional
+    # route must step over their empty fibers rather than index into them
+    hollow = pg.PGraphSlice(((1,),), 2, ((0,), (1,), (2,)), (Vertex((0,), ()),), ())
+    for t in (bare, hollow, pg.build_slice(P, [], MODELS["tree3"], 2)):
         assert len(t.vertices) == 1 and not t.edges
         for d in range(3):
-            assert pg.check_regularity(t, d) == pg._regularity_by_matcher(t, d)
+            assert pg._cones_agree_by_position(t, *pg._eligible_levels(t, d))
+            assert pg.check_regularity(t, d) == _matcher(t, d)
             assert pg.check_regularity(t, d).details == (f"compared 1 cones at depth {d}",)
         assert pg.check_rooted_strongly_simple(t).ok and pg.check_factorization(t).ok
         assert pg.check_fiber_regularity(t).ok
@@ -764,7 +797,7 @@ def test_checks_match_references_on_fuzzed_slices():
         # the matcher takes up to a minute on some corrupted 313-vertex slices
         for depth in range(s.depth if len(s.vertices) <= 200 else 0):
             regularity = pg.check_regularity(s, depth)
-            assert regularity == pg._regularity_by_matcher(s, depth)
+            assert regularity == _matcher(s, depth)
             outcomes["regularity", rooted.ok, regularity.ok] += 1
         outcomes["rooted", rooted.ok] += 1
     assert outcomes["rooted", True] > 20 and outcomes["rooted", False] > 80
@@ -826,6 +859,17 @@ def test_rooted_check_names_vertices_over_unreachable_levels():
     assert report.witnesses == _rooted_reference_witnesses(s)
 
 
+@pytest.mark.parametrize("roots", [0, 2])
+def test_checks_refuse_a_level_0_without_one_vertex(roots):
+    vertices = tuple(Vertex((0,), (r,)) for r in range(roots))
+    s = pg.PGraphSlice(((1,),), 1, ((0,), (1,)), vertices, ())
+    assert pg.check_rooted_strongly_simple(s) == pg.CheckReport(
+        "rooted_strongly_simple", False, (f"slice has {roots} vertices at level 0, want 1",))
+    assert pg.check_fiber_regularity(s).failures == (f"level (0,): fiber has {roots}, want 1",)
+    assert pg.check_product_of_trees(s) == pg.ProductOfTreesResult(
+        pg.NOT_PRODUCT, ("not_rooted",))
+
+
 def test_swapped_sources_are_ambiguous():
     report = pg.check_rooted_strongly_simple(
         _swap_edge_sources(make_slice("5_3", "+1+2", 3), (2, 0))
@@ -861,7 +905,7 @@ def test_level_cycle_not_applicable():
         with pytest.raises(NotApplicable, match="cycle"):
             s.gen_words(x, y)
     # the rooted check fails on the cycle, so regularity goes to the matcher
-    assert pg.check_regularity(s, 0) == pg._regularity_by_matcher(s, 0)
+    assert pg.check_regularity(s, 0) == _matcher(s, 0)
     assert pg.check_regularity(s, 0).details == ("compared 2 cones at depth 0",)
 
 
@@ -1118,7 +1162,7 @@ def test_regularity_with_a_repeated_generator_goes_to_the_matcher():
     s = pg.PGraphSlice(((1,), (1,)), 2, ((0,), (1,), (2,)), tuple(vertices), tuple(edges))
     assert pg.check_rooted_strongly_simple(s).ok
     report = pg.check_regularity(s, 1)
-    assert report == pg._regularity_by_matcher(s, 1)
+    assert report == _matcher(s, 1)
     assert report.witnesses == (("cone", 0, 1),)
 
 
@@ -1179,7 +1223,7 @@ def test_regularity_of_a_relabelled_rooted_slice_falls_back_to_the_matcher():
     deltas, levels = pg._eligible_levels(s, 2)
     assert not pg._cones_agree_by_position(s, deltas, levels)
     report = pg.check_regularity(s, 2)
-    assert report == pg._regularity_by_matcher(s, 2)
+    assert report == _matcher(s, 2)
     assert report.ok and report.details == ("compared 9 cones at depth 2",)
 
 
@@ -1303,7 +1347,7 @@ def test_off_axis_slices_fail_as_trees_and_pass_as_regular(case, witnesses):
                pg.check_fiber_regularity(s)]
     assert [report.witnesses[0] for report in reports] == witnesses
     regularity = pg.check_regularity(s, depth_d)
-    assert regularity == pg._regularity_by_matcher(s, depth_d) and regularity.ok
+    assert regularity == _matcher(s, depth_d) and regularity.ok
     assert pg.check_product_of_trees(s) == pg.ProductOfTreesResult(pg.NOT_PRODUCT, ("not_rooted",))
 
 
