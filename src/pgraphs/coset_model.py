@@ -179,10 +179,14 @@ def truncate(model: CosetModel, x: GroupElement, y: GroupElement, v: Vertex) -> 
     return Vertex(tuple(x), res)
 
 
-def truncation_positions(model: CosetModel, x: GroupElement, y: GroupElement) -> list[int]:
-    """Where truncation from level y down to x sends each vertex: entry i
-    is the position in fiber(x) of the truncation of the i-th vertex of
-    fiber(y), both fibers in lexicographic residue order.
+def positions_from_caps(
+    model: CosetModel, x: GroupElement, y: GroupElement, cap_x, cap_y
+) -> list[int]:
+    """Where truncation from level y down to x sends each vertex, given
+    cap_x = caps(model, x) and cap_y = caps(model, y): entry i is the
+    position in fiber(x) of the truncation of the i-th vertex of
+    fiber(y), both fibers in lexicographic residue order.  `build_slice`
+    works out each level's caps once, not once per level pair it joins.
 
     The model is diagonal, so the map is a product of one map per
     component: residues r at y land at the mixed-radix position of
@@ -190,15 +194,6 @@ def truncation_positions(model: CosetModel, x: GroupElement, y: GroupElement) ->
     j.  Expanding one column t_j(0), ..., t_j(cap_y[j] - 1) per component,
     first component outermost, lists the positions in fiber(y)'s order.
     """
-    return positions_from_caps(model, x, y, caps(model, x), caps(model, y))
-
-
-def positions_from_caps(
-    model: CosetModel, x: GroupElement, y: GroupElement, cap_x, cap_y
-) -> list[int]:
-    """truncation_positions(model, x, y) from caps(model, x) and
-    caps(model, y), for a caller that holds them: `build_slice` works
-    out each level's caps once, not once per level pair it joins."""
     _require_comparable(x, y, cap_x, cap_y)
     if isinstance(model, PadicModel):  # r % cx: the residues below cx, cy // cx times over
         columns = [list(range(cx)) * (cy // cx) for cx, cy in zip(cap_x, cap_y)]

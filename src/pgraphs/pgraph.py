@@ -37,12 +37,12 @@ slice is not a product of trees.  Failing slices take per-vertex paths
 that name every failure.
 
 Each decision has one routine.  `_assemble` lays out the vertices and
-edges of every built slice and product; `_generator_sums` lists the
-sums of at most D generators, for a slice's levels and for a cone's
-offsets; `_eligible_levels` picks the levels whose cone fits inside the
-slice, once per regularity check, for both routes; `_squares` lists the
-squares (x, gi, gj) of the square condition, which is decided on step
-columns alone.
+edges of every built slice, product and even-sum restriction;
+`_generator_sums` lists the sums of at most D generators, for a slice's
+levels and for a cone's offsets; `_eligible_levels` picks the levels
+whose cone fits inside the slice, once per regularity check, for both
+routes; `_squares` lists the squares (x, gi, gj) of the square
+condition, which is decided on step columns alone.
 """
 
 from __future__ import annotations
@@ -348,10 +348,10 @@ def build_slice(
 
     `_assemble` lays out the sorted levels' fibers and one step per
     level y and generator g with y - g a level: the i-th vertex over y
-    goes to position truncation_positions(y - g, y)[i] over y - g.  The
-    caps worked out for the size guard are handed to
-    positions_from_caps, which builds that map, so each level's caps are
-    computed once, not once per level pair.
+    goes to the position over y - g of its truncation.  The caps worked
+    out for the size guard are handed to positions_from_caps, which
+    builds that map, so each level's caps are computed once, not once
+    per level pair.
     """
     if model.flat_spec() != P.spec:
         raise NotApplicable("model does not derive the cone's flat-group spec")
@@ -623,9 +623,7 @@ def check_fiber_regularity(slice_: PGraphSlice) -> CheckReport:
     if (root := size.get(zero, 0)) != 1:
         failures.append(f"level {zero}: fiber has {root}, want 1")
         witnesses.append(("fiber_count", zero, None, 1, root))
-    for x in slice_.levels:
-        if x not in reach:
-            continue
+    for x in slice_.levels:  # x - g in R and x a level puts x in R
         for gi, g in enumerate(slice_.generators):
             below = vsub(x, g)
             if below not in reach:
@@ -711,29 +709,29 @@ def descendant_cone(slice_: PGraphSlice, v: int, depth: int) -> DescendantCone:
     """Induced subgraph on descendants of v within `depth` generator steps.
 
     Nodes carry the level offset from v; edges carry the generator index.
-    An ordered pair of nodes carries one edge: where a corrupted slice
-    joins it along several generators, the last in successor order wins.
+    Every labelled slice edge among the nodes is kept, so a corrupted
+    slice that joins two nodes along several generators keeps each.
     """
-    parent = {v: v}
+    tree_edge: dict[int, tuple[int, int]] = {}  # each node but v: (BFS parent, generator)
     frontier = [v]
     for _ in range(depth):
         nxt = []
         for u in frontier:
-            for ws in slice_.succ[u].values():
+            for g, ws in slice_.succ[u].items():
                 for w in ws:
-                    if w not in parent:
-                        parent[w] = u
+                    if w != v and w not in tree_edge:
+                        tree_edge[w] = (u, g)
                         nxt.append(w)
         frontier = nxt
-    label = {
-        (u, w): g for u in parent for g, ws in slice_.succ[u].items() for w in ws if w in parent
-    }
-    base = slice_.vertices[v].level
+    order = (v, *tree_edge)
+    nodes, base = set(order), slice_.vertices[v].level
     return DescendantCone(
-        order=tuple(parent),
-        tree_edge={w: (u, label[(u, w)]) for w, u in parent.items() if w != v},
-        offset={u: vsub(slice_.vertices[u].level, base) for u in parent},
-        edges=frozenset((u, w, g) for (u, w), g in label.items()),
+        order=order,
+        tree_edge=tree_edge,
+        offset={u: vsub(slice_.vertices[u].level, base) for u in order},
+        edges=frozenset(
+            (u, w, g) for u in order for g, ws in slice_.succ[u].items() for w in ws if w in nodes
+        ),
     )
 
 
@@ -838,8 +836,7 @@ def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> 
     edges.  A cone edge u -> w along g has u = pred_g(w), at offset
     level(w) - x - g in D.  Conversely, when that offset lies in D,
     pred_g(w) lies over a level, has ancestor v at x, and so is in the
-    cone.  Distinct generators join distinct pairs of nodes, so
-    `descendant_cone`, which keeps one edge per pair, keeps them all.
+    cone.
 
     The rank of w over x + d is the number of vertices before it over
     x + d, in residue order, with its ancestor at x: the cone of v has
@@ -1133,37 +1130,32 @@ def virtually_product_subsemigroup(slice_: PGraphSlice) -> VirtuallyProductRepor
     (1,1), and the restriction should pass the square condition.  Those
     two are the only minimal nonzero even points of the cone x0 >= |x1|,
     and the restriction's generators are whichever of them are levels.
+
+    The slice must pass the rooted check, as a factor of
+    external_product must.  Then every vertex over an even level y has
+    one g-predecessor, over y - g, for each kept g with y - g a level,
+    and no other edge comes in, so the restriction's g-edges into y are
+    the stored step column (y, g).  `_assemble` lays out the even
+    levels, in the slice's level order, each fiber in residue order.
     """
     expected = ((1, -1), (1, 0), (1, 1))
     if slice_.generators != expected:
         raise NotApplicable(
             f"expects generators {expected}, slice has {slice_.generators}"
         )
+    if not (report := slice_.rooted_report).ok:
+        raise NotApplicable(f"slice fails the rooted check: {report.failures[0]}")
     even_levels = [x for x in slice_.levels if sum(x) % 2 == 0]
-    even_set = set(even_levels)
-    q_gens = tuple(g for g in expected[::2] if g in even_set)
-
-    keep_gen = {gi: g for gi, g in enumerate(slice_.generators) if g in q_gens}
-    relabel = {gi: q_gens.index(g) for gi, g in keep_gen.items()}
-    old_vertices = [
-        i for i, v in enumerate(slice_.vertices) if v.level in even_set
-    ]
-    new_index = {i: n for n, i in enumerate(old_vertices)}
-    vertices = tuple(slice_.vertices[i] for i in old_vertices)
-    edges = sorted(
-        (new_index[u], new_index[w], relabel[g])
-        for u, w, g in slice_.edges
-        if g in relabel
-        and slice_.vertices[u].level in even_set
-        and slice_.vertices[w].level in even_set
+    kept = [gi for gi in (0, 2) if expected[gi] in slice_.level_set]
+    q_gens = tuple(expected[gi] for gi in kept)
+    fibers = ((x, map(slice_.vertices.__getitem__, slice_.fibers[x])) for x in even_levels)
+    steps = (
+        (x, y, qi, slice_.step_columns[(y, gi)])
+        for y in even_levels
+        for qi, gi in enumerate(kept)
+        if (x := vsub(y, expected[gi])) in slice_.level_set
     )
-    restricted = PGraphSlice(
-        generators=q_gens,
-        depth=slice_.depth,
-        levels=tuple(even_levels),
-        vertices=vertices,
-        edges=tuple(edges),
-    )
+    restricted = _assemble(q_gens, slice_.depth, fibers, steps)
     return VirtuallyProductReport(
         q_generators=q_gens,
         restricted_levels=len(even_levels),

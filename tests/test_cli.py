@@ -498,6 +498,24 @@ MALFORMED = [
      "--b: (0,1)"),
     ("qlo-bad-vector", ("qlo", "5_3", "--pattern", "+1+2", "--a", "1,1", "--b", "1,x"), {},
      "--b: bad vector"),
+    ("qlo-a-too-long", ("qlo", "5_3", "--pattern", "+1+2", "--a", "1,1,0", "--b", "1,1"), {},
+     "--a: vector '1,1,0' has 3 coordinates, want 2"),
+    ("top-level-array", ("validate", "cfg"), {"cfg": [_padic(1, [(2, (1,))])]},
+     ": top level must be an object"),
+    ("kind-lattice", ("validate", "cfg"), {"cfg": {"kind": "lattice", "rank": 1}},
+     ": kind must be 'padic' or 'tree', got 'lattice'"),
+    ("defaults-array", ("validate", "cfg"), {"cfg": _padic(1, [(2, (1,))], defaults=[])},
+     ": defaults: must be an object"),
+    ("rows-empty", ("validate", "cfg"), {"cfg": _padic(2, [])}, ": rows: non-empty array required"),
+    ("row-not-object", ("validate", "cfg"), {"cfg": {"kind": "padic", "rank": 2, "rows": [3]}},
+     ": rows[0]: object required"),
+    ("exponents-short", ("validate", "cfg"), {"cfg": _padic(2, [(2, (1,)), (2, (0, 1))])},
+     ": rows[0].exponents: length 1 != rank 2"),
+    ("valencies-empty", ("validate", "cfg"), {"cfg": {"kind": "tree", "valencies": []}},
+     ": valencies: non-empty integer array required"),
+    ("no-pattern-anywhere", ("graph-build", "cfg", "--out", "x.json"),
+     {"cfg": _padic(2, [(2, (1, 0)), (2, (0, 1))])},
+     "config error: no --pattern given and config declares no default"),
 ]
 
 
@@ -513,6 +531,13 @@ def test_malformed_input_exits_2_naming_the_field(capsys, tmp_path, argv, config
     code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert (code, out) == (2, "")
     assert field in err and "Traceback" not in err
+
+
+def test_qlo_on_a_spec_with_a_uniscalar_kernel_exits_1(capsys, tmp_path):
+    # (1, 1, -1) has weight 0 in both rows, so the cone order is only a preorder
+    cfg = _config(tmp_path, "cfg", _padic(3, [(2, (1, 0, 1)), (2, (0, 1, 1))]))
+    code, out, err = run(capsys, "qlo", cfg, "--pattern", "+1+2", "--a", "1,0,0", "--b", "0,1,0")
+    assert (code, out, err) == (1, "", "error: cone order is not antisymmetric\n")
 
 
 def test_validate_large_prime_is_fast(capsys, tmp_path):

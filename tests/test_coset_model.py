@@ -13,8 +13,8 @@ from pgraphs.coset_model import (
     _is_prime,
     caps,
     fiber,
+    positions_from_caps,
     truncate,
-    truncation_positions,
 )
 from pgraphs.errors import LevelNotComparable, NonPrimeModulus, NotInSemigroup
 from pgraphs.flat_core import rho, scale
@@ -204,12 +204,13 @@ def test_truncation_positions_agree_with_truncate(request, model, text, pairs):
     for x, y in pairs:
         below = {v: i for i, v in enumerate(fiber(model, P, x))}
         want = [below[truncate(model, x, y, v)] for v in fiber(model, P, y)]
-        assert truncation_positions(model, x, y) == want
+        assert positions_from_caps(model, x, y, caps(model, x), caps(model, y)) == want
 
 
 def test_truncation_positions_incomparable_levels(model_5_3):
     with pytest.raises(LevelNotComparable, match="not comparable"):
-        truncation_positions(model_5_3, (1, -1), (1, 1))
+        x, y = (1, -1), (1, 1)
+        positions_from_caps(model_5_3, x, y, caps(model_5_3, x), caps(model_5_3, y))
 
 
 def test_tree_orbit_sizes(tree_3):

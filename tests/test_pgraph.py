@@ -17,7 +17,9 @@ from pgraphs import cli
 from pgraphs import cone_semigroup as cs
 from pgraphs import pgraph as pg
 from pgraphs.cli import bundled_config_path, load_config
-from pgraphs.coset_model import PadicModel, TreeModel, Vertex, caps, truncate, truncation_positions
+from pgraphs.coset_model import (
+    PadicModel, TreeModel, Vertex, caps, positions_from_caps, truncate,
+)
 from pgraphs.errors import (
     CertificationFailed, LevelNotComparable, NotApplicable, NotInSemigroup, SliceTooLarge,
 )
@@ -209,14 +211,14 @@ def _assert_writers_match_records(s):
 
 
 def _edges_from_positions(s, model):
-    """Reference: the edges rebuilt from the public truncation_positions,
+    """Reference: the edges rebuilt from the public positions_from_caps,
     one map per (level, generator) pair whose source level is a level."""
     edges = []
     for y in s.levels:
         for gi, g in enumerate(s.generators):
             x = tuple(a - b for a, b in zip(y, g))
             if x in s.level_set:
-                positions = truncation_positions(model, x, y)
+                positions = positions_from_caps(model, x, y, caps(model, x), caps(model, y))
                 edges += [(s.fibers[x][p], w, gi) for p, w in zip(positions, s.fibers[y])]
     return sorted(edges)
 
@@ -384,6 +386,36 @@ def test_product_size_guard(monkeypatch):
     monkeypatch.setattr(pg, "MAX_SLICE_VERTICES", size - 1)
     with pytest.raises(SliceTooLarge, match=f"product would hold {size} vertices"):
         pg.external_product([a, b])
+
+
+def _cone_5_1():
+    P = cs.ConeSemigroup(MODELS["5_1"].flat_spec(), cs.SignPattern.parse("+1+2"))
+    return P, cs.minimal_generators(P, 16)
+
+
+ROOT_5_1 = Vertex((0, 0), (0, 0))
+
+REFUSALS = [
+    # id, call, error, message
+    ("build-other-spec", lambda: pg.build_slice(*_cone_5_1(), MODELS["coprime"], 1),
+     NotApplicable, "model does not derive the cone's flat-group spec"),
+    ("build-depth-minus-1", lambda: pg.build_slice(*_cone_5_1(), MODELS["5_1"], -1),
+     ValueError, "depth must be >= 0"),
+    ("regularity-depth-minus-1", lambda: pg.check_regularity(make_slice("5_1", "+1+2", 1), -1),
+     ValueError, "depth_d must be >= 0"),
+    ("common-descendants-off-slice",
+     lambda: pg.common_descendants(make_slice("5_1", "+1+2", 1), ROOT_5_1, ROOT_5_1, (5, 5)),
+     LevelNotComparable, "level (5, 5) is not in the slice"),
+    ("product-of-none", lambda: pg.external_product([]), ValueError, "need at least one slice"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS]
+)
+def test_library_refuses_a_bad_argument_by_name(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_build_slice_levels_and_fibers():
@@ -1084,6 +1116,22 @@ def test_fiber_regularity_stricter_off_closed_levels():
     assert report.witnesses == (("fiber_count", (1, 1), 1, 0, 1),)
 
 
+def test_fiber_regularity_skips_levels_unreachable_from_0():
+    # no generator step leads from level 0 or 1 to level 5 or 6, so the rule
+    # skips them: 6 holds 3 vertices, though 5 and the generator's level
+    # (1,) hold 1 each
+    vertices = [Vertex((x,), ()) for x in (0, 1, 5)] + [Vertex((6,), (i,)) for i in range(3)]
+    s = pg.PGraphSlice(
+        generators=((1,),),
+        depth=1,
+        levels=((0,), (1,), (5,), (6,)),
+        vertices=tuple(vertices),
+        edges=((0, 1, 0), (2, 3, 0), (2, 4, 0), (2, 5, 0)),
+    )
+    assert pg.check_fiber_regularity(s) == pg.CheckReport("fiber_regularity", True)
+    assert not pg.check_rooted_strongly_simple(s).ok
+
+
 # ---------------------------------------------------------------------------
 # regularity of descendant cones
 
@@ -1152,9 +1200,9 @@ def test_regularity_of_permuted_slices_needs_no_matcher(monkeypatch):
 
 
 def test_regularity_with_a_repeated_generator_goes_to_the_matcher():
-    # generators 0 and 1 are both (1,) and join the same pairs; a cone keeps
-    # one edge per pair, labelled by the generator met last in successor
-    # order, which the unsorted edges make 0 out of the root and 1 below
+    # generators 0 and 1 are both (1,) and join the same pairs; every cone
+    # keeps both labels on each pair, whatever order the unsorted edges
+    # list them in, so the regular slice passes
     vertices = [Vertex((0,), ())] + [Vertex((1,), (i,)) for i in range(2)]
     vertices += [Vertex((2,), (i, j)) for i in range(2) for j in range(2)]
     edges = [(0, 1, 1), (0, 2, 1), (0, 1, 0), (0, 2, 0)]
@@ -1163,7 +1211,8 @@ def test_regularity_with_a_repeated_generator_goes_to_the_matcher():
     assert pg.check_rooted_strongly_simple(s).ok
     report = pg.check_regularity(s, 1)
     assert report == _matcher(s, 1)
-    assert report.witnesses == (("cone", 0, 1),)
+    assert report.ok and report.witnesses == ()
+    assert report.details == ("compared 3 cones at depth 1",)
 
 
 def _cones_agree_by_signature(slice_, deltas, levels):
@@ -1375,9 +1424,9 @@ def test_moved_leaf_rejected_quickly():
         assert time.perf_counter() - start < 1
 
 
-def test_descendant_cone_keeps_one_edge_per_pair():
+def test_descendant_cone_keeps_every_edge_between_a_pair():
     # a corrupted slice joins 0 -> 2 along both generators; the cone keeps
-    # one edge per pair, labelled by the generator met last in successor order
+    # both, and the BFS tree edge into 2 is the one that reached it first
     s = pg.PGraphSlice(
         generators=((0, 1), (1, 0)),
         depth=1,
@@ -1386,8 +1435,30 @@ def test_descendant_cone_keeps_one_edge_per_pair():
         edges=((0, 1, 0), (0, 2, 0), (0, 2, 1)),
     )
     cone = pg.descendant_cone(s, 0, 1)
-    assert cone.edges == {(0, 1, 0), (0, 2, 1)}
-    assert cone.tree_edge == {1: (0, 0), 2: (0, 1)}
+    assert cone.edges == {(0, 1, 0), (0, 2, 0), (0, 2, 1)}
+    assert cone.tree_edge == {1: (0, 0), 2: (0, 0)}
+
+
+def test_regularity_sees_a_mislabelled_edge_beside_a_real_one():
+    # the extra edge 0 -> 1 along generator 1 is listed before the real
+    # one along generator 0; the root's cone must keep both, for a cone
+    # with one edge per pair, the last met, matches all 16 others
+    clean = make_slice("5_1", "+1+2", 3)  # example_5_1
+    s = dataclasses.replace(clean, edges=((0, 1, 1),) + clean.edges)
+    rooted = pg.check_rooted_strongly_simple(s)
+    assert rooted.witnesses[0] == ("step", 0, 1, 1)
+    report = pg.check_regularity(s, 1)
+    assert report.witnesses == (("cone", 0, 1),)
+    assert report.details == ("compared 17 cones at depth 1",)
+    # so does every such extra edge out of an eligible vertex, on two models
+    for clean in (clean, make_slice("5_2", "+1+2+3", 2)):
+        fits = set(pg._eligible_levels(clean, 1)[1])
+        extras = [(u, w, h) for u, w, g in clean.edges if clean.vertices[u].level in fits
+                  for h in range(len(clean.generators)) if h != g]
+        assert len(extras) >= 68
+        for extra in extras:
+            s = dataclasses.replace(clean, edges=(extra,) + clean.edges)
+            assert not pg.check_regularity(s, 1).ok, extra
 
 
 def _two_level_slice(pairs):
@@ -1808,6 +1879,70 @@ def test_virtually_product():
 
     with pytest.raises(NotApplicable):
         pg.virtually_product_subsemigroup(make_slice("5_1", "+1+2", 2))
+
+
+def _even_sum_restriction(s):
+    """Reference: the even-sum restriction by filtering, the vertices kept
+    in slice order and renumbered, the edges along (1,-1) and (1,1)
+    between kept vertices relabelled, then sorted."""
+    even = {x for x in s.levels if sum(x) % 2 == 0}
+    q_gens = tuple(g for g in ((1, -1), (1, 1)) if g in even)
+    kept = [i for i, v in enumerate(s.vertices) if v.level in even]
+    new = {old: n for n, old in enumerate(kept)}
+    return pg.PGraphSlice(
+        generators=q_gens,
+        depth=s.depth,
+        levels=tuple(x for x in s.levels if x in even),
+        vertices=tuple(s.vertices[i] for i in kept),
+        edges=tuple(sorted(
+            (new[u], new[w], q_gens.index(s.generators[g]))
+            for u, w, g in s.edges
+            if u in new and w in new and s.generators[g] in q_gens
+        )),
+    )
+
+
+def test_virtually_product_restriction_matches_filtering(monkeypatch):
+    # the restriction is laid out from the step columns, yet on built
+    # slices it equals the filtered one field by field, and on shuffled
+    # ones it gives the same report and joins the same vertices
+    restricted = []
+
+    def square(s):
+        restricted.append(s)
+        return check_product_of_trees(s)
+
+    check_product_of_trees = pg.check_product_of_trees
+    monkeypatch.setattr(pg, "check_product_of_trees", square)
+    model_p3 = PadicModel(((3, (1, 1)), (3, (1, -1))))
+    P = cs.ConeSemigroup(model_p3.flat_spec(), cs.SignPattern.parse("+1+2"))
+    built = [make_slice("5_3", "+1+2", d) for d in range(6)]
+    built += [pg.build_slice(P, cs.minimal_generators(P, 16), model_p3, d) for d in range(4)]
+    for s in built:
+        report = pg.virtually_product_subsemigroup(s)
+        want = _even_sum_restriction(s)
+        assert restricted.pop() == want
+        assert report == pg.VirtuallyProductReport(
+            want.generators, len(want.levels), want.rooted_report, check_product_of_trees(want)
+        )
+        assert report.ok
+    rng = random.Random(4)
+    for s in [_shuffled(s, rng) for s in built[:5] for _ in range(4)]:
+        want = pg.virtually_product_subsemigroup(make_slice("5_3", "+1+2", s.depth))
+        assert pg.virtually_product_subsemigroup(s) == want
+        got, want = restricted.pop(), _even_sum_restriction(s)
+        assert {(got.vertices[u], got.vertices[w], got.generators[g]) for u, w, g in got.edges} == {
+            (want.vertices[u], want.vertices[w], want.generators[g]) for u, w, g in want.edges
+        }
+
+
+def test_virtually_product_refuses_a_slice_that_fails_the_rooted_check():
+    s = make_slice("5_3", "+1+2", 2)
+    for bad in (_retarget_edge_target(s), dataclasses.replace(s, edges=s.edges[1:])):
+        failure = pg.check_rooted_strongly_simple(bad).failures[0]
+        with pytest.raises(NotApplicable) as caught:
+            pg.virtually_product_subsemigroup(bad)
+        assert str(caught.value) == f"slice fails the rooted check: {failure}"
 
 
 # ---------------------------------------------------------------------------
