@@ -37,12 +37,14 @@ class LevelNotComparable(PGraphsError):
 
 class SliceTooLarge(PGraphsError):
     """A slice or product would hold more vertices than a build may list;
-    raised from the exact count, before any vertex is listed."""
+    raised before any vertex is listed.  A slice is refused as soon as its
+    running count passes the limit, so `vertices` is a lower bound; a
+    product's count is exact."""
 
-    def __init__(self, vertices: int, limit: int, what: str = "slice"):
+    def __init__(self, vertices: int, limit: int, what: str = "slice would hold at least"):
         self.vertices = vertices
         self.limit = limit
-        super().__init__(f"the {what} would hold {vertices} vertices, above the limit {limit}")
+        super().__init__(f"the {what} {vertices} vertices, above the limit {limit}")
 
 
 class NotApplicable(PGraphsError):

@@ -6,8 +6,10 @@ generator-labelled truncation pairs.  All structural checks (rooted,
 strongly simple, factorization, fiber counts, regularity to a depth,
 product-of-trees) work purely on the stored edge data, so they detect
 corrupted slices rather than silently reconstructing them.  A build
-works out each level's residue caps once, for its size guard, and hands
-them to every level-pair truncation map it lists edges from.
+works out each level's residue caps once, as it lists the levels, for a
+size guard that refuses the slice as soon as the levels listed hold too
+many vertices, and hands them to every level-pair truncation map it
+lists edges from.
 
 The checks read the edges backward through one array, `parents`: per
 generator, each vertex's unique predecessor, or a lost marker.  Two
@@ -30,11 +32,12 @@ on the ancestor table otherwise.  On levels that form a cycle, the
 rooted, factorization and fiber checks each fail with that one failure.
 Regularity is decided by one positional isomorphism between cones when
 the rooted check passes: per step, one map from a vertex's rank in its
-cone to its predecessor's rank must serve every cone.  The cone matcher
-decides otherwise, or where that map fails.  The square condition reads
-the step columns of a slice that passes the rooted check; any other
-slice is not a product of trees.  Failing slices take per-vertex paths
-that name every failure.
+cone to its predecessor's rank must serve every cone.  Steps are taken
+per generator index, so two labels on one vector are two steps.  The
+cone matcher decides otherwise, or where that map fails.  The square
+condition reads the step columns of a slice that passes the rooted
+check; any other slice is not a product of trees.  Failing slices take
+per-vertex paths that name every failure.
 
 Each decision has one routine.  `_assemble` lays out the vertices and
 edges of every built slice, product and even-sum restriction;
@@ -342,9 +345,12 @@ def build_slice(
     least sum outside the cone is refused, as `fiber` would refuse it,
     and then any generator that `ConeSemigroup.check_descending`
     refuses.  A GeneratorSet is not checked.  The fiber over x has
-    prod(caps(model, x)) vertices, so the slice's size is known exactly
-    from its levels, and SliceTooLarge refuses a slice of more than
-    MAX_SLICE_VERTICES before any fiber is listed.
+    prod(caps(model, x)) vertices.  The levels are listed one layer of
+    sums at a time, each layer closed downward as it comes, so after k
+    layers the listed levels are those of the depth-k slice, and a
+    running count holds its size.  SliceTooLarge refuses the slice at
+    the first k whose count passes MAX_SLICE_VERTICES: before any fiber
+    is listed, and without listing the levels of the deeper layers.
 
     `_assemble` lays out the sorted levels' fibers and one step per
     level y and generator g with y - g a level: the i-th vertex over y
@@ -359,23 +365,25 @@ def build_slice(
         raise ValueError("depth must be >= 0")
     plain = not isinstance(generators, GeneratorSet)
     gens = tuple(sorted({tuple(g) for g in generators})) if plain else tuple(generators.sigma)
-    levels = set().union(*_generator_sums(gens, P.spec.rank, depth))
     if plain:  # a GeneratorSet is the cone's Hilbert basis, so it needs no check
-        if outside := [x for x in levels if not P.contains(x)]:
+        # the cone is closed under sums, so some lie outside only if a generator does
+        sums = () if all(map(P.contains, gens)) else _generator_sums(gens, P.spec.rank, depth)
+        if outside := [x for layer in sums for x in layer if not P.contains(x)]:
             raise NotInSemigroup(f"level {min(outside)} is outside the cone")
         P.check_descending(gens)
-    todo = list(levels)
-    while todo:  # downward closure: each level is stepped down from once
-        x = todo.pop()
-        for g in gens:
-            if (y := vsub(x, g)) not in levels and P.contains(y):
-                levels.add(y)
-                todo.append(y)
 
-    cap_at = {x: caps(model, x) for x in sorted(levels)}
-    size = sum(map(prod, cap_at.values()))
-    if size > MAX_SLICE_VERTICES:
-        raise SliceTooLarge(size, MAX_SLICE_VERTICES)
+    cap_at, size = {}, 0  # each level's caps; the vertices over the levels listed
+    for layer in _generator_sums(gens, P.spec.rank, depth):
+        todo = list(layer)
+        while todo:  # the layer closed downward: each level is stepped down from once
+            if (x := todo.pop()) in cap_at:
+                continue
+            cap_at[x] = cap = caps(model, x)
+            size += prod(cap)
+            todo += [y for g in gens if (y := vsub(x, g)) not in cap_at and P.contains(y)]
+        if size > MAX_SLICE_VERTICES:
+            raise SliceTooLarge(size, MAX_SLICE_VERTICES)
+    cap_at = dict(sorted(cap_at.items()))
     fibers = ((x, fiber(model, P, x, cap)) for x, cap in cap_at.items())
     steps = (
         (x, y, gi, positions_from_caps(model, x, y, cap_at[x], cap_y))
@@ -806,8 +814,9 @@ def check_regularity(slice_: PGraphSlice, depth_d: int) -> CheckReport:
     part: those over a level x with x + delta a level for every delta in
     D, the sums of at most depth_d generators.  When the slice passes
     the rooted check, `_cones_agree_by_position` tries one explicit
-    isomorphism between every two cones; if it holds for all of them,
-    the check passes.  Otherwise, and on any other slice, the matcher
+    isomorphism between every two cones, with repeated generator labels
+    or without; if it holds for all of them, the check passes.
+    Otherwise, and on any other slice, the matcher
     (`_regularity_by_matcher`) decides.
     """
     if depth_d < 0:
@@ -821,8 +830,8 @@ def check_regularity(slice_: PGraphSlice, depth_d: int) -> CheckReport:
 
 
 def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> bool:
-    """Whether the slice passes the rooted check, has distinct generators,
-    and has one rank map per step for every cone rooted over `levels`.
+    """Whether the slice passes the rooted check and has one rank map per
+    step for every cone rooted over `levels`.
 
     The cone of v over x is every w with level(w) - x in D and
     anc(w, x) = v; its edges are the g-edges into each such w, for each
@@ -854,9 +863,16 @@ def _cones_agree_by_position(slice_: PGraphSlice, deltas: set, levels: list) -> 
     image of w, by f.  Both cones have equally many edges, so it maps
     edges onto edges.  So every cone is in one isomorphism class, which
     is the matcher's pass.  A level with an empty fiber roots no cone.
+
+    Cone edges and rank maps are taken per generator index, so repeated
+    labels need nothing more.  Two labels gi and gj on one vector g give
+    two steps (d, gi) and (d, gj), which share one e = d - g, and each
+    step has its own rank map.  The descendant cone keeps every labelled
+    edge, and the map of rank r to rank r sends each gi-edge of one cone
+    to the gi-edge into the image of its target, by the map of (d, gi).
     """
     gens = slice_.generators
-    if len(set(gens)) < len(gens) or not slice_.rooted_report.ok:
+    if not slice_.rooted_report.ok:
         return False
     table, cols, fibers = slice_.ancestor_table, slice_.step_columns, slice_.fibers
     position = slice_.position
@@ -1070,7 +1086,7 @@ def external_product(slices: list[PGraphSlice] | tuple[PGraphSlice, ...]) -> PGr
         raise ValueError("need at least one slice")
     size = prod(len(s.vertices) for s in slices)
     if size > MAX_SLICE_VERTICES:
-        raise SliceTooLarge(size, MAX_SLICE_VERTICES, "product")
+        raise SliceTooLarge(size, MAX_SLICE_VERTICES, "product would hold")
     for i, s in enumerate(slices, 1):
         if not (report := s.rooted_report).ok:
             raise NotApplicable(f"factor {i} fails the rooted check: {report.failures[0]}")
@@ -1351,18 +1367,14 @@ def _level_depth(levels: tuple[GroupElement, ...], gens: tuple[GroupElement, ...
     return depth
 
 
-@cache
-def _dot_name_template(levels: int, residues: int) -> str:
-    return "L" + ",".join(["%d"] * levels) + "@" + ",".join(["%d"] * residues)
-
-
 def slice_to_dot(slice_: PGraphSlice) -> str:
-    """Deterministic DOT text; vertex names are L<x>@<residues>.  One %
-    formats every name, one every vertex line and one every edge line."""
-    vertices, edges = slice_.vertices, slice_.edges
-    ints = tuple(chain.from_iterable(chain.from_iterable(vertices)))
-    shapes = (map(len, map(attrgetter(key), vertices)) for key in ("level", "residues"))
-    names = ("\n".join(map(_dot_name_template, *shapes)) % ints).splitlines()
+    """Deterministic DOT text; vertex names are L<x>@<residues>.  Each
+    run of vertices on one level formats its "L<x>@" head once; one %
+    formats every vertex line and one every edge line."""
+    edges, names = slice_.edges, []
+    for x, run in groupby(slice_.vertices, attrgetter("level")):
+        head = "L" + ",".join(map(str, x)) + "@"
+        names += [head + ",".join(map(str, v.residues)) for v in run]
     u, w, g = (map(itemgetter(k), edges) for k in range(3))
     fields = chain.from_iterable(zip(map(names.__getitem__, u), map(names.__getitem__, w), g))
     nodes = "".join(['  "%s";\n'] * len(names)) % tuple(names)

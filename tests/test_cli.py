@@ -263,7 +263,7 @@ def test_a_slice_too_large_exits_2_naming_depth(capsys, monkeypatch, tmp_path, c
         assert time.perf_counter() - start < 1.0
     assert (code, stdout) == (2, "") and not out.exists()
     assert err == (
-        "config error: --depth 6: the slice would hold 24726434461 vertices, "
+        "config error: --depth 6: the slice would hold at least 10293041 vertices, "
         f"above the limit {pgraphs.pgraph.MAX_SLICE_VERTICES}; lower --depth\n"
     )
     argv[argv.index("6")] = "2"
@@ -623,6 +623,15 @@ def test_abbreviated_flag_equals_double_dash_is_a_usage_error(capsys, monkeypatc
     assert (code, out) == (2, "")
     assert err == "pgraphs graph-build: error: argument --out: expected one argument\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_flag_equals_double_dash_after_the_separator_is_no_refusal(capsys):
+    # past `--` every token is positional, so argparse reports the line
+    cfg = str(bundled_config_path("example_5_2"))
+    assert cli._double_dash_flag(["qlo", cfg, "--", "--a=--"]) is None
+    code, out, err = run(capsys, "qlo", cfg, "--", "--a=--")
+    assert (code, out) == (2, "")
+    assert err.endswith("pgraphs qlo: error: the following arguments are required: --a, --b\n")
 
 
 def test_inadmissible_pattern_exits_1(capsys):

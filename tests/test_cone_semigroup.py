@@ -613,6 +613,16 @@ def test_absorption_steps_checks_cone_membership():
     assert proc.stdout == "refused\n", proc.stderr
 
 
+def test_absorption_steps_refusals():
+    # +1+2-3 flips row (1, 1), and the flipped rows sum to 0: no indicator
+    spec = make_spec([(1, 0), (0, 1), (1, 1)], [2, 2, 2])
+    with pytest.raises(NotApplicable, match=r"^pattern .* has no indicator element$"):
+        cs.absorption_steps(P(spec, "+1+2-3"), (0, 0))
+    # y = (-1, 0) is negative on row 1, where the indicator (0, 1) is 0
+    with pytest.raises(NotApplicable, match="^indicator element is not strictly expanding$"):
+        cs.absorption_steps(P(spec, "+1+2+3"), (-1, 0), (0, 1))
+
+
 def test_check_maximality():
     # the default indicator absorbs every y of the box |y|_inf <= 4 in the
     # fewest steps, and y, -y both in the cone only for rho(y) = 0

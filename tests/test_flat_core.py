@@ -32,6 +32,22 @@ def test_spec_validation():
         FlatGroupSpec(rank=0, components=1, weights=((1,),), relative_scales=(2,))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: FlatGroupSpec(rank=1, components=0, weights=(), relative_scales=()),
+     "components must be in 1..16, got 0"),
+    (lambda: FlatGroupSpec(rank=1, components=2, weights=((1,),), relative_scales=(2, 2)),
+     "one weight row per component required"),
+    (lambda: FlatGroupSpec(rank=2, components=1, weights=((1, 0, 0),), relative_scales=(2,)),
+     "weight row 1 has length 3, want 2"),
+    (lambda: FlatGroupSpec(rank=1, components=1, weights=((1,),), relative_scales=(2, 2)),
+     "one relative scale per component required"),
+    (lambda: make_spec([], []), "at least one weight row required"),
+])
+def test_spec_refusal_names_the_problem(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_rho_examples():
     assert rho(SPEC_5_3, (2, 1)) == (3, 1)
     assert rho(SPEC_5_3, (0, 0)) == (0, 0)

@@ -366,16 +366,28 @@ def test_size_guard_counts_exactly_the_vertices_it_would_build(monkeypatch):
 
 
 def test_size_guard_refuses_a_huge_slice_before_listing_any_fiber(monkeypatch):
-    # about 1.1e11 vertices at depth 4; building it would exhaust memory
+    # about 1.1e11 vertices at depth 4; building it would exhaust memory.
+    # The count stops at the first layer of sums that passes the limit
     model = PadicModel(((5, (0, 1, 1)), (3, (1, -2, 0)), (3, (-1, -2, 1))))
     P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse("-1+2+3"))
     gens = cs.minimal_generators(P, 100)
     monkeypatch.setattr(pg, "fiber", None)  # never called
     start = time.perf_counter()
-    with pytest.raises(SliceTooLarge, match="would hold 107553164447 vertices") as refused:
+    with pytest.raises(SliceTooLarge, match="would hold at least 334544116 vertices") as refused:
         pg.build_slice(P, gens, model, 4)
     assert time.perf_counter() - start < 1.0
     assert refused.value.limit == pg.MAX_SLICE_VERTICES
+
+
+def test_size_guard_refuses_depth_1000_without_listing_every_level():
+    # example_5_1 has about 500000 levels at depth 1000, and listing them
+    # all before counting took about 5 s; the sums of at most 16 generators
+    # hold 16 * 2**17 + 1 vertices, past the limit
+    P, gens = _cone_5_1()
+    start = time.perf_counter()
+    with pytest.raises(SliceTooLarge, match="would hold at least 2097153 vertices"):
+        pg.build_slice(P, gens, MODELS["5_1"], 1000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_product_size_guard(monkeypatch):
@@ -1199,20 +1211,63 @@ def test_regularity_of_permuted_slices_needs_no_matcher(monkeypatch):
             assert report == pg.check_regularity(clean, cone_depth) and report.ok
 
 
-def test_regularity_with_a_repeated_generator_goes_to_the_matcher():
+def test_regularity_with_a_repeated_generator_is_decided_by_position():
     # generators 0 and 1 are both (1,) and join the same pairs; every cone
     # keeps both labels on each pair, whatever order the unsorted edges
-    # list them in, so the regular slice passes
+    # list them in, so the regular slice passes, with one rank map per label
     vertices = [Vertex((0,), ())] + [Vertex((1,), (i,)) for i in range(2)]
     vertices += [Vertex((2,), (i, j)) for i in range(2) for j in range(2)]
     edges = [(0, 1, 1), (0, 2, 1), (0, 1, 0), (0, 2, 0)]
     edges += [(p, c, g) for p, cs in ((1, (3, 4)), (2, (5, 6))) for g in (0, 1) for c in cs]
     s = pg.PGraphSlice(((1,), (1,)), 2, ((0,), (1,), (2,)), tuple(vertices), tuple(edges))
     assert pg.check_rooted_strongly_simple(s).ok
+    assert pg._cones_agree_by_position(s, *pg._eligible_levels(s, 1))
     report = pg.check_regularity(s, 1)
     assert report == _matcher(s, 1)
     assert report.ok and report.witnesses == ()
     assert report.details == ("compared 3 cones at depth 1",)
+
+
+def _repeated_label_family():
+    """(slice, whether it is rooted): for each base slice and generator
+    gi, the slice with gi's edges copied under a new label of the same
+    vector, then that copy with two of the new label's sources over one
+    level swapped."""
+    bases = [
+        make_slice("5_1", "+1+2", 3),  # example_5_1
+        make_slice("coprime", "+1+2", 3),  # coprime_2_3
+        make_slice("tree3", "+1", 4),  # moller_tree
+        make_slice("5_3", "+1+2", 2),  # example_5_3
+        make_slice("5_2", "+1+2+3", 2),  # example_5_2
+    ]
+    for s in bases:
+        new, level = len(s.generators), s.vertex_levels
+        for gi, g in enumerate(s.generators):
+            copies = [(u, w, new) for u, w, h in s.edges if h == gi]
+            labelled = dataclasses.replace(s, generators=s.generators + (g,))
+            yield dataclasses.replace(labelled, edges=tuple(sorted(s.edges + tuple(copies)))), True
+            i, j = next(
+                (i, j) for i, j in itertools.combinations(range(len(copies)), 2)
+                if level[copies[i][1]] == level[copies[j][1]] and copies[i][0] != copies[j][0]
+            )
+            (u, w, _), (u2, w2, _) = copies[i], copies[j]
+            copies[i], copies[j] = (u2, w, new), (u, w2, new)
+            yield dataclasses.replace(labelled, edges=tuple(sorted(s.edges + tuple(copies)))), False
+
+
+def test_regularity_with_repeated_labels_matches_the_matcher():
+    # a rooted slice with a repeated label is decided by position; a swap
+    # makes the two labels disagree, fails the rooted check and takes the
+    # matcher; either way the report is the matcher's
+    by_position = 0
+    for s, rooted in _repeated_label_family():
+        assert pg.check_rooted_strongly_simple(s).ok == rooted
+        for depth_d in (1, 2):
+            deltas, levels = pg._eligible_levels(s, depth_d)
+            assert pg.check_regularity(s, depth_d) == _matcher(s, depth_d)
+            assert pg._cones_agree_by_position(s, deltas, levels) == rooted
+            by_position += rooted
+    assert by_position == 20  # ten copies, at two cone depths
 
 
 def _cones_agree_by_signature(slice_, deltas, levels):
@@ -1222,7 +1277,7 @@ def _cones_agree_by_signature(slice_, deltas, levels):
     g-predecessor among the cone's nodes at d - g; the cones agree when
     all signatures are equal."""
     gens = slice_.generators
-    if len(set(gens)) < len(gens) or not slice_.rooted_report.ok:
+    if not slice_.rooted_report.ok:
         return False
     table, cols, fibers = slice_.ancestor_table, slice_.step_columns, slice_.fibers
     position = slice_.position
