@@ -182,8 +182,8 @@ def cmd_semigroups(args) -> int:
         sigma = " ".join(f"({','.join(map(str, g))})" for g in gens.sigma)
         forms = cs.scale_exponent_forms(spec, pattern)
         rows.append((str(pattern), sigma, cs.format_scale(forms)))
-    w1 = max(len("pattern"), *(len(r[0]) for r in rows)) if rows else len("pattern")
-    w2 = max(len("sigma"), *(len(r[1]) for r in rows)) if rows else len("sigma")
+    w1 = max(len("pattern"), *(len(r[0]) for r in rows))
+    w2 = max(len("sigma"), *(len(r[1]) for r in rows))
     print(f"{'pattern':<{w1}}  {'sigma':<{w2}}  scale")
     for r in rows:
         print(f"{r[0]:<{w1}}  {r[1]:<{w2}}  {r[2]}")

@@ -28,13 +28,13 @@ columns all exist and count as many entries as there are edges; beyond
 name failures.  Its
 report never raises, and every route that needs a rooted slice reads
 it.  Factorization is proved from a passing rooted check and enumerated
-on the ancestor table otherwise.  On levels that form a cycle, the
-rooted, factorization and fiber checks each fail with that one failure.
-Regularity is decided by one positional isomorphism between cones when
-the rooted check passes: per step, one map from a vertex's rank in its
-cone to its predecessor's rank must serve every cone.  Steps are taken
-per generator index, so two labels on one vector are two steps.  The
-cone matcher decides otherwise, or where that map fails.  The square
+on the ancestor table otherwise.  A slice whose levels form a cycle is
+refused when it is made, so no check meets one.  Regularity is decided
+by one positional isomorphism between cones when the rooted check
+passes: per step, one map from a vertex's rank in its cone to its
+predecessor's rank must serve every cone.  Steps are taken per
+generator index, so two labels on one vector are two steps.  The cone
+matcher decides otherwise, or where that map fails.  The square
 condition reads the step columns of a slice that passes the rooted
 check; any other slice is not a product of trees.  Failing slices take
 per-vertex paths that name every failure.
@@ -63,7 +63,7 @@ from .cone_semigroup import ConeSemigroup, GeneratorSet
 from .coset_model import (
     CosetModel, Vertex, caps, fiber, mixed_radix, pair_vertex, positions_from_caps,
 )
-from .errors import LevelNotComparable, NotApplicable, NotInSemigroup, SliceTooLarge
+from .errors import LevelNotComparable, NotApplicable, SliceTooLarge
 from .flat_core import GroupElement, rho
 
 Edge = tuple[int, int, int]  # (from vertex index, to vertex index, generator index)
@@ -80,8 +80,12 @@ MAX_SLICE_VERTICES = 2_000_000
 class PGraphSlice:
     """Immutable slice: levels, fibers, and generator-labelled edges.
 
-    Vertices are globally indexed in canonical order (level, then
-    residues, both lexicographic); edges are sorted triples.
+    Its levels form no cycle under generator steps: a slice whose levels
+    do is refused with NotApplicable when it is made.  Slices from
+    `_assemble`, and so their exports, index their vertices in canonical
+    order (level, then residues, both lexicographic) and sort their
+    edges.  An imported or hand-built slice may be in any order, and the
+    checks do not rely on it.
     """
 
     generators: tuple[GroupElement, ...]
@@ -89,6 +93,9 @@ class PGraphSlice:
     levels: tuple[GroupElement, ...]
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        self._levels_top_down  # raises NotApplicable on a level cycle
 
     @cached_property
     def level_set(self) -> frozenset[GroupElement]:
@@ -213,7 +220,7 @@ class PGraphSlice:
     def gen_words(self, x: GroupElement, y: GroupElement) -> list[tuple[int, ...]]:
         """All generator words leading from level x to level y in the slice:
         a step of pair_steps[(x, y)] followed by each word onward."""
-        steps = self.pair_steps.get((x, y), ())  # raises NotApplicable on a level cycle
+        steps = self.pair_steps.get((x, y), ())
         if x == y:
             return [()] if x in self.level_set else []
         return [(gi,) + w for gi, nxt in steps for w in self.gen_words(nxt, y)]
@@ -340,11 +347,13 @@ def build_slice(
 
     Levels are all sums of at most D generators, closed downward (x in
     the slice and x - sigma in the cone implies x - sigma in the slice);
-    fibers and edges follow the model's enumeration and truncation.  A
-    plain generator list is checked first, so that the closure ends: the
-    least sum outside the cone is refused, as `fiber` would refuse it,
-    and then any generator that `ConeSemigroup.check_descending`
-    refuses.  A GeneratorSet is not checked.  The fiber over x has
+    fibers and edges follow the model's enumeration and truncation.  The
+    generators, a GeneratorSet's sigma or the sorted distinct tuple of a
+    plain list, are checked first, so that the closure ends:
+    `ConeSemigroup.check_descending` refuses a nonzero generator outside
+    the cone or in its uniscalar kernel; a GeneratorSet, the cone's
+    Hilbert basis, always passes.  The cone is closed under sums, so then
+    no level lies outside it.  The fiber over x has
     prod(caps(model, x)) vertices.  The levels are listed one layer of
     sums at a time, each layer closed downward as it comes, so after k
     layers the listed levels are those of the depth-k slice, and a
@@ -363,14 +372,11 @@ def build_slice(
         raise NotApplicable("model does not derive the cone's flat-group spec")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    plain = not isinstance(generators, GeneratorSet)
-    gens = tuple(sorted({tuple(g) for g in generators})) if plain else tuple(generators.sigma)
-    if plain:  # a GeneratorSet is the cone's Hilbert basis, so it needs no check
-        # the cone is closed under sums, so some lie outside only if a generator does
-        sums = () if all(map(P.contains, gens)) else _generator_sums(gens, P.spec.rank, depth)
-        if outside := [x for layer in sums for x in layer if not P.contains(x)]:
-            raise NotInSemigroup(f"level {min(outside)} is outside the cone")
-        P.check_descending(gens)
+    if isinstance(generators, GeneratorSet):
+        gens = tuple(generators.sigma)
+    else:
+        gens = tuple(sorted({tuple(g) for g in generators}))
+    P.check_descending(gens)
 
     cap_at, size = {}, 0  # each level's caps; the vertices over the levels listed
     for layer in _generator_sums(gens, P.spec.rank, depth):
@@ -408,8 +414,8 @@ def check_rooted_strongly_simple(slice_: PGraphSlice) -> CheckReport:
     same ancestor map on the upper fiber.
 
     The report is computed once per slice and cached as `rooted_report`.
-    It never raises on slice data: a level 0 without exactly one vertex,
-    or a cycle among the levels, is its one failure.
+    It never raises on slice data: a level 0 without exactly one vertex
+    is its one failure.
 
     Parts (a) and (b) are first decided wholesale, from the step columns
     and the edge count.  Each column entry is one distinct edge, the
@@ -550,8 +556,7 @@ def check_factorization(slice_: PGraphSlice) -> CheckReport:
     a word from x to y, and walking back along it gives
     anc(anc(w, z), x).  By part (c) every word from x to y gives the
     same ancestor, anc(w, x).  So every count is 1.  Any other slice is
-    enumerated; a slice whose levels form a cycle fails with that one
-    failure.
+    enumerated.
     """
     if slice_.rooted_report.ok:
         return CheckReport("factorization", True)
@@ -565,10 +570,7 @@ def _factorization_by_enumeration(slice_: PGraphSlice) -> CheckReport:
     (x, z) covers only fiber(z), so an ancestor of w that is lost, or
     that left fiber(z) on a corrupted slice, counts 0.
     """
-    try:
-        reachable = slice_.reachable
-    except NotApplicable as exc:  # the levels form a cycle
-        return CheckReport("factorization", False, (str(exc),))
+    reachable = slice_.reachable
     failures: list[str] = []
     witnesses: list = []
     table, position, lost = slice_.ancestor_table, slice_.position, len(slice_.vertices)
@@ -617,17 +619,13 @@ def check_fiber_regularity(slice_: PGraphSlice) -> CheckReport:
     every multiset summing to a level is an expression.  An expression
     c of x - g then gives the expression c + g of x, so the
     enumeration's pass gives the rule.  On such slices the two agree
-    exactly; on others this rule is the stricter one.  A slice whose
-    levels form a cycle fails with that one failure.
+    exactly; on others this rule is the stricter one.
     """
     failures: list[str] = []
     witnesses: list = []
     zero = tuple([0] * len(slice_.levels[0]))
     size = {x: len(ids) for x, ids in slice_.fiber_indices.items()}
-    try:
-        reach = slice_.reachable.get(zero, frozenset())
-    except NotApplicable as exc:  # the levels form a cycle
-        return CheckReport("fiber_regularity", False, (str(exc),))
+    reach = slice_.reachable.get(zero, frozenset())
     if (root := size.get(zero, 0)) != 1:
         failures.append(f"level {zero}: fiber has {root}, want 1")
         witnesses.append(("fiber_count", zero, None, 1, root))
@@ -984,8 +982,6 @@ def check_product_of_trees(slice_: PGraphSlice) -> ProductOfTreesResult:
     trees at all; that is reported separately as not_free_semigroup.
     A product of trees is rooted and strongly simple, so a slice that
     fails the rooted check is not_product, with witness ("not_rooted",).
-    A level cycle would count as such a failure, but its steps sum to
-    zero, a relation among the generators, so it is not_free_semigroup.
 
     Every other slice is decided on step columns.  Each w over x + g + h
     has a = pred_h(w) over x + g and b = pred_g(w) over x + h, and by
@@ -1338,18 +1334,11 @@ def slice_from_json_dict(data: dict) -> PGraphSlice:
     if sorted(gen_vec) != list(range(len(gen_vec))):
         raise ValueError(f"edges: generator labels {sorted(gen_vec)} are not 0..n-1")
     gens = tuple(gen_vec[g] for g in range(len(gen_vec)))
-    slice_ = PGraphSlice(
-        generators=gens,
-        depth=_level_depth(levels, gens),
-        levels=levels,
-        vertices=vertices,
-        edges=tuple(edges),
-    )
+    depth = _level_depth(levels, gens)  # names an unreachable level before any cycle
     try:
-        slice_._levels_top_down
+        return PGraphSlice(gens, depth, levels, vertices, tuple(edges))
     except NotApplicable as exc:
         raise ValueError("edges: generator steps form a cycle among the levels") from exc
-    return slice_
 
 
 def _level_depth(levels: tuple[GroupElement, ...], gens: tuple[GroupElement, ...]) -> int:

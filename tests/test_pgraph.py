@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from pgraphs import cli
+from pgraphs import cli, coset_model
 from pgraphs import cone_semigroup as cs
 from pgraphs import pgraph as pg
 from pgraphs.cli import bundled_config_path, load_config
@@ -21,7 +21,7 @@ from pgraphs.coset_model import (
     PadicModel, TreeModel, Vertex, caps, positions_from_caps, truncate,
 )
 from pgraphs.errors import (
-    CertificationFailed, LevelNotComparable, NotApplicable, NotInSemigroup, SliceTooLarge,
+    CertificationFailed, LevelNotComparable, NotApplicable, SliceTooLarge,
 )
 from pgraphs.flat_core import scale, uniscalar_kernel
 
@@ -269,18 +269,19 @@ def test_build_slice_refuses_generators_outside_the_cone():
     model = MODELS["5_1"]
     P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse("+1+2"))
     # (-1, 0) lies outside the cone and its negation inside: the downward
-    # closure would step down from every level forever
-    for gens, depth, level in (([(1, 0), (-1, 1)], 1, "level (-1, 1)"),
-                               ([(1, -1)], 2, "level (1, -1)"),
-                               ([(0, 1), (-1, 5)], 2, "level (-2, 10)"),
-                               ([(-1, 0)], 1, "level (-1, 0)")):
-        with pytest.raises(NotInSemigroup, match=f"^{re.escape(level)} is outside the cone$"):
+    # closure would step down from every level forever.  The first
+    # generator outside the cone, in sorted order, is named.
+    for gens, depth, gen in (([(1, 0), (-1, 1)], 1, "(-1, 1)"),
+                             ([(1, -1)], 2, "(1, -1)"),
+                             ([(0, 1), (-1, 5)], 2, "(-1, 5)"),
+                             ([(-1, 0)], 1, "(-1, 0)"),
+                             ([(-1, 0)], 0, "(-1, 0)")):
+        with pytest.raises(NotApplicable,
+                           match=f"^generator {re.escape(gen)} lies outside the cone$"):
             pg.build_slice(P, gens, model, depth)
-    with pytest.raises(NotApplicable, match=r"^generator \(-1, 0\) lies outside the cone$"):
-        pg.build_slice(P, [(-1, 0)], model, 0)
     tree = TreeModel((2, 3))
     P = cs.ConeSemigroup(tree.flat_spec(), cs.SignPattern.parse("+1+2"))
-    with pytest.raises(NotInSemigroup, match=r"^level \(1, -1\) is outside the cone$"):
+    with pytest.raises(NotApplicable, match=r"^generator \(1, -1\) lies outside the cone$"):
         pg.build_slice(P, [(0, 1), (1, -1)], tree, 1)
     # F (1, 1, -1) = 0: every level x - g is in the cone again
     kernel = PadicModel(((2, (1, 0, 1)), (2, (0, 1, 1))))
@@ -289,6 +290,26 @@ def test_build_slice_refuses_generators_outside_the_cone():
         with pytest.raises(NotApplicable,
                            match=r"^generator \(1, 1, -1\) lies in the uniscalar kernel$"):
             pg.build_slice(P, gens, kernel, depth)
+
+
+def test_build_slice_refuses_a_generator_outside_the_cone_without_listing_sums(monkeypatch):
+    # whether to refuse is known from the generators alone: at depth 300
+    # no sum of generators is listed and no level's caps are worked out
+    def never(*args):
+        raise AssertionError("a level was listed")
+
+    monkeypatch.setattr(pg, "_generator_sums", never)
+    monkeypatch.setattr(pg, "caps", never)  # the name build_slice calls
+    monkeypatch.setattr(coset_model, "caps", never)
+    model = MODELS["5_1"]
+    P = cs.ConeSemigroup(model.flat_spec(), cs.SignPattern.parse("+1+2"))
+    with pytest.raises(NotApplicable, match=r"^generator \(-1, 1\) lies outside the cone$"):
+        pg.build_slice(P, [(1, 0), (-1, 1)], model, 300)
+    kernel = PadicModel(((2, (1, 0, 1)), (2, (0, 1, 1))))
+    P = cs.ConeSemigroup(kernel.flat_spec(), cs.SignPattern.parse("+1+2"))
+    with pytest.raises(NotApplicable,
+                       match=r"^generator \(1, 1, -1\) lies in the uniscalar kernel$"):
+        pg.build_slice(P, [(1, 0, 0), (1, 1, -1)], kernel, 300)
 
 
 def random_padic_slices(seed, count, max_vertices=1500):
@@ -934,35 +955,33 @@ def _cyclic_slice():
 
 
 def test_level_cycle_not_applicable():
-    s = _cyclic_slice()
-    with pytest.raises(NotApplicable, match="cycle"):
-        s.reachable
-    # the rooted, factorization and fiber checks report the cycle as their
-    # one failure, and do not raise
-    for check, name in ((pg.check_rooted_strongly_simple, "rooted_strongly_simple"),
-                        (pg.check_factorization, "factorization"),
-                        (pg.check_fiber_regularity, "fiber_regularity")):
-        assert check(s) == pg.CheckReport(name, False, ("level graph has a cycle",))
-    with pytest.raises(NotApplicable, match="^factor 1 fails the rooted check: level graph has a "):
-        pg.external_product([s])
-    for x, y in itertools.product(s.levels, repeat=2):  # even x == y: no word is listed
-        with pytest.raises(NotApplicable, match="cycle"):
-            s.gen_words(x, y)
-    # the rooted check fails on the cycle, so regularity goes to the matcher
-    assert pg.check_regularity(s, 0) == _matcher(s, 0)
-    assert pg.check_regularity(s, 0).details == ("compared 2 cones at depth 0",)
+    # a slice whose levels form a cycle is refused when it is made, so no
+    # check, product or word listing meets one
+    with pytest.raises(NotApplicable, match="^level graph has a cycle$"):
+        _cyclic_slice()
+    s = make_slice("5_1", "+1+2", 2)
+    # a step back down, and a zero step, close a cycle whatever the edges
+    for extra in ((-1, 0), (0, 0)):
+        with pytest.raises(NotApplicable, match="^level graph has a cycle$"):
+            dataclasses.replace(s, generators=s.generators + (extra,))
 
 
-def test_run_checks_reports_a_level_cycle_per_check():
-    lines, failed = cli._run_checks(_cyclic_slice(), [*cli.STRUCTURAL_CHECKS, "product"], 0)
-    assert failed
+def test_run_checks_never_meets_a_level_cycle():
+    # the cyclic slice without its step back down is a chain of two
+    # levels, and every check passes on it
+    chain = pg.PGraphSlice(((1,),), 1, ((0,), (1,)), (Vertex((0,), ()), Vertex((1,), ())),
+                           ((0, 1, 0),))
+    lines, failed = cli._run_checks(chain, [*cli.STRUCTURAL_CHECKS, "product"], 0)
+    assert not failed
     assert lines == [
-        "rooted: FAIL", "    level graph has a cycle",
-        "factorization: FAIL", "    level graph has a cycle",
-        "fibers: FAIL", "    level graph has a cycle",
-        "regularity: PASS",
-        "product-of-trees: not_free_semigroup",
+        "rooted: PASS", "factorization: PASS", "fibers: PASS", "regularity: PASS",
+        "product-of-trees: product_of_trees",
     ]
+    # with that step, no slice is made: the import names the field
+    data = pg.slice_to_json_dict(chain)
+    data["edges"].append({"from": 1, "to": 0, "gen": 1})
+    with pytest.raises(ValueError, match="^edges: generator steps form a cycle among the levels$"):
+        pg.slice_from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -1688,10 +1707,10 @@ def test_product_of_trees_refuses_slices_that_fail_the_rooted_check():
         assert pg.check_product_of_trees(t) == pg.ProductOfTreesResult(
             pg.NOT_PRODUCT, ("not_rooted",)
         )
-    # a level cycle fails the rooted check too, but its steps sum to zero,
-    # a relation among the generators, so it is not free
-    assert not _cyclic_slice().rooted_report.ok
-    assert pg.check_product_of_trees(_cyclic_slice()).status == pg.NOT_FREE
+    # a level cycle, whose steps sum to zero, is refused when the slice is
+    # made, before the square condition could see it
+    with pytest.raises(NotApplicable, match="^level graph has a cycle$"):
+        _cyclic_slice()
 
 
 def _square_condition_by_edges(s):
